@@ -51,6 +51,7 @@ from .version import __version__
 # Largest dense table (elements) any command simulates before falling
 # back to closed forms.
 SIM_BUDGET_ELEMENTS = 1 << 24
+TOO_LARGE_WARNING = "network too large to simulate; closed forms only"
 
 VALUE_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
@@ -62,6 +63,32 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive number, got {text}")
+    return value
 
 
 def _fmt(value: float) -> str:
@@ -189,6 +216,12 @@ def _table_elements(config: NetworkConfig, n_settings: int) -> int:
     return 4 ** config.total * n_settings * 2
 
 
+def _within_budget(config: NetworkConfig) -> bool:
+    """Whether the separable network table fits the simulation budget."""
+    n_settings = 1 << len(config.block_sizes)
+    return _table_elements(config, n_settings) <= SIM_BUDGET_ELEMENTS
+
+
 def cmd_violate(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
@@ -202,8 +235,7 @@ def cmd_violate(args, parser: _Parser) -> int:
         "violated": predicted > bound + VALUE_TOL,
     }
     status = 0
-    n_settings = 1 << len(config.block_sizes)
-    if _table_elements(config, n_settings) <= SIM_BUDGET_ELEMENTS:
+    if _within_budget(config):
         table = network_table(scheme)
         simulated = bell_value(truncated_spectrum(table, scheme_setting_map(scheme)))
         matches = abs(simulated - predicted) <= VALUE_TOL
@@ -212,7 +244,7 @@ def cmd_violate(args, parser: _Parser) -> int:
         if not matches:
             status = 2
     else:
-        report["warning"] = "network too large to simulate; closed forms only"
+        report["warning"] = TOO_LARGE_WARNING
     _emit_report(args, report)
     return status
 
@@ -222,8 +254,6 @@ def cmd_sweep(args, parser: _Parser) -> int:
     size = args.size if args.size is not None else file_cfg.get("L")
     if size is None:
         parser.error("sweep needs --L")
-    if args.grid < 2:
-        parser.error("--grid must be at least 2")
     thetas = np.linspace(0.0, math.pi / 2, args.grid)
     rows = []
     if args.full:
@@ -237,6 +267,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
 
     status = 0
     checked = "skipped (branch count beyond the simulation budget)"
+    check_line = f"simulation check: {checked}"
     if size <= 8:
         config = NetworkConfig.homogeneous(1, size)
         probes = sorted({0, len(rows) // 2, len(rows) - 1})
@@ -247,6 +278,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
             simulated = bell_value(subset_spectrum(table, xy_setting_map(size)))
             ok = ok and abs(simulated - value) <= VALUE_TOL
         checked = "ok" if ok else "FAILED"
+        check_line = f"simulation check at {len(probes)} probes: {checked}"
         if not ok:
             status = 2
     run = _run_spec(
@@ -265,7 +297,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
         rows,
         comments=[
             f"sweep L={size} grid={args.grid} mode={'full' if args.full else 'diagonal'}",
-            f"simulation check at {3} probes: {checked}",
+            check_line,
         ],
     )
     return status
@@ -282,8 +314,14 @@ def cmd_noise(args, parser: _Parser) -> int:
         "run": _run_spec(args, "noise", config, scheme=kind),
         "closed_form_visibility": formula,
     }
-    found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     status = 0
+    # Each bisection probe simulates the whole network, so the budget
+    # bounds the work of one probe as it does for violate.
+    if not _within_budget(config):
+        report["warning"] = TOO_LARGE_WARNING
+        _emit_report(args, report)
+        return status
+    found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     if found is None:
         report["no_violation"] = True
     else:
@@ -471,7 +509,9 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_violate)
 
     p = sub.add_parser("sweep", parents=[common], help="Bell value over measurement angles")
-    p.add_argument("--grid", type=int, default=101, help="points per angle axis")
+    p.add_argument(
+        "--grid", type=_int_at_least(2), default=101, help="points per angle axis"
+    )
     p.add_argument("--full", action="store_true", help="full theta0 x theta1 grid")
     p.set_defaults(func=cmd_sweep)
 
@@ -483,16 +523,20 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--mode", choices=("saturating", "sample", "enumerate"), default="saturating"
     )
-    p.add_argument("--trials", type=int, default=1000, help="sampled models")
+    p.add_argument("--trials", type=_int_at_least(1), default=1000, help="sampled models")
     p.add_argument("--lattice", type=int, default=2, help="hidden values per source")
-    p.add_argument("--grid", type=int, default=101, help="saturating p-grid points")
+    p.add_argument(
+        "--grid", type=_int_at_least(1), default=101, help="saturating p-grid points"
+    )
     p.set_defaults(func=cmd_classical)
 
     p = sub.add_parser("region", parents=[common], help="classical-region slice CSV")
     p.add_argument("--fixed-value", type=float, required=True)
     p.add_argument("--fixed-mask", type=int, default=3, help="subset mask held fixed")
-    p.add_argument("--grid", type=int, default=101)
-    p.add_argument("--tol", type=float, help="slice thickness (default: grid pitch)")
+    p.add_argument("--grid", type=_int_at_least(2), default=101)
+    p.add_argument(
+        "--tol", type=_positive_float, help="slice thickness (default: grid pitch)"
+    )
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("swap", parents=[common], help="entangled center measurement")

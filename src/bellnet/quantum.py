@@ -19,6 +19,13 @@ outcomes) combination:
 
 Within one source the qubit order is branch observers first, the center
 observer's qubit last.
+
+Separable-center statistics come from a state-vector simulation of each
+source, batched over every setting word.  White noise enters linearly:
+a unitary basis change maps the maximally mixed state to itself, so a
+source of visibility ``V`` has outcome probabilities
+``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the same as its density
+operator gives.
 """
 
 from __future__ import annotations
@@ -36,8 +43,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
-# Dense state vectors over m qubits cost 2**m amplitudes and density
-# operators 4**m entries; these caps keep any single object under ~1 GiB.
+# Dense state vectors over m qubits cost 2**m amplitudes, and one source
+# batched over its setting words 4**L * n_settings * 2; these caps keep
+# any single object under ~1 GiB.
 MAX_STATE_QUBITS = 12
 MAX_SOURCE_BRANCHES = 10
 
@@ -76,31 +84,9 @@ def measurement_basis(theta: float) -> np.ndarray:
     return np.array([[1, 1], [phase, -phase]], dtype=np.complex128) / math.sqrt(2)
 
 
-def noisy_ghz_density(m: int, visibility: float = 1.0) -> np.ndarray:
-    """GHZ density operator mixed with white noise.
-
-    ``visibility`` is the weight of the pure GHZ projector; the remainder
-    is the maximally mixed state on the same qubits.
-    """
-    if not 0.0 <= visibility <= 1.0:
-        raise ValueError("visibility must be in [0, 1]")
-    psi = ghz_state(m)
-    dim = psi.size
-    rho = visibility * np.outer(psi, psi.conj())
-    rho += (1.0 - visibility) / dim * np.eye(dim, dtype=np.complex128)
-    return rho
-
-
 def _apply_rows(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
     out = np.tensordot(op, tensor, axes=([1], [axis]))
     return np.moveaxis(out, 0, axis)
-
-
-def _rotate_density(rho: np.ndarray, qubit: int, theta: float, m: int) -> np.ndarray:
-    """Conjugate ``rho`` into the measurement basis of one qubit."""
-    basis = measurement_basis(theta)
-    rho = _apply_rows(basis.conj().T, rho, qubit)
-    return _apply_rows(basis.T, rho, m + qubit)
 
 
 def _rotate_state(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
@@ -110,17 +96,6 @@ def _rotate_state(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
 def _little_endian_flatten(tensor: np.ndarray) -> np.ndarray:
     """Flatten a (2,)*m tensor so axis q becomes bit q of the index."""
     return tensor.transpose(tuple(reversed(range(tensor.ndim)))).reshape(-1)
-
-
-def _diagonal_probabilities(rho: np.ndarray, m: int) -> np.ndarray:
-    """Outcome distribution from a basis-rotated density tensor.
-
-    The returned vector is indexed by the packed outcome word with qubit
-    ``q`` in bit ``q``.
-    """
-    order = tuple(range(m - 1, -1, -1)) + tuple(range(2 * m - 1, m - 1, -1))
-    mat = rho.transpose(order).reshape(1 << m, 1 << m)
-    return np.real(np.diagonal(mat)).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,28 +162,41 @@ def single_source_table(
 
     ``branch_angles[k]`` holds the two equatorial angles of branch observer
     ``k`` (one per setting); ``bob_angles`` lists the center observer's
-    angle for each of his settings.  The source state is built as a density
-    operator so the noise composes correctly with any measurement plane.
+    angle for each of his settings.  The pure GHZ amplitudes are rotated
+    into every measurement basis at once: each qubit's rotation adds its
+    setting bit as a new leading axis.  White noise of weight
+    ``1 - visibility`` is then mixed into the squared amplitudes linearly,
+    which is exact for any measurement plane.
     """
     if not 1 <= size <= MAX_SOURCE_BRANCHES:
         raise ValueError(f"branch count must be in 1..{MAX_SOURCE_BRANCHES}")
     angles = np.asarray(branch_angles, dtype=np.float64)
     if angles.shape != (size, 2):
         raise ValueError(f"branch_angles must have shape ({size}, 2)")
-    bob_angles = tuple(float(t) for t in bob_angles)
-    m = size + 1
-    rho0 = noisy_ghz_density(m, visibility).reshape((2,) * (2 * m))
+    if not 0.0 <= visibility <= 1.0:
+        raise ValueError("visibility must be in [0, 1]")
     dim = 1 << size
-    values = np.empty((dim, len(bob_angles), dim, 2))
-    for x in range(dim):
-        rho_x = rho0
-        for k in range(size):
-            rho_x = _rotate_density(rho_x, k, angles[k, (x >> k) & 1], m)
-        for y, bob_theta in enumerate(bob_angles):
-            probs = _diagonal_probabilities(_rotate_density(rho_x, size, bob_theta, m), m)
-            values[x, y, :, 0] = probs[:dim]
-            values[x, y, :, 1] = probs[dim:]
+    # amp[x, i]: amplitude of outcome word i (qubit q in bit q) after the
+    # branch qubits seen so far were rotated for setting word x.  Qubit k
+    # splits i into (higher bits, bit k, lower bits).
+    amp = ghz_state(size + 1)[None, :]
+    for k in range(size):
+        parts = amp.reshape(amp.shape[0], 1 << (size - k), 2, 1 << k)
+        amp = np.einsum("sod,xhdl->sxhol", _basis_adjoints(angles[k]), parts)
+        amp = amp.reshape(2 * parts.shape[0], -1)
+    # The center qubit is the top bit: (x, b, a) -> values[x, y, a, b].
+    amp = np.einsum(
+        "yod,xda->xyao", _basis_adjoints(bob_angles), amp.reshape(dim, 2, dim)
+    )
+    values = amp.real**2 + amp.imag**2
+    values *= visibility
+    values += (1.0 - visibility) / (2 * dim)
     return CorrelationTable(NetworkConfig(1, (size,)), values)
+
+
+def _basis_adjoints(thetas) -> np.ndarray:
+    """``measurement_basis(theta)^dagger`` for each angle, stacked."""
+    return np.stack([measurement_basis(float(t)).conj().T for t in thetas])
 
 
 def _quarter_cos(m) -> np.ndarray:
@@ -287,13 +275,17 @@ def compose_network(tables) -> CorrelationTable:
     acc = tables[0].values
     for t in tables[1:]:
         tv = t.values
-        new_dim = acc.shape[0] * tv.shape[0]
-        parts = []
+        dim_new, dim_acc = tv.shape[0], acc.shape[0]
+        # out[x, X, y, a, A, b]: the new source's bits above the earlier ones.
+        out = np.empty((dim_new, dim_acc, n_y, dim_new, dim_acc, 2))
+        tmp = np.empty(out.shape[:-1])
+        earlier = acc[None, :, :, None, :, :]
+        new = tv[:, None, :, :, None, :]
         for b in (0, 1):
-            term = np.einsum("XyA,xya->xXyaA", acc[..., 0], tv[..., b])
-            term += np.einsum("XyA,xya->xXyaA", acc[..., 1], tv[..., b ^ 1])
-            parts.append(term.reshape(new_dim, n_y, new_dim))
-        acc = np.stack(parts, axis=-1)
+            np.multiply(earlier[..., 0], new[..., b], out=out[..., b])
+            np.multiply(earlier[..., 1], new[..., b ^ 1], out=tmp)
+            out[..., b] += tmp
+        acc = out.reshape(dim_new * dim_acc, n_y, dim_new * dim_acc, 2)
     return CorrelationTable(NetworkConfig(len(tables), branches), acc)
 
 

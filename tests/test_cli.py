@@ -2,24 +2,37 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from bellnet import cli
 
-def run_cli(*args, expect=0):
+# The subprocess imports the same package as this process, installed or not.
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
+def run_cli(*args, expect=0, timeout=None):
     proc = subprocess.run(
         [sys.executable, "-m", "bellnet", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
+        env=_ENV,
     )
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc
 
 
-def run_json(*args, expect=0):
-    return json.loads(run_cli(*args, expect=expect).stdout)
+def run_json(*args, expect=0, timeout=None):
+    return json.loads(run_cli(*args, expect=expect, timeout=timeout).stdout)
 
 
 def test_version():
@@ -62,6 +75,12 @@ def test_violate_oversized_network_skips_simulation():
     assert "warning" in report
 
 
+def test_violate_largest_single_source_is_simulated():
+    report = run_json("violate", "--n", "1", "--L", "10", timeout=60)
+    assert report["simulated_value"] == 32.0
+    assert report["checks"]["simulation_matches_closed_form"] is True
+
+
 def test_violate_csv_format():
     proc = run_cli("violate", "--n", "2", "--L", "2", "--format", "csv")
     lines = proc.stdout.strip().split("\n")
@@ -88,6 +107,14 @@ def test_sweep_diagonal():
     assert len(rows) == 5
     assert float(rows[0][2]) == pytest.approx(2.0, abs=1e-12)
     assert float(rows[2][2]) == pytest.approx(1.0, abs=1e-12)  # theta = pi/4
+
+
+def test_sweep_reports_probes_that_ran():
+    lines = run_cli("sweep", "--L", "2", "--grid", "2").stdout.splitlines()
+    assert "# simulation check at 2 probes: ok" in lines
+    lines = run_cli("sweep", "--L", "9", "--grid", "2").stdout.splitlines()
+    check = [line for line in lines if "simulation check" in line]
+    assert check == ["# simulation check: skipped (branch count beyond the simulation budget)"]
 
 
 def test_sweep_full_grid_json():
@@ -123,6 +150,32 @@ def test_noise_heterogeneous():
     report = run_json("noise", "--branches", "1,2,3")
     assert report["closed_form_visibility"] == 0.125
     assert report["bisection_visibility"] == pytest.approx(0.125, abs=2e-6)
+
+
+def test_noise_beyond_budget_reports_closed_form(monkeypatch, capsys):
+    def no_bisection(*args, **kwargs):
+        raise AssertionError("bisection ran beyond the simulation budget")
+
+    monkeypatch.setattr(cli, "find_critical_visibility", no_bisection)
+    assert cli.main(["noise", "--n", "4", "--L", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["closed_form_visibility"] == 2.0 ** -6
+    assert "warning" in report
+    assert "bisection_visibility" not in report
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("classical", "--n", "2", "--L", "2", "--grid", "0"), "--grid"),
+        (("classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "0"), "--trials"),
+        (("classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "-5"), "--trials"),
+        (("region", "--n", "2", "--L", "2", "--fixed-value", "0.2", "--tol", "-1"), "--tol"),
+    ],
+)
+def test_numeric_flags_out_of_range_are_usage_errors(argv, flag):
+    proc = run_cli(*argv, expect=1)
+    assert f"argument {flag}" in proc.stderr
 
 
 def test_classical_saturating():

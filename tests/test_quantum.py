@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellnet.network import NetworkConfig
 from bellnet.quantum import (
@@ -21,7 +23,6 @@ from bellnet.quantum import (
     network_closed_form,
     network_closed_form_table,
     network_table,
-    noisy_ghz_density,
     rotated_scheme,
     scheme_setting_map,
     single_source_closed_form,
@@ -75,16 +76,33 @@ def test_measurement_basis_diagonalizes():
         assert np.allclose(diag, np.diag([1.0, -1.0]))
 
 
-def test_noisy_ghz_density():
-    rho = noisy_ghz_density(3, 0.6)
-    assert np.allclose(rho, rho.conj().T)
-    assert abs(np.trace(rho) - 1.0) < 1e-12
-    assert np.linalg.eigvalsh(rho).min() > -1e-12
-    assert np.allclose(noisy_ghz_density(2, 0.0), np.eye(4) / 4)
-    with pytest.raises(ValueError):
-        noisy_ghz_density(2, 1.5)
-    with pytest.raises(ValueError):
-        noisy_ghz_density(2, -0.1)
+ANGLES = st.floats(-math.pi, math.pi)
+VISIBILITIES = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), size=st.integers(1, 4))
+def test_single_source_table_matches_oracle(data, size):
+    angles = np.array(data.draw(st.lists(ANGLES, min_size=2 * size, max_size=2 * size)))
+    angles = angles.reshape(size, 2)
+    center = data.draw(ANGLES)
+    vis = data.draw(VISIBILITIES)
+    table = single_source_table(size, angles, (0.0, center), vis)
+    oracle = brute_force_network_table(NetworkConfig(1, (size,)), angles, center, 2, [vis])
+    assert np.abs(table.values - oracle).max() < 1e-12
+
+
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), branches=st.sampled_from([(1, 2), (2, 1), (1, 3), (3, 1)]))
+def test_network_table_matches_oracle(data, branches):
+    cfg = NetworkConfig(len(branches), branches)
+    angles = np.array(
+        data.draw(st.lists(ANGLES, min_size=2 * cfg.total, max_size=2 * cfg.total))
+    ).reshape(cfg.total, 2)
+    vis = data.draw(st.lists(VISIBILITIES, min_size=cfg.n, max_size=cfg.n))
+    table = network_table(MeasurementScheme(cfg, angles, "custom"), vis)
+    oracle = brute_force_network_table(cfg, angles, HALF_PI, table.n_bob_settings, vis)
+    assert np.abs(table.values - oracle).max() < 1e-12
 
 
 @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
@@ -126,6 +144,9 @@ def test_single_source_guards():
         single_source_table(MAX_SOURCE_BRANCHES + 1, np.zeros((11, 2)))
     with pytest.raises(ValueError):
         single_source_table(2, np.zeros((3, 2)))
+    for vis in (1.5, -0.1):
+        with pytest.raises(ValueError):
+            single_source_table(2, np.zeros((2, 2)), visibility=vis)
 
 
 def test_network_closed_form_examples():
@@ -153,6 +174,27 @@ def test_compose_matches_closed_form():
         assert composed.config == cfg
         closed = network_closed_form_table(cfg)
         assert np.abs(composed.values - closed.values).max() < 1e-12
+
+
+def test_compose_matches_pairwise_einsum():
+    tables = [
+        single_source_table(size, RNG.uniform(-math.pi, math.pi, (size, 2)), (0.0, 1.1), vis)
+        for size, vis in ((1, 0.9), (2, 0.6), (1, 1.0))
+    ]
+    # The XOR convolution written out pairwise, one einsum per parity term.
+    acc = tables[0].values
+    for t in tables[1:]:
+        tv = t.values
+        new_dim = acc.shape[0] * tv.shape[0]
+        parts = []
+        for b in (0, 1):
+            term = np.einsum("XyA,xya->xXyaA", acc[..., 0], tv[..., b])
+            term += np.einsum("XyA,xya->xXyaA", acc[..., 1], tv[..., b ^ 1])
+            parts.append(term.reshape(new_dim, 2, new_dim))
+        acc = np.stack(parts, axis=-1)
+    got = compose_network(tables)
+    assert got.config == NetworkConfig(3, (1, 2, 1))
+    assert np.array_equal(got.values, acc)
 
 
 def test_compose_of_uniform_is_uniform():
