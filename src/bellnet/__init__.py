@@ -10,145 +10,6 @@ saturate it.
 
 from .version import __version__
 
-from .network import (
-    NetworkConfig,
-    bob_setting_bit,
-    identity_setting_map,
-    rotated_setting_map,
-    subset_cardinality,
-    subset_setting_mask,
-    subset_setting_sign,
-    subsets_of,
-    truncated_setting_sign,
-    xy_setting_map,
-)
-from .quantum import (
-    CorrelationTable,
-    MeasurementScheme,
-    SwapJointTable,
-    compose_network,
-    custom_scheme,
-    ghz_like_basis,
-    ghz_state,
-    measurement_basis,
-    network_closed_form,
-    network_closed_form_table,
-    network_table,
-    rotated_scheme,
-    single_source_closed_form,
-    single_source_closed_form_table,
-    single_source_table,
-    swap_joint_table,
-    table_to_csv,
-    uniform_table,
-    xy_observable,
-    xy_projector,
-    xy_scheme,
-    scheme_setting_map,
-)
-from .inequality import (
-    SubsetSpectrum,
-    bell_value,
-    classical_bound,
-    contribution_count,
-    contribution_count_closed_form,
-    correlator_expansion_coefficient,
-    critical_visibility,
-    diagonal_sweep_closed_form,
-    find_critical_visibility,
-    parity_signs,
-    predicted_quantum_value,
-    single_experiment_value,
-    spectrum_report,
-    subset_spectrum,
-    sweep_value,
-    table_correlators,
-    truncated_spectrum,
-)
-from .classical import (
-    SampledModel,
-    deterministic_maximum,
-    geometric_mean_inequality_sides,
-    model_table,
-    region_slice,
-    sample_model,
-    sampled_bell_values,
-    sampled_spectra,
-    saturating_entries,
-    saturating_table,
-)
-from .swap import (
-    SwapConditioning,
-    conditioning_from_json,
-    conditioning_to_json,
-    default_conditioning,
-    swap_spectrum,
-)
-
-__all__ = [
-    "__version__",
-    "NetworkConfig",
-    "bob_setting_bit",
-    "identity_setting_map",
-    "rotated_setting_map",
-    "subset_cardinality",
-    "subset_setting_mask",
-    "subset_setting_sign",
-    "subsets_of",
-    "truncated_setting_sign",
-    "xy_setting_map",
-    "CorrelationTable",
-    "MeasurementScheme",
-    "SwapJointTable",
-    "compose_network",
-    "custom_scheme",
-    "ghz_like_basis",
-    "ghz_state",
-    "measurement_basis",
-    "network_closed_form",
-    "network_closed_form_table",
-    "network_table",
-    "rotated_scheme",
-    "single_source_closed_form",
-    "single_source_closed_form_table",
-    "single_source_table",
-    "swap_joint_table",
-    "table_to_csv",
-    "uniform_table",
-    "xy_observable",
-    "xy_projector",
-    "xy_scheme",
-    "scheme_setting_map",
-    "SubsetSpectrum",
-    "bell_value",
-    "classical_bound",
-    "contribution_count",
-    "contribution_count_closed_form",
-    "correlator_expansion_coefficient",
-    "critical_visibility",
-    "diagonal_sweep_closed_form",
-    "find_critical_visibility",
-    "parity_signs",
-    "predicted_quantum_value",
-    "single_experiment_value",
-    "spectrum_report",
-    "subset_spectrum",
-    "sweep_value",
-    "table_correlators",
-    "truncated_spectrum",
-    "SampledModel",
-    "deterministic_maximum",
-    "geometric_mean_inequality_sides",
-    "model_table",
-    "region_slice",
-    "sample_model",
-    "sampled_bell_values",
-    "sampled_spectra",
-    "saturating_entries",
-    "saturating_table",
-    "SwapConditioning",
-    "conditioning_from_json",
-    "conditioning_to_json",
-    "default_conditioning",
-    "swap_spectrum",
-]
+from .network import NetworkConfig
+from .quantum import network_table, scheme_setting_map, xy_scheme
+from .inequality import bell_value, classical_bound, subset_spectrum

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inequality import fwht
 from .network import NetworkConfig, subsets_of, xy_setting_map
-from .quantum import CorrelationTable
+from .quantum import CorrelationTable, bob_setting_count
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
 MAX_ENUMERATION_BRANCHES = 4
@@ -128,7 +129,7 @@ def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledM
         rng.integers(0, 2, size=(size, 2, lattice), dtype=np.uint8)
         for size in config.branches
     )
-    n_y = 1 << len(config.block_sizes)
+    n_y = bob_setting_count(config)
     center = rng.integers(0, 2, size=(combos, n_y), dtype=np.uint8)
     return SampledModel(config, lattice, weights, responses, center, seed)
 
@@ -171,55 +172,46 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=
     if setting_map is None:
         setting_map = xy_setting_map(config.max_branch)
     setting_map = np.asarray(setting_map)
+    if setting_map.shape != (1 << config.max_branch,):
+        raise ValueError("need one center setting per subset mask")
     models = [sample_model(int(s), config, lattice) for s in seeds]
-    batch = len(models)
     combos = lattice ** config.n
-    size_max = config.max_branch
-
-    # Signed half-sums per observer: index 0 pairs with settings outside
-    # the subset, index 1 with settings inside it.
-    half = []
-    for j, size in enumerate(config.branches):
-        resp = np.stack([m.responses[j] for m in models])  # (B, size, 2, lattice)
-        signed = 1.0 - 2.0 * resp
-        half.append(
-            np.stack(
-                [
-                    (signed[:, :, 0, :] + signed[:, :, 1, :]) / 2,
-                    (signed[:, :, 0, :] - signed[:, :, 1, :]) / 2,
-                ],
-                axis=2,
-            )
-        )  # (B, size, 2, lattice)
     weights = np.stack([m.weights for m in models])  # (B, n, lattice)
     center = np.stack([m.center_bits for m in models])  # (B, combos, n_y)
-    center_signs = 1.0 - 2.0 * center
+    center_signs = (1.0 - 2.0 * center)[:, :, setting_map]  # (B, combos, mask)
 
-    # Per-source subset factors: product over branches of the matching
-    # half-sum, for every local mask.
+    # Per-source subset factors: the Walsh–Hadamard transform of the
+    # response sign over local setting words, for every local mask, read
+    # at each subset mask truncated to the source's branch count.
+    masks = np.arange(1 << config.max_branch)
     factors = []
     for j, size in enumerate(config.branches):
-        f = np.ones((batch, 1 << size, lattice))
-        for mask in range(1 << size):
-            prod = np.ones((batch, lattice))
-            for k in range(size):
-                prod = prod * half[j][:, k, (mask >> k) & 1, :]
-            f[:, mask] = prod
-        factors.append(f)
+        resp = np.stack([m.responses[j] for m in models], axis=2)  # (size, 2, B, lattice)
+        f = fwht(_word_signs(resp)) / (1 << size)  # (local mask, B, lattice)
+        factors.append(f[masks & ((1 << size) - 1)].transpose(1, 0, 2))
 
-    entries = np.zeros((batch, 1 << size_max))
-    for mask in subsets_of(size_max):
-        y = int(setting_map[mask])
-        acc = np.zeros(batch)
-        for combo in range(combos):
-            term = center_signs[:, combo, y].copy()
-            for j in range(config.n):
-                digit = (combo // lattice ** j) % lattice
-                sub = mask & ((1 << config.branches[j]) - 1)
-                term *= weights[:, j, digit] * factors[j][:, sub, digit]
-            acc += term
-        entries[:, mask] = acc
+    entries = np.zeros((len(models), masks.size))
+    for combo in range(combos):
+        term = center_signs[:, combo].copy()
+        for j in range(config.n):
+            digit = (combo // lattice ** j) % lattice
+            term *= weights[:, j, digit, None] * factors[j][:, :, digit]
+        entries += term
     return entries
+
+
+def _word_signs(answers: np.ndarray) -> np.ndarray:
+    """Product of the observers' answer signs for every setting word.
+
+    ``answers[k, s, ...]`` is observer k's answer bit at setting s; the
+    result is indexed ``[x, ...]`` with observer k's setting in bit k of x.
+    """
+    size = answers.shape[0]
+    words = np.arange(1 << size)
+    parity = np.zeros((1 << size,) + answers.shape[2:], dtype=answers.dtype)
+    for k in range(size):
+        parity ^= answers[k, (words >> k) & 1]
+    return 1.0 - 2.0 * parity
 
 
 def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
@@ -228,41 +220,29 @@ def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2, setting_
     return (np.abs(entries) ** (1.0 / config.n)).sum(axis=1)
 
 
-def deterministic_maximum(config: NetworkConfig, setting_map=None):
+def deterministic_maximum(config: NetworkConfig):
     """Exhaustive maximum of the Bell value over deterministic strategies.
 
     Sound as a classical bound certificate only for one source, where the
     value is convex in the model; more sources need sampling instead.
-    Returns the maximum and one strategy attaining it, with each response
-    encoded as (answer at setting 0, answer at setting 1).
+    Returns the maximum and the first strategy attaining it, with each
+    response encoded as (answer at setting 0, answer at setting 1).  The
+    center answer only flips signs that the absolute values discard, so
+    it is reported as (0, 0).
     """
     if config.n != 1:
         raise ValueError("enumeration certifies the bound only for one source")
     size = config.max_branch
     if size > MAX_ENUMERATION_BRANCHES:
         raise ValueError(f"enumeration limited to {MAX_ENUMERATION_BRANCHES} branches")
-    if setting_map is None:
-        setting_map = xy_setting_map(size)
-    setting_map = np.asarray(setting_map)
-    best, best_strategy = -1.0, None
-    for codes in range(1 << (2 * size)):
-        answers = [((codes >> (2 * k)) & 1, (codes >> (2 * k + 1)) & 1) for k in range(size)]
-        signs = [(1 - 2 * a0, 1 - 2 * a1) for a0, a1 in answers]
-        outside = [(s0 + s1) / 2 for s0, s1 in signs]
-        inside = [(s0 - s1) / 2 for s0, s1 in signs]
-        for center in range(4):
-            center_bits = (center & 1, center >> 1)
-            value = 0.0
-            for mask in subsets_of(size):
-                prod = 1.0
-                for k in range(size):
-                    prod *= inside[k] if (mask >> k) & 1 else outside[k]
-                sign = -1.0 if center_bits[setting_map[mask]] else 1.0
-                value += abs(sign * prod)
-            if value > best:
-                best = value
-                best_strategy = {"responses": answers, "center": center_bits}
-    return best, best_strategy
+    # answers[k, s, code]: bit 2k + s of the response code.
+    codes = np.arange(1 << (2 * size))
+    answers = (codes >> np.arange(2 * size)[:, None]).reshape(size, 2, -1) & 1
+    entries = fwht(_word_signs(answers)) / (1 << size)
+    values = np.abs(entries).sum(axis=0)
+    code = int(np.argmax(values))
+    responses = [((code >> (2 * k)) & 1, (code >> (2 * k + 1)) & 1) for k in range(size)]
+    return float(values[code]), {"responses": responses, "center": (0, 0)}
 
 
 def region_slice(

@@ -39,6 +39,8 @@ from .inequality import (
 )
 from .network import NetworkConfig, xy_setting_map
 from .quantum import (
+    MAX_SOURCE_BRANCHES,
+    bob_setting_count,
     custom_scheme,
     network_table,
     rotated_scheme,
@@ -207,7 +209,6 @@ def _run_spec(args, command: str, config: NetworkConfig | None, **extra) -> dict
         run["config"] = config.to_json()
     if args.seed is not None:
         run["seed"] = args.seed
-    run["threads"] = args.threads
     run.update(extra)
     return run
 
@@ -217,9 +218,12 @@ def _table_elements(config: NetworkConfig, n_settings: int) -> int:
 
 
 def _within_budget(config: NetworkConfig) -> bool:
-    """Whether the separable network table fits the simulation budget."""
-    n_settings = 1 << len(config.block_sizes)
-    return _table_elements(config, n_settings) <= SIM_BUDGET_ELEMENTS
+    """Whether the separable network table fits the simulation budget and
+    every source fits the single-source simulator."""
+    return (
+        config.max_branch <= MAX_SOURCE_BRANCHES
+        and _table_elements(config, bob_setting_count(config)) <= SIM_BUDGET_ELEMENTS
+    )
 
 
 def cmd_violate(args, parser: _Parser) -> int:
@@ -490,12 +494,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), help="output format")
     common.add_argument("--seed", type=int, help="base seed for randomized runs")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="reserved; evaluation currently runs single-threaded",
-    )
     common.add_argument("--n", type=int, help="source count")
     common.add_argument("--L", dest="size", type=int, help="branch observers per source")
     common.add_argument("--branches", help="comma-separated per-source branch counts")

@@ -112,9 +112,9 @@ def subset_cardinality(mask: int) -> int:
     return int(mask).bit_count()
 
 
-def subset_setting_mask(mask: int, config: NetworkConfig) -> int:
+def subset_setting_mask(mask, config: NetworkConfig):
     """Packed-word mask selecting, in every source block, the branch
-    positions named by ``mask``.
+    positions named by ``mask`` (an int, or an integer array elementwise).
 
     Positions beyond a source's branch count are dropped for that source,
     which is the truncation rule used by heterogeneous networks.
@@ -123,26 +123,6 @@ def subset_setting_mask(mask: int, config: NetworkConfig) -> int:
     for off, size in zip(config.offsets, config.branches):
         word |= (mask & ((1 << size) - 1)) << off
     return word
-
-
-def truncated_setting_sign(mask: int, settings: int, config: NetworkConfig) -> int:
-    """Sign ``(-1)**m`` where ``m`` counts set setting bits at the subset's
-    positions, the subset being truncated to each source's branch count."""
-    return -1 if (settings & subset_setting_mask(mask, config)).bit_count() & 1 else 1
-
-
-def subset_setting_sign(mask: int, settings: int, config: NetworkConfig) -> int:
-    """Homogeneous-network variant of :func:`truncated_setting_sign`.
-
-    Requires all sources to have the same branch count; no truncation ever
-    happens, so the subset's positions are read in every source block.
-    """
-    if not config.is_homogeneous():
-        raise ValueError(
-            "subset_setting_sign needs a homogeneous network;"
-            " use truncated_setting_sign"
-        )
-    return truncated_setting_sign(mask, settings, config)
 
 
 def bob_setting_bit(mask: int, size: int) -> int:
@@ -184,7 +164,3 @@ def rotated_setting_map(config: NetworkConfig) -> np.ndarray:
         out[mask] = y
     return out
 
-
-def identity_setting_map(size: int) -> np.ndarray:
-    """Map giving every subset its own center setting (mask as index)."""
-    return np.arange(1 << size, dtype=np.int64)

@@ -40,7 +40,6 @@ from .network import NetworkConfig, rotated_setting_map, xy_setting_map
 HALF_PI = math.pi / 2
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 # Dense state vectors over m qubits cost 2**m amplitudes, and one source
@@ -59,19 +58,6 @@ def ghz_state(m: int) -> np.ndarray:
     psi = np.zeros(1 << m, dtype=np.complex128)
     psi[0] = psi[-1] = 1 / math.sqrt(2)
     return psi
-
-
-def xy_observable(theta: float) -> np.ndarray:
-    """Equatorial-plane observable cos(theta) X + sin(theta) Y."""
-    return math.cos(theta) * PAULI_X + math.sin(theta) * PAULI_Y
-
-
-def xy_projector(theta: float, outcome: int) -> np.ndarray:
-    """Projector onto the ``(-1)**outcome`` eigenspace of the observable."""
-    if outcome not in (0, 1):
-        raise ValueError("outcome must be 0 or 1")
-    sign = 1 if outcome == 0 else -1
-    return (np.eye(2, dtype=np.complex128) + sign * xy_observable(theta)) / 2
 
 
 def measurement_basis(theta: float) -> np.ndarray:
@@ -145,13 +131,6 @@ class SwapJointTable:
             raise ValueError("per-setting probabilities do not sum to one")
 
 
-def uniform_table(config: NetworkConfig, n_bob_settings: int = 2) -> CorrelationTable:
-    """The fully random table: every outcome equally likely."""
-    dim = 1 << config.total
-    values = np.full((dim, n_bob_settings, dim, 2), 1.0 / (2 * dim))
-    return CorrelationTable(config, values)
-
-
 def single_source_table(
     size: int,
     branch_angles,
@@ -204,20 +183,13 @@ def _quarter_cos(m) -> np.ndarray:
     return np.asarray([1.0, 0.0, -1.0, 0.0])[np.asarray(m) % 4]
 
 
-def single_source_closed_form(size: int, x: int, y: int, a: int, b: int) -> float:
-    """Closed-form probability for one noiseless GHZ source measured along
-    the coordinate axes of the equatorial plane (setting 0 -> X, 1 -> Y).
-
-    Equals ``2**-(size+1) * (1 + sign * c)`` where ``sign`` is the parity
-    of all outcomes and ``c = cos(pi/2 * (weight(x) + y))``.
-    """
-    sign = -1.0 if (b + int(a).bit_count()) & 1 else 1.0
-    c = float(_quarter_cos(int(x).bit_count() + y))
-    return (1.0 + sign * c) / (1 << (size + 1))
-
-
 def single_source_closed_form_table(size: int) -> CorrelationTable:
-    """Closed form of :func:`single_source_closed_form` as a full table."""
+    """Closed-form table of one noiseless GHZ source measured along the
+    coordinate axes of the equatorial plane (setting 0 -> X, 1 -> Y).
+
+    Each entry is ``2**-(size+1) * (1 + sign * c)`` where ``sign`` is the
+    parity of all outcomes and ``c = cos(pi/2 * (weight(x) + y))``.
+    """
     dim = 1 << size
     xw = np.array([x.bit_count() for x in range(dim)])
     aw = np.array([a.bit_count() for a in range(dim)])
@@ -227,21 +199,9 @@ def single_source_closed_form_table(size: int) -> CorrelationTable:
     return CorrelationTable(NetworkConfig(1, (size,)), values)
 
 
-def network_closed_form(
-    config: NetworkConfig, x: int, y: int, a: int, b: int
-) -> float:
-    """Closed-form joint probability for a homogeneous noiseless network
-    with every observer on the coordinate axes of the equatorial plane."""
-    if not config.is_homogeneous():
-        raise ValueError("closed form requires a homogeneous network")
-    sign = -1.0 if (b + int(a).bit_count()) & 1 else 1.0
-    prod = 1.0
-    for j in range(config.n):
-        prod *= float(_quarter_cos(config.source_bits(x, j).bit_count() + y))
-    return (1.0 + sign * prod) / (1 << (config.total + 1))
-
-
 def network_closed_form_table(config: NetworkConfig) -> CorrelationTable:
+    """Closed-form table of a noiseless homogeneous network with every
+    observer on the coordinate axes of the equatorial plane."""
     dim = 1 << config.total
     prod = np.ones((dim, 2))
     xs = np.arange(dim)
@@ -451,51 +411,3 @@ def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
         values[x] = np.abs(amp @ basis.conj()) ** 2
     return SwapJointTable(config, values)
 
-
-def table_to_csv(table: CorrelationTable, stream) -> None:
-    """Write a table as CSV with one row per nonzero probability entry.
-
-    Columns: per-observer setting bits, center setting, per-observer
-    outcome bits, center parity bit, probability.  Rows are ordered
-    lexicographically in that column order.
-    """
-    config = table.config
-    names = [
-        f"x_{j + 1}_{k + 1}"
-        for j in range(config.n)
-        for k in range(config.branches[j])
-    ]
-    names += ["y"]
-    names += [
-        f"a_{j + 1}_{k + 1}"
-        for j in range(config.n)
-        for k in range(config.branches[j])
-    ]
-    names += ["b", "p"]
-    stream.write(",".join(names) + "\n")
-    total = config.total
-    # Lexicographic order: the first column is the slowest-varying one.
-    for x_bits in _bit_words(total):
-        for y in range(table.n_bob_settings):
-            for a_bits in _bit_words(total):
-                for b in (0, 1):
-                    p = table.values[_pack(x_bits), y, _pack(a_bits), b]
-                    if p == 0.0:
-                        continue
-                    row = list(x_bits) + [y] + list(a_bits) + [b]
-                    stream.write(
-                        ",".join(str(v) for v in row) + f",{p:.12g}\n"
-                    )
-
-
-def _bit_words(width: int):
-    from itertools import product
-
-    return product((0, 1), repeat=width)
-
-
-def _pack(bits) -> int:
-    word = 0
-    for t, bit in enumerate(bits):
-        word |= bit << t
-    return word

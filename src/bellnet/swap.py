@@ -15,7 +15,7 @@ import numpy as np
 
 from .network import NetworkConfig, subset_setting_mask, subsets_of
 from .quantum import swap_joint_table
-from .inequality import SubsetSpectrum, parity_signs
+from .inequality import SubsetSpectrum, fwht, parity_signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,14 +97,6 @@ def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning
     return SwapConditioning(config.n, masks)
 
 
-def conditioning_to_json(conditioning: SwapConditioning) -> str:
-    data = {}
-    for subset, mask in enumerate(conditioning.masks):
-        bits = [b for b in range(conditioning.n) if (mask >> b) & 1]
-        data[str(subset)] = {"bit": bits[0]} if len(bits) == 1 else {"parity": bits}
-    return json.dumps(data, indent=2)
-
-
 def swap_spectrum(
     config: NetworkConfig, branch_angles, conditioning: SwapConditioning
 ) -> SubsetSpectrum:
@@ -112,28 +104,16 @@ def swap_spectrum(
 
     The conditioning mask of each subset replaces the separable center
     parity bit; the remaining outcome bits are marginalized by the parity
-    sum itself.
+    sum itself.  After the branch-outcome parity is summed out, one
+    Walsh–Hadamard transform over the setting words and one over the
+    center outcomes give every (subset word, conditioning mask) entry.
     """
     if conditioning.n != config.n:
         raise ValueError("conditioning source count does not match the network")
+    if conditioning.masks.size != 1 << config.max_branch:
+        raise ValueError("need one conditioning mask per subset of the network")
     table = swap_joint_table(config, branch_angles)
-    dim = 1 << config.total
-    sa = parity_signs(config.total)
-    words = np.arange(dim)
-    center_words = np.arange(1 << config.n)
-    entries = np.empty(1 << config.max_branch)
-    for mask in subsets_of(config.max_branch):
-        word = subset_setting_mask(mask, config)
-        sx = np.where(_bit_parity(words & word), -1.0, 1.0)
-        sv = np.where(_bit_parity(center_words & int(conditioning.masks[mask])), -1.0, 1.0)
-        entries[mask] = np.einsum("xav,x,a,v->", table.values, sx, sa, sv) / dim
-    return SubsetSpectrum(config, entries, None)
-
-
-def _bit_parity(words: np.ndarray) -> np.ndarray:
-    parity = np.zeros(words.shape, dtype=np.int64)
-    w = words.copy()
-    while w.any():
-        parity ^= w & 1
-        w >>= 1
-    return parity.astype(bool)
+    correlators = parity_signs(config.total) @ table.values  # (x, v)
+    spectrum = fwht(fwht(correlators, axis=0), axis=1) / (1 << config.total)
+    words = subset_setting_mask(np.array(subsets_of(config.max_branch)), config)
+    return SubsetSpectrum(config, spectrum[words, conditioning.masks], None)

@@ -23,6 +23,13 @@ def projector(theta, outcome):
     return 0.5 * (_ID2 + (1.0 - 2.0 * outcome) * obs)
 
 
+def uniform_table(config, n_bob_settings=2):
+    """Values of the fully random (x, y, a, b) table: every outcome
+    equally likely."""
+    dim = 1 << config.total
+    return np.full((dim, n_bob_settings, dim, 2), 1.0 / (2 * dim))
+
+
 def ghz_density(n_qubits, visibility=1.0):
     dim = 1 << n_qubits
     psi = np.zeros(dim, dtype=complex)
@@ -130,3 +137,52 @@ def direct_sweep_value(theta0, theta1, size):
             acc += sign * np.cos(angle + 0.5 * np.pi * y)
         total += abs(acc) / (1 << size)
     return total
+
+
+def _truncated_sign(mask, word, branches):
+    """(-1)**m, where m counts the set setting bits at the subset's
+    positions inside each source block; a position beyond a source's
+    branch count is skipped for that source."""
+    count, offset = 0, 0
+    for size in branches:
+        for k in range(size):
+            if (mask >> k) & 1 and (word >> (offset + k)) & 1:
+                count += 1
+        offset += size
+    return -1.0 if count & 1 else 1.0
+
+
+def _parity(word):
+    return -1.0 if bin(word).count("1") & 1 else 1.0
+
+
+def direct_spectrum(values, branches, setting_map):
+    """Subset spectrum of an (x, y, a, b) table, one subset mask and one
+    setting word at a time."""
+    dim = values.shape[0]
+    outcome_sign = np.array([[_parity(a) * (1.0 - 2.0 * b) for b in (0, 1)]
+                             for a in range(dim)])
+    entries = np.zeros(1 << max(branches))
+    for mask in range(entries.size):
+        acc = 0.0
+        for word in range(dim):
+            corr = (values[word, setting_map[mask]] * outcome_sign).sum()
+            acc += _truncated_sign(mask, word, branches) * corr
+        entries[mask] = acc / dim
+    return entries
+
+
+def direct_swap_spectrum(values, branches, masks):
+    """Subset spectrum of an (x, a, v) joint-measurement table, one subset
+    mask and one setting word at a time; subset X reads the parity of the
+    center outcome bits in ``masks[X]``."""
+    dim, n_center = values.shape[0], values.shape[2]
+    entries = np.zeros(1 << max(branches))
+    for mask in range(entries.size):
+        sign = np.array([[_parity(a) * _parity(v & int(masks[mask]))
+                          for v in range(n_center)] for a in range(dim)])
+        acc = 0.0
+        for word in range(dim):
+            acc += _truncated_sign(mask, word, branches) * (values[word] * sign).sum()
+        entries[mask] = acc / dim
+    return entries

@@ -126,6 +126,7 @@ def test_batched_spectra_match_table_route():
         (NetworkConfig.homogeneous(2, 2), smap2, 2),
         (NetworkConfig.homogeneous(2, 2), smap2, 3),
         (NetworkConfig(2, (1, 2)), rotated_setting_map(NetworkConfig(2, (1, 2))), 2),
+        (NetworkConfig(3, (1, 2, 3)), rotated_setting_map(NetworkConfig(3, (1, 2, 3))), 3),
     ]
     for cfg, smap, lattice in cases:
         seeds = list(range(20))
@@ -134,6 +135,8 @@ def test_batched_spectra_match_table_route():
             table = model_table(sample_model(seed, cfg, lattice=lattice))
             direct = truncated_spectrum(table, smap)
             assert np.abs(batched[i] - direct.entries).max() < 1e-12
+    with pytest.raises(ValueError):
+        sampled_spectra([0], NetworkConfig.homogeneous(2, 2), setting_map=np.zeros(3, int))
 
 
 def test_sampled_bell_values_respect_bound():
@@ -169,6 +172,29 @@ def test_deterministic_maximum_single_source():
         assert best == 1.0
         assert len(strategy["responses"]) == size
         assert strategy["center"] in {(b0, b1) for b0 in (0, 1) for b1 in (0, 1)}
+
+
+def test_deterministic_maximum_matches_enumeration():
+    # every response code and center answer, scored one subset at a time;
+    # the first strict maximum in code order is the reported strategy
+    for size in (1, 2, 3):
+        best, first = -1.0, None
+        for code in range(1 << (2 * size)):
+            answers = [((code >> (2 * k)) & 1, (code >> (2 * k + 1)) & 1) for k in range(size)]
+            for center in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                value = 0.0
+                for mask in range(1 << size):
+                    y = xy_setting_map(size)[mask]
+                    total = 0.0
+                    for word in range(1 << size):
+                        bits = [(word >> k) & 1 for k in range(size)]
+                        sign = (-1) ** (sum(a[b] for a, b in zip(answers, bits)) + center[y])
+                        sign *= (-1) ** sum(b for k, b in enumerate(bits) if (mask >> k) & 1)
+                        total += sign
+                    value += abs(total) / (1 << size)
+                if value > best:
+                    best, first = value, {"responses": answers, "center": center}
+        assert deterministic_maximum(NetworkConfig.homogeneous(1, size)) == (best, first)
 
 
 def test_deterministic_maximum_contains_certain_strategy():

@@ -81,6 +81,29 @@ def test_violate_largest_single_source_is_simulated():
     assert report["checks"]["simulation_matches_closed_form"] is True
 
 
+@pytest.mark.parametrize("command,skipped", [("violate", "network_table"), ("noise", "find_critical_visibility")])
+def test_beyond_single_source_cap_reports_closed_form(monkeypatch, capsys, command, skipped):
+    # 4**11 * 2 * 2 elements fit the table budget, but one source of 11
+    # branches exceeds the single-source simulator's cap.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError(f"{skipped} ran beyond the single-source cap")
+
+    monkeypatch.setattr(cli, skipped, no_simulation)
+    assert cli.main([command, "--n", "1", "--L", "11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warning"] == cli.TOO_LARGE_WARNING
+    assert "simulated_value" not in report
+    assert "bisection_visibility" not in report
+
+
+def test_run_block_has_no_threads(capsys):
+    assert cli.main(["bound", "--n", "1", "--L", "1"]) == 0
+    assert "threads" not in json.loads(capsys.readouterr().out)["run"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bound", "--n", "1", "--L", "1", "--threads", "2"])
+    assert exit_info.value.code == 1
+
+
 def test_violate_csv_format():
     proc = run_cli("violate", "--n", "2", "--L", "2", "--format", "csv")
     lines = proc.stdout.strip().split("\n")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellnet.inequality import (
     SubsetSpectrum,
@@ -15,30 +17,25 @@ from bellnet.inequality import (
     critical_visibility,
     diagonal_sweep_closed_form,
     find_critical_visibility,
+    fwht,
     parity_signs,
     predicted_quantum_value,
     single_experiment_value,
-    spectrum_report,
     subset_spectrum,
     sweep_value,
     table_correlators,
     truncated_spectrum,
 )
-from bellnet.network import (
-    NetworkConfig,
-    identity_setting_map,
-    rotated_setting_map,
-    xy_setting_map,
-)
-from bellnet.quantum import (
-    CorrelationTable,
-    network_table,
-    rotated_scheme,
-    uniform_table,
-    xy_scheme,
-)
+from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
+from bellnet.quantum import CorrelationTable, network_table, rotated_scheme, xy_scheme
 
-from oracles import direct_sweep_value, expansion_coefficients, subset_count
+from oracles import (
+    direct_spectrum,
+    direct_sweep_value,
+    expansion_coefficients,
+    subset_count,
+    uniform_table,
+)
 
 RNG = np.random.default_rng(99)
 
@@ -56,9 +53,53 @@ def test_parity_signs():
     assert parity_signs(0).tolist() == [1.0]
 
 
+def _sylvester(width):
+    hadamard = np.ones((1, 1))
+    for _ in range(width):
+        hadamard = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]), hadamard)
+    return hadamard
+
+
+@settings(max_examples=20, deadline=None)
+@given(width=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_fwht_matches_sylvester_matrix(width, seed):
+    values = np.random.default_rng(seed).normal(size=1 << width)
+    assert np.abs(fwht(values) - _sylvester(width) @ values).max() < 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fwht_along_each_axis(seed):
+    values = np.random.default_rng(seed).normal(size=(4, 8, 2))
+    for axis in range(3):
+        hadamard = _sylvester(values.shape[axis].bit_length() - 1)
+        want = np.moveaxis(np.tensordot(hadamard, values, axes=([1], [axis])), 0, axis)
+        assert np.abs(fwht(values, axis=axis) - want).max() < 1e-12
+    with pytest.raises(ValueError):
+        fwht(np.zeros(3))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    branches=st.sampled_from([(1, 2), (2, 1), (1, 2, 3), (3, 3)]),
+    n_settings=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truncated_spectrum_matches_direct_sum(branches, n_settings, seed):
+    cfg = NetworkConfig(len(branches), branches)
+    rng = np.random.default_rng(seed)
+    table = _random_table(cfg, n_settings, seed)
+    smap = rng.integers(0, n_settings, 1 << cfg.max_branch)
+    got = truncated_spectrum(table, smap)
+    want = direct_spectrum(table.values, branches, smap)
+    assert np.abs(got.entries - want).max() < 1e-12
+    assert np.array_equal(got.setting_map, smap)
+
+
 def test_table_correlators_uniform_and_ghz():
     cfg = NetworkConfig.homogeneous(1, 2)
-    assert np.abs(table_correlators(uniform_table(cfg))).max() < 1e-15
+    uniform = CorrelationTable(cfg, uniform_table(cfg))
+    assert np.abs(table_correlators(uniform)).max() < 1e-15
 
     corr = table_correlators(network_table(xy_scheme(cfg)))
     # both observers on X, center on X: perfect correlation
@@ -69,7 +110,7 @@ def test_table_correlators_uniform_and_ghz():
 
 def test_spectrum_of_uniform_table_is_zero():
     cfg = NetworkConfig.homogeneous(2, 2)
-    spec = subset_spectrum(uniform_table(cfg), xy_setting_map(2))
+    spec = subset_spectrum(CorrelationTable(cfg, uniform_table(cfg)), xy_setting_map(2))
     assert np.abs(spec.entries).max() < 1e-15
     assert bell_value(spec) == pytest.approx(0.0)
 
@@ -115,7 +156,7 @@ def test_spectrum_setting_map_validation():
     with pytest.raises(ValueError):
         subset_spectrum(table, np.full(4, 5))
     with pytest.raises(ValueError):
-        subset_spectrum(table, identity_setting_map(2))  # table has 2 settings
+        subset_spectrum(table, np.arange(4))  # table has 2 settings
 
 
 def test_spectrum_linearity_under_table_mixing():
@@ -151,8 +192,7 @@ def test_spectrum_validation():
     with pytest.raises(ValueError):
         SubsetSpectrum(cfg, np.zeros(4), setting_map=np.zeros(3, dtype=int))
     spec = SubsetSpectrum(cfg, np.array([0.5, 0.0, 0.0, -0.5]))
-    assert spec.entry(0) == 0.5
-    assert spec.as_dict() == {0: 0.5, 1: 0.0, 2: 0.0, 3: -0.5}
+    assert spec.entries.tolist() == [0.5, 0.0, 0.0, -0.5]
 
 
 def test_classical_bound_values():
@@ -322,16 +362,3 @@ def test_single_experiment_validation():
     with pytest.raises(ValueError):
         single_experiment_value(np.zeros((2, 2)), np.array([0, 7]))
 
-
-def test_spectrum_report():
-    cfg = NetworkConfig.homogeneous(2, 2)
-    spec = subset_spectrum(network_table(xy_scheme(cfg)), xy_setting_map(2))
-    report = spectrum_report(spec)
-    assert report["config"] == {"n": 2, "branches": [2, 2]}
-    assert report["violated"] is True
-    assert report["bell_value"] == pytest.approx(2.0)
-    assert report["classical_bound"] == pytest.approx(1.0)
-    assert set(report["entries"]) == {"0", "1", "2", "3"}
-
-    quiet = spectrum_report(subset_spectrum(uniform_table(cfg), xy_setting_map(2)))
-    assert quiet["violated"] is False

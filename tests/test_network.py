@@ -11,13 +11,10 @@ from bellnet.network import (
     MAX_SUBSET_BITS,
     NetworkConfig,
     bob_setting_bit,
-    identity_setting_map,
     rotated_setting_map,
     subset_cardinality,
     subset_setting_mask,
-    subset_setting_sign,
     subsets_of,
-    truncated_setting_sign,
     xy_setting_map,
 )
 
@@ -92,24 +89,9 @@ def test_subset_setting_mask_examples():
     # branch 2 does not exist at the first source, so only bit 2 survives
     assert subset_setting_mask(0b10, het) == 0b100
     assert subset_setting_mask(0b11, het) == 0b111
-
-
-def test_setting_sign_examples():
-    one = NetworkConfig.homogeneous(1, 1)
-    assert subset_setting_sign(0b1, 0b1, one) == -1
-    assert subset_setting_sign(0b1, 0b0, one) == 1
-
-    two = NetworkConfig.homogeneous(2, 2)
-    assert subset_setting_sign(0b11, 0b1111, two) == 1
-
-    het = NetworkConfig(2, (1, 2))
-    assert truncated_setting_sign(0b10, 0b111, het) == -1
-
-
-def test_setting_sign_requires_homogeneous():
-    het = NetworkConfig(2, (1, 2))
-    with pytest.raises(ValueError):
-        subset_setting_sign(0b1, 0b0, het)
+    # integer arrays are mapped elementwise
+    masks = np.arange(4)
+    assert subset_setting_mask(masks, het).tolist() == [0b000, 0b011, 0b100, 0b111]
 
 
 @given(
@@ -122,31 +104,6 @@ def test_setting_mask_distributes_over_xor(m1, m2):
         subset_setting_mask(m1 ^ m2, cfg)
         == subset_setting_mask(m1, cfg) ^ subset_setting_mask(m2, cfg)
     )
-
-
-@given(
-    st.integers(min_value=0, max_value=7),
-    st.integers(min_value=0, max_value=63),
-    st.integers(min_value=0, max_value=63),
-)
-def test_setting_sign_multiplicative_in_settings(mask, s1, s2):
-    cfg = NetworkConfig(2, (3, 3))
-    lhs = truncated_setting_sign(mask, s1 ^ s2, cfg)
-    rhs = truncated_setting_sign(mask, s1, cfg) * truncated_setting_sign(mask, s2, cfg)
-    assert lhs == rhs
-
-
-def test_truncated_sign_reduces_on_homogeneous():
-    rng = np.random.default_rng(7)
-    for _ in range(1000):
-        n = int(rng.integers(1, 4))
-        size = int(rng.integers(1, 4))
-        cfg = NetworkConfig.homogeneous(n, size)
-        mask = int(rng.integers(0, 1 << size))
-        settings = int(rng.integers(0, 1 << cfg.total))
-        assert truncated_setting_sign(mask, settings, cfg) == subset_setting_sign(
-            mask, settings, cfg
-        )
 
 
 def test_bob_setting_bit_examples():
@@ -182,6 +139,3 @@ def test_rotated_setting_map_heterogeneous():
     # one setting bit per distinct branch count
     assert got.max() < 1 << len(cfg.block_sizes)
 
-
-def test_identity_setting_map():
-    assert identity_setting_map(2).tolist() == [0, 1, 2, 3]

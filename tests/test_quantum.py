@@ -1,6 +1,5 @@
 """Tests for states, measurements, and simulated outcome tables."""
 
-import io
 import math
 
 import numpy as np
@@ -20,23 +19,22 @@ from bellnet.quantum import (
     ghz_like_basis,
     ghz_state,
     measurement_basis,
-    network_closed_form,
     network_closed_form_table,
     network_table,
     rotated_scheme,
     scheme_setting_map,
-    single_source_closed_form,
     single_source_closed_form_table,
     single_source_table,
     swap_joint_table,
-    table_to_csv,
-    uniform_table,
-    xy_observable,
-    xy_projector,
     xy_scheme,
 )
 
-from oracles import bell_basis_two_qubits, brute_force_network_table
+from oracles import (
+    bell_basis_two_qubits,
+    brute_force_network_table,
+    projector,
+    uniform_table,
+)
 
 RNG = np.random.default_rng(2024)
 
@@ -52,27 +50,12 @@ def test_ghz_state_small():
         ghz_state(0)
 
 
-def test_xy_observable_and_projectors():
-    for theta in RNG.uniform(-math.pi, math.pi, 8):
-        obs = xy_observable(theta)
-        assert np.allclose(obs, obs.conj().T)
-        assert np.allclose(obs @ obs, np.eye(2))
-        p0, p1 = xy_projector(theta, 0), xy_projector(theta, 1)
-        assert np.allclose(p0 + p1, np.eye(2))
-        assert np.allclose(p0 @ p0, p0)
-        assert np.allclose(p0 - p1, obs)
-
-    x = np.array([[0, 1], [1, 0]])
-    y = np.array([[0, -1j], [1j, 0]])
-    assert np.allclose(xy_projector(0.0, 0), (np.eye(2) + x) / 2)
-    assert np.allclose(xy_projector(HALF_PI, 1), (np.eye(2) - y) / 2)
-
-
 def test_measurement_basis_diagonalizes():
     for theta in RNG.uniform(-math.pi, math.pi, 8):
         basis = measurement_basis(theta)
         assert np.allclose(basis.conj().T @ basis, np.eye(2))
-        diag = basis.conj().T @ xy_observable(theta) @ basis
+        observable = projector(theta, 0) - projector(theta, 1)
+        diag = basis.conj().T @ observable @ basis
         assert np.allclose(diag, np.diag([1.0, -1.0]))
 
 
@@ -114,14 +97,12 @@ def test_single_source_matches_closed_form(size):
 
 
 def test_single_source_closed_form_examples():
+    values = single_source_closed_form_table(2).values
     # two branches, all settings and outcomes zero
-    assert single_source_closed_form(2, 0, 0, 0, 0) == pytest.approx(0.25)
+    assert values[0, 0, 0, 0] == pytest.approx(0.25)
     # one axis flipped to the other coordinate: correlator vanishes
-    assert single_source_closed_form(2, 0b01, 0, 0, 0) == pytest.approx(0.125)
-    total = sum(
-        single_source_closed_form(2, 0, 0, a, b) for a in range(4) for b in range(2)
-    )
-    assert total == pytest.approx(1.0)
+    assert values[0b01, 0, 0, 0] == pytest.approx(0.125)
+    assert values[0, 0].sum() == pytest.approx(1.0)
 
 
 def test_single_source_zero_visibility_is_uniform():
@@ -133,7 +114,7 @@ def test_single_source_zero_visibility_is_uniform():
 def test_single_source_visibility_linearity():
     angles = RNG.uniform(-math.pi, math.pi, (2, 2))
     pure = single_source_table(2, angles).values
-    noise = uniform_table(NetworkConfig(1, (2,))).values
+    noise = uniform_table(NetworkConfig(1, (2,)))
     for vis in RNG.uniform(0.0, 1.0, 20):
         got = single_source_table(2, angles, visibility=vis).values
         assert np.abs(got - (vis * pure + (1 - vis) * noise)).max() < 1e-12
@@ -151,14 +132,12 @@ def test_single_source_guards():
 
 def test_network_closed_form_examples():
     cfg = NetworkConfig.homogeneous(2, 2)
-    assert network_closed_form(cfg, 0, 0, 0, 0) == pytest.approx(1.0 / 16)
-    # odd setting weight at one source kills the correlator
-    assert network_closed_form(cfg, 0b0001, 0, 0, 0) == pytest.approx(1.0 / 32)
     table = network_closed_form_table(cfg)
+    assert table.values[0, 0, 0, 0] == pytest.approx(1.0 / 16)
+    # odd setting weight at one source kills the correlator
+    assert table.values[0b0001, 0, 0, 0] == pytest.approx(1.0 / 32)
     marg = table.values.sum(axis=3)
     assert np.abs(marg - 1.0 / 16).max() < 1e-12
-    with pytest.raises(ValueError):
-        network_closed_form(NetworkConfig(2, (1, 2)), 0, 0, 0, 0)
 
 
 def test_compose_single_table_is_identity():
@@ -198,7 +177,8 @@ def test_compose_matches_pairwise_einsum():
 
 
 def test_compose_of_uniform_is_uniform():
-    parts = [uniform_table(NetworkConfig(1, (2,)))] * 2
+    cfg = NetworkConfig(1, (2,))
+    parts = [CorrelationTable(cfg, uniform_table(cfg))] * 2
     got = compose_network(parts)
     assert np.abs(got.values - 1.0 / 32).max() < 1e-15
 
@@ -208,8 +188,9 @@ def test_compose_rejects_bad_input():
         compose_network([])
     with pytest.raises(ValueError):
         compose_network([network_closed_form_table(NetworkConfig.homogeneous(2, 1))])
-    a = uniform_table(NetworkConfig(1, (1,)), n_bob_settings=2)
-    b = uniform_table(NetworkConfig(1, (1,)), n_bob_settings=4)
+    cfg = NetworkConfig(1, (1,))
+    a = CorrelationTable(cfg, uniform_table(cfg, n_bob_settings=2))
+    b = CorrelationTable(cfg, uniform_table(cfg, n_bob_settings=4))
     with pytest.raises(ValueError):
         compose_network([a, b])
 
@@ -289,12 +270,6 @@ def test_correlation_table_validation():
         CorrelationTable(cfg, np.full((4, 2, 4, 2), 0.125))
 
 
-def test_uniform_table():
-    table = uniform_table(NetworkConfig.homogeneous(2, 1), n_bob_settings=4)
-    assert table.values.shape == (4, 4, 4, 2)
-    assert np.abs(table.values.sum(axis=(2, 3)) - 1.0).max() < 1e-15
-
-
 def test_ghz_like_basis_orthonormal():
     for n in (1, 2, 3):
         basis = ghz_like_basis(n)
@@ -342,16 +317,3 @@ def test_swap_joint_table_guards():
     with pytest.raises(ValueError):
         swap_joint_table(NetworkConfig.homogeneous(2, 1), np.zeros((3, 2)))
 
-
-def test_table_to_csv():
-    table = single_source_closed_form_table(1)
-    out = io.StringIO()
-    table_to_csv(table, out)
-    lines = out.getvalue().strip().split("\n")
-    assert lines[0] == "x_1_1,y,a_1_1,b,p"
-    # settings (0, 0): p = (1 + (-1)^(a+b)) / 4, zero rows skipped
-    assert "0,0,0,0,0.5" in lines
-    assert all(not line.startswith("0,0,0,1") for line in lines[1:2])
-    dim = 2
-    nonzero = int((table.values != 0).sum())
-    assert len(lines) == 1 + nonzero

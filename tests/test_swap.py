@@ -1,21 +1,23 @@
 """Tests for the entangled-center measurement and its conditioning."""
 
-import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellnet.inequality import bell_value
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
-from bellnet.quantum import rotated_scheme, xy_scheme
+from bellnet.quantum import rotated_scheme, swap_joint_table, xy_scheme
 from bellnet.swap import (
     SwapConditioning,
     conditioning_from_json,
-    conditioning_to_json,
     default_conditioning,
     swap_spectrum,
 )
+
+from oracles import direct_swap_spectrum
 
 
 def test_conditioning_validation():
@@ -48,14 +50,17 @@ def test_default_conditioning_guards():
 
 
 def test_conditioning_json_round_trip():
+    # the default xy conditioning, written out by hand, parses back to it
     cfg = NetworkConfig.homogeneous(2, 2)
     cond = default_conditioning(cfg, xy_setting_map(2))
-    text = conditioning_to_json(cond)
+    text = """{
+      "0": {"parity": [0, 1]},
+      "1": {"bit": 0},
+      "2": {"bit": 0},
+      "3": {"parity": [0, 1]}
+    }"""
     again = conditioning_from_json(text, cfg)
     assert np.array_equal(again.masks, cond.masks)
-    parsed = json.loads(text)
-    assert parsed["1"] == {"bit": 0}
-    assert parsed["0"] == {"parity": [0, 1]}
 
 
 def test_conditioning_json_errors():
@@ -112,3 +117,21 @@ def test_swap_spectrum_config_mismatch():
     cond = SwapConditioning(3, np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         swap_spectrum(cfg, xy_scheme(cfg).branch_angles, cond)
+    cond = SwapConditioning(2, np.zeros(8, dtype=int))  # one mask per subset of 3
+    with pytest.raises(ValueError):
+        swap_spectrum(cfg, xy_scheme(cfg).branch_angles, cond)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    branches=st.sampled_from([(2, 1), (2, 2), (3, 1)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_spectrum_matches_direct_sum(branches, seed):
+    cfg = NetworkConfig(len(branches), branches)
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, (cfg.total, 2))
+    masks = rng.integers(0, 1 << cfg.n, 1 << cfg.max_branch)
+    got = swap_spectrum(cfg, angles, SwapConditioning(cfg.n, masks))
+    want = direct_swap_spectrum(swap_joint_table(cfg, angles).values, branches, masks)
+    assert np.abs(got.entries - want).max() < 1e-12
