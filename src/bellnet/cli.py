@@ -40,6 +40,7 @@ from .inequality import (
 from .network import NetworkConfig, xy_setting_map
 from .quantum import (
     MAX_SOURCE_BRANCHES,
+    MAX_STATE_QUBITS,
     bob_setting_count,
     custom_scheme,
     network_table,
@@ -54,6 +55,13 @@ from .version import __version__
 # back to closed forms.
 SIM_BUDGET_ELEMENTS = 1 << 24
 TOO_LARGE_WARNING = "network too large to simulate; closed forms only"
+SEPARABLE_SKIPPED_WARNING = "separable network too large to simulate; cross-check skipped"
+
+# sweep: comb(L, L // 2) must stay a finite float, and one call evaluates
+# every grid point at once, so the point count bounds its memory (a peak
+# of about 140 MB at the cap, mostly the emitted rows).
+MAX_SWEEP_BRANCHES = 1000
+MAX_SWEEP_POINTS = 1 << 18
 
 VALUE_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
@@ -258,16 +266,21 @@ def cmd_sweep(args, parser: _Parser) -> int:
     size = args.size if args.size is not None else file_cfg.get("L")
     if size is None:
         parser.error("sweep needs --L")
+    if not isinstance(size, int) or not 1 <= size <= MAX_SWEEP_BRANCHES:
+        parser.error(f"--L must lie in 1..{MAX_SWEEP_BRANCHES} for sweep, got {size}")
+    points = args.grid**2 if args.full else args.grid
+    if points > MAX_SWEEP_POINTS:
+        grid_flag = "--full --grid" if args.full else "--grid"
+        parser.error(
+            f"{grid_flag} {args.grid} gives {points} points, more than {MAX_SWEEP_POINTS}"
+        )
     thetas = np.linspace(0.0, math.pi / 2, args.grid)
-    rows = []
     if args.full:
-        for t0 in thetas:
-            for t1 in thetas:
-                rows.append((float(t0), float(t1), sweep_value(t0, t1, size)))
+        theta0, theta1 = np.repeat(thetas, args.grid), np.tile(thetas, args.grid)
     else:
-        for t0 in thetas:
-            t1 = math.pi / 2 - t0
-            rows.append((float(t0), float(t1), sweep_value(t0, t1, size)))
+        theta0, theta1 = thetas, math.pi / 2 - thetas
+    values = sweep_value(theta0, theta1, size)
+    rows = list(zip(theta0.tolist(), theta1.tolist(), values.tolist()))
 
     status = 0
     checked = "skipped (branch count beyond the simulation budget)"
@@ -451,20 +464,31 @@ def cmd_swap(args, parser: _Parser) -> int:
                 conditioning = conditioning_from_json(fh.read(), config)
         else:
             conditioning = default_conditioning(config, setting_map)
-        spectrum = swap_spectrum(config, scheme.branch_angles, conditioning)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    swap_bell = bell_value(spectrum)
-    table = network_table(scheme)
-    separable_bell = bell_value(truncated_spectrum(table, setting_map))
-    report = {
-        "run": _run_spec(args, "swap", config, scheme=kind, conditioning="custom" if custom else "default"),
-        "swap_value": swap_bell,
-        "separable_value": separable_bell,
-        "classical_bound": classical_bound(config),
-    }
+    run = _run_spec(args, "swap", config, scheme=kind, conditioning="custom" if custom else "default")
+    bound = classical_bound(config)
+    # The joint simulation holds every qubit of the network in one state.
+    if config.total + config.n > MAX_STATE_QUBITS:
+        report = {
+            "run": run,
+            "predicted_value": predicted_quantum_value(config, kind),
+            "classical_bound": bound,
+            "warning": TOO_LARGE_WARNING,
+        }
+        _emit_report(args, report)
+        return 0
+    swap_bell = bell_value(swap_spectrum(config, scheme.branch_angles, conditioning))
+    report = {"run": run, "swap_value": swap_bell}
+    within_budget = _within_budget(config)
+    if within_budget:
+        separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+        report["separable_value"] = separable_bell
+    report["classical_bound"] = bound
     status = 0
-    if not custom:
+    if not within_budget:
+        report["warning"] = SEPARABLE_SKIPPED_WARNING
+    elif not custom:
         matches = abs(swap_bell - separable_bell) <= VALUE_TOL
         report["checks"] = {"swap_matches_separable": matches}
         if not matches:

@@ -238,23 +238,34 @@ def correlator_expansion_coefficient(size: int, cardinality: int, k: int) -> int
     )
 
 
-def sweep_value(theta0: float, theta1: float, size: int) -> float:
+def sweep_value(theta0, theta1, size: int):
     """Bell value when every branch observer measures at (theta0, theta1).
 
-    Closed-form evaluation through the harmonic expansion; entries depend
-    only on subset cardinality, so subsets enter with binomial
-    multiplicity.  The result is the same for every source count because
-    per-source factors are identical.
+    Closed-form evaluation through the phase-product form of one GHZ
+    source: with d = (e^{i theta0} - e^{i theta1}) / 2 and
+    s = (e^{i theta0} + e^{i theta1}) / 2, a subset of c branches has
+    correlator Re[i^y d^c s^(size - c)], y being the center setting the
+    two-setting convention assigns it.  Entries depend only on c, so
+    subsets enter with binomial multiplicity.  The result is the same for
+    every source count because per-source factors are identical.
+
+    ``theta0`` and ``theta1`` broadcast against each other, so one call
+    evaluates a whole grid; scalar angles give a Python ``float``.
     """
-    total = 0.0
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    theta1 = np.asarray(theta1, dtype=np.float64)
+    # Scalars run through the same array loops as grids (numpy's scalar
+    # arithmetic rounds differently), so a point's value does not depend
+    # on the grid it is evaluated in.
+    e0, e1 = np.exp(1j * np.atleast_1d(theta0)), np.exp(1j * np.atleast_1d(theta1))
+    half_diff, half_sum = (e0 - e1) / 2, (e0 + e1) / 2
+    total = np.zeros(np.broadcast(e0, e1).shape)
     for c in range(size + 1):
         y = bob_setting_bit((1 << c) - 1, size)
-        acc = 0.0
-        for k in range(size + 1):
-            beta = correlator_expansion_coefficient(size, c, k)
-            if beta:
-                acc += beta * math.cos(k * theta1 + (size - k) * theta0 + math.pi * y / 2)
-        total += comb(size, c) * abs(acc) / 2.0 ** size
+        entry = (1j**y * half_diff**c * half_sum ** (size - c)).real
+        total += comb(size, c) * np.abs(entry)
+    if theta0.ndim == theta1.ndim == 0:
+        return float(total[0])
     return total
 
 

@@ -8,6 +8,8 @@ way: these routines are the second opinion the tests compare against.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -136,6 +138,23 @@ def direct_sweep_value(theta0, theta1, size):
                         for k in range(size))
             acc += sign * np.cos(angle + 0.5 * np.pi * y)
         total += abs(acc) / (1 << size)
+    return total
+
+
+def harmonic_sweep_value(theta0, theta1, size):
+    """Two-angle sweep objective through the cosine-harmonic expansion of
+    each subset correlator (single source): a subset of ``c`` branches has
+    correlator 2^-L sum_k beta_k cos(k theta1 + (L - k) theta0 + pi y / 2),
+    beta from :func:`expansion_coefficients`."""
+    flip = 1 if size % 4 == 0 else 0
+    total = 0.0
+    for card in range(size + 1):
+        y = ((card + flip) & 1) ^ 1
+        acc = sum(
+            beta * np.cos(k * theta1 + (size - k) * theta0 + 0.5 * np.pi * y)
+            for k, beta in enumerate(expansion_coefficients(size, card))
+        )
+        total += math.comb(size, card) * abs(acc) / 2.0**size
     return total
 
 

@@ -7,9 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellnet import cli
+from bellnet import swap as swap_module
+from bellnet.inequality import sweep_value
 
 # The subprocess imports the same package as this process, installed or not.
 _SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -156,6 +159,43 @@ def test_sweep_needs_size():
     run_cli("sweep", expect=1)
 
 
+def test_sweep_rows_equal_per_point_values(capsys):
+    assert cli.main(["sweep", "--L", "12", "--grid", "9", "--full"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert lines[0] == "theta0,theta1,value"
+    thetas = np.linspace(0.0, math.pi / 2, 9)
+    want = [
+        ",".join(cli._fmt(v) for v in (t0, t1, sweep_value(t0, t1, 12)))
+        for t0 in thetas
+        for t1 in thetas
+    ]
+    assert lines[1:] == want
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--L", "0"], "--L"),
+        (["--L", "-2"], "--L"),
+        (["--L", "2000"], "--L"),
+        (["--L", "3", "--full", "--grid", "100000"], "--grid"),
+        (["--L", "3", "--grid", str(cli.MAX_SWEEP_POINTS + 1)], "--grid"),
+    ],
+)
+def test_sweep_out_of_range_is_usage_error(monkeypatch, capsys, argv, flag):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("sweep evaluated a grid it should refuse")
+
+    monkeypatch.setattr(cli, "sweep_value", no_evaluation)
+    monkeypatch.setattr(cli.np, "linspace", no_evaluation)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep", *argv])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert flag in err
+    assert "Traceback" not in err
+
+
 def test_noise_two_sources_two_branches():
     report = run_json("noise", "--n", "2", "--L", "2")
     assert report["closed_form_visibility"] == 0.25
@@ -300,6 +340,37 @@ def test_swap_bad_conditioning_is_usage_error(tmp_path):
         "swap", "--n", "2", "--L", "2", "--conditioning", str(path), expect=1
     )
     assert "missing subsets" in proc.stderr
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated a network beyond its cap")
+
+
+def test_swap_beyond_qubit_cap_reports_closed_form(monkeypatch, capsys):
+    # 2 sources of 6 branches hold 14 qubits in all, over the 12-qubit cap
+    monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
+    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    assert cli.main(["swap", "--n", "2", "--L", "6"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warning"] == cli.TOO_LARGE_WARNING
+    assert report["predicted_value"] == 8.0
+    assert report["classical_bound"] == 1.0
+    assert "swap_value" not in report
+    assert "checks" not in report
+
+
+def test_swap_skips_separable_check_beyond_budget(monkeypatch, capsys, tmp_path):
+    # one source of 11 branches fits the joint simulation (12 qubits) but
+    # not the separable simulator's branch cap
+    path = tmp_path / "cond.json"
+    path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 11)}))
+    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    argv = ["swap", "--n", "1", "--L", "11", "--conditioning", str(path)]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warning"] == cli.SEPARABLE_SKIPPED_WARNING
+    assert "separable_value" not in report
+    assert report["swap_value"] > report["classical_bound"]
 
 
 def test_bound_heterogeneous():

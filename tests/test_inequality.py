@@ -33,6 +33,7 @@ from oracles import (
     direct_spectrum,
     direct_sweep_value,
     expansion_coefficients,
+    harmonic_sweep_value,
     subset_count,
     uniform_table,
 )
@@ -290,6 +291,47 @@ def test_sweep_value_against_direct_subset_sum():
             got = sweep_value(t0, t1, size)
             want = direct_sweep_value(t0, t1, size)
             assert got == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    size=st.integers(1, 5),
+    angles=st.lists(
+        st.tuples(st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_sweep_value_on_arrays_matches_direct_subset_sum(size, angles):
+    theta0, theta1 = np.array(angles).T
+    got = sweep_value(theta0, theta1, size)
+    want = [direct_sweep_value(t0, t1, size) for t0, t1 in angles]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_sweep_value_matches_harmonic_expansion_at_large_sizes():
+    thetas = np.linspace(0.0, math.pi / 2, 9)
+    theta0, theta1 = np.repeat(thetas, 9), np.tile(thetas, 9)
+    for size in range(9, 17):
+        # both forms sum O(2**size) of unit-scale terms
+        tol = 2.0**size * np.finfo(np.float64).eps
+        got = sweep_value(theta0, theta1, size)
+        want = [harmonic_sweep_value(t0, t1, size) for t0, t1 in zip(theta0, theta1)]
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def test_sweep_value_shapes():
+    assert type(sweep_value(0.3, 1.1, 4)) is float
+    assert type(sweep_value(np.float64(0.3), 1.1, 4)) is float
+    thetas = np.linspace(0.0, math.pi / 2, 7)
+    diagonal = sweep_value(thetas, math.pi / 2 - thetas, 5)
+    assert diagonal.shape == (7,)
+    grid = sweep_value(thetas[:, None], thetas[None, :], 5)
+    assert grid.shape == (7, 7)
+    for i, t0 in enumerate(thetas):
+        assert diagonal[i] == sweep_value(t0, math.pi / 2 - t0, 5)
+        for j, t1 in enumerate(thetas):
+            assert grid[i, j] == sweep_value(t0, t1, 5)
 
 
 def test_sweep_value_recovers_axis_scheme():
