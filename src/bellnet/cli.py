@@ -57,9 +57,10 @@ SIM_BUDGET_ELEMENTS = 1 << 24
 TOO_LARGE_WARNING = "network too large to simulate; closed forms only"
 SEPARABLE_SKIPPED_WARNING = "separable network too large to simulate; cross-check skipped"
 
-# sweep: comb(L, L // 2) must stay a finite float, and one call evaluates
-# every grid point at once, so the point count bounds its memory (a peak
-# of about 140 MB at the cap, mostly the emitted rows).
+# sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
+# so the branch cap leaves a wide margin.  One call evaluates every grid
+# point at once, so the point count bounds its memory (a peak of about
+# 130 MB at the cap, mostly the emitted rows).
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
@@ -161,6 +162,19 @@ def _emit_rows(args, run: dict, columns, rows, comments=()) -> None:
     _write(args, "\n".join(lines) + "\n")
 
 
+# Config-file keys and the JSON values each accepts (null means unset).
+# JSON integers load as int; true/false load as bool, an int subclass.
+_FILE_KEYS = {
+    "n": ("an integer", lambda v: type(v) is int),
+    "L": ("an integer", lambda v: type(v) is int),
+    "branches": (
+        "a list of integers",
+        lambda v: isinstance(v, str) or isinstance(v, list) and all(type(b) is int for b in v),
+    ),
+    "scheme": ("'xy' or 'rotated'", lambda v: v in ("xy", "rotated")),
+}
+
+
 def _load_file_config(args, parser: _Parser) -> dict:
     if not args.config:
         return {}
@@ -173,6 +187,9 @@ def _load_file_config(args, parser: _Parser) -> dict:
         parser.error(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
+    for key, (want, ok) in _FILE_KEYS.items():
+        if data.get(key) is not None and not ok(data[key]):
+            parser.error(f"config file key {key!r} must be {want}, got {data[key]!r}")
     return data
 
 
@@ -468,7 +485,7 @@ def cmd_swap(args, parser: _Parser) -> int:
         parser.error(str(exc))
     run = _run_spec(args, "swap", config, scheme=kind, conditioning="custom" if custom else "default")
     bound = classical_bound(config)
-    # The joint simulation holds every qubit of the network in one state.
+    # The joint table holds 4**total * 2**n entries; the qubit cap bounds it.
     if config.total + config.n > MAX_STATE_QUBITS:
         report = {
             "run": run,

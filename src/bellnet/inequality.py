@@ -26,12 +26,7 @@ from math import comb
 
 import numpy as np
 
-from .network import (
-    NetworkConfig,
-    bob_setting_bit,
-    subset_setting_mask,
-    subsets_of,
-)
+from .network import NetworkConfig, subset_setting_mask, subsets_of
 from .quantum import CorrelationTable, MeasurementScheme, network_table, scheme_setting_map
 
 _ENTRY_TOL = 1e-9
@@ -241,39 +236,37 @@ def correlator_expansion_coefficient(size: int, cardinality: int, k: int) -> int
 def sweep_value(theta0, theta1, size: int):
     """Bell value when every branch observer measures at (theta0, theta1).
 
-    Closed-form evaluation through the phase-product form of one GHZ
-    source: with d = (e^{i theta0} - e^{i theta1}) / 2 and
-    s = (e^{i theta0} + e^{i theta1}) / 2, a subset of c branches has
-    correlator Re[i^y d^c s^(size - c)], y being the center setting the
-    two-setting convention assigns it.  Entries depend only on c, so
-    subsets enter with binomial multiplicity.  The result is the same for
-    every source count because per-source factors are identical.
-
-    ``theta0`` and ``theta1`` broadcast against each other, so one call
-    evaluates a whole grid; scalar angles give a Python ``float``.
+    Closed form of one GHZ source: with m = (theta0 + theta1) / 2 and
+    delta = (theta0 - theta1) / 2, a subset of c branches has correlator
+    +-sin(delta)**c cos(delta)**(size - c) sin(size m) (cos(size m) when
+    4 divides size) under the two-setting center convention, so the sum
+    over subsets is |sin(size m)| (|sin delta| + |cos delta|)**size.  It
+    is the same for every source count because per-source factors are
+    identical.  ``theta0`` and ``theta1`` broadcast against each other,
+    so one call evaluates a whole grid; scalar angles give a ``float``.
     """
     theta0 = np.asarray(theta0, dtype=np.float64)
     theta1 = np.asarray(theta1, dtype=np.float64)
     # Scalars run through the same array loops as grids (numpy's scalar
     # arithmetic rounds differently), so a point's value does not depend
     # on the grid it is evaluated in.
-    e0, e1 = np.exp(1j * np.atleast_1d(theta0)), np.exp(1j * np.atleast_1d(theta1))
-    half_diff, half_sum = (e0 - e1) / 2, (e0 + e1) / 2
-    total = np.zeros(np.broadcast(e0, e1).shape)
-    for c in range(size + 1):
-        y = bob_setting_bit((1 << c) - 1, size)
-        entry = (1j**y * half_diff**c * half_sum ** (size - c)).real
-        total += comb(size, c) * np.abs(entry)
+    t0, t1 = np.atleast_1d(theta0), np.atleast_1d(theta1)
+    mean, delta = (t0 + t1) / 2, (t0 - t1) / 2
+    phase = np.cos(size * mean) if size % 4 == 0 else np.sin(size * mean)
+    total = np.abs(phase) * (np.abs(np.sin(delta)) + np.abs(np.cos(delta))) ** size
     if theta0.ndim == theta1.ndim == 0:
         return float(total[0])
     return total
 
 
 def diagonal_sweep_closed_form(theta: float, size: int) -> float:
-    """Conjectured value of the sweep along theta1 = pi/2 - theta0.
+    """Value of the sweep along theta1 = pi/2 - theta0.
 
-    2**floor(L/2) * cos(theta)**L on [0, pi/4], the sine branch beyond;
-    checked numerically for L <= 6, unproven in general.
+    2**floor(L/2) * cos(theta)**L on [0, pi/4], the sine branch beyond.
+    This follows from the :func:`sweep_value` formula at m = pi/4, where
+    |sin(L pi/4)| (or |cos(L pi/4)|) equals 2**(floor(L/2) - L/2) and, for
+    theta in [0, pi/2], (|sin delta| + |cos delta|)**L equals
+    2**(L/2) max(cos theta, sin theta)**L.
     """
     scale = 2.0 ** (size // 2)
     edge = math.cos(theta) if theta <= math.pi / 4 else math.sin(theta)

@@ -20,12 +20,12 @@ outcomes) combination:
 Within one source the qubit order is branch observers first, the center
 observer's qubit last.
 
-Separable-center statistics come from a state-vector simulation of each
-source, batched over every setting word.  White noise enters linearly:
-a unitary basis change maps the maximally mixed state to itself, so a
-source of visibility ``V`` has outcome probabilities
-``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the same as its density
-operator gives.
+Both center measurements start from each source's pure GHZ amplitudes
+with the branch qubits rotated, batched over every setting word.  White
+noise enters the separable route linearly: a unitary basis change maps
+the maximally mixed state to itself, so a source of visibility ``V`` has
+outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
+same as its density operator gives.
 """
 
 from __future__ import annotations
@@ -39,12 +39,9 @@ from .network import NetworkConfig, rotated_setting_map, xy_setting_map
 
 HALF_PI = math.pi / 2
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-# Dense state vectors over m qubits cost 2**m amplitudes, and one source
-# batched over its setting words 4**L * n_settings * 2; these caps keep
-# any single object under ~1 GiB.
+# A joint (swap) table holds 4**T * 2**n probabilities (64 MiB at most
+# when T + n <= 12); one source batched over its setting words holds
+# 4**L * n_settings * 2 probabilities and 2 * 4**L amplitudes.
 MAX_STATE_QUBITS = 12
 MAX_SOURCE_BRANCHES = 10
 
@@ -70,18 +67,12 @@ def measurement_basis(theta: float) -> np.ndarray:
     return np.array([[1, 1], [phase, -phase]], dtype=np.complex128) / math.sqrt(2)
 
 
-def _apply_rows(op: np.ndarray, tensor: np.ndarray, axis: int) -> np.ndarray:
-    out = np.tensordot(op, tensor, axes=([1], [axis]))
-    return np.moveaxis(out, 0, axis)
-
-
-def _rotate_state(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    return _apply_rows(measurement_basis(theta).conj().T, psi, qubit)
-
-
-def _little_endian_flatten(tensor: np.ndarray) -> np.ndarray:
-    """Flatten a (2,)*m tensor so axis q becomes bit q of the index."""
-    return tensor.transpose(tuple(reversed(range(tensor.ndim)))).reshape(-1)
+def _check_distributions(values: np.ndarray, outcome_axes) -> None:
+    """Entries must be nonnegative and sum to one over ``outcome_axes``."""
+    if values.min() < -_NORM_TOL:
+        raise ValueError("negative probability entry")
+    if np.abs(values.sum(axis=outcome_axes) - 1.0).max() > _NORM_TOL:
+        raise ValueError("per-setting probabilities do not sum to one")
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,11 +88,7 @@ class CorrelationTable:
         dim = 1 << self.config.total
         if v.ndim != 4 or v.shape[0] != dim or v.shape[2] != dim or v.shape[3] != 2:
             raise ValueError(f"table shape {v.shape} does not match config")
-        if v.min() < -_NORM_TOL:
-            raise ValueError("negative probability entry")
-        sums = v.sum(axis=(2, 3))
-        if np.abs(sums - 1.0).max() > _NORM_TOL:
-            raise ValueError("per-setting probabilities do not sum to one")
+        _check_distributions(v, (2, 3))
 
     @property
     def n_bob_settings(self) -> int:
@@ -124,11 +111,7 @@ class SwapJointTable:
         dim = 1 << self.config.total
         if v.shape != (dim, dim, 1 << self.config.n):
             raise ValueError(f"table shape {v.shape} does not match config")
-        if v.min() < -_NORM_TOL:
-            raise ValueError("negative probability entry")
-        sums = v.sum(axis=(1, 2))
-        if np.abs(sums - 1.0).max() > _NORM_TOL:
-            raise ValueError("per-setting probabilities do not sum to one")
+        _check_distributions(v, (1, 2))
 
 
 def single_source_table(
@@ -141,11 +124,10 @@ def single_source_table(
 
     ``branch_angles[k]`` holds the two equatorial angles of branch observer
     ``k`` (one per setting); ``bob_angles`` lists the center observer's
-    angle for each of his settings.  The pure GHZ amplitudes are rotated
-    into every measurement basis at once: each qubit's rotation adds its
-    setting bit as a new leading axis.  White noise of weight
-    ``1 - visibility`` is then mixed into the squared amplitudes linearly,
-    which is exact for any measurement plane.
+    angle for each of his settings.  The center qubit of
+    :func:`_branch_amplitudes` is rotated into each of those bases, and
+    white noise of weight ``1 - visibility`` is then mixed into the
+    squared amplitudes linearly, which is exact for any measurement plane.
     """
     if not 1 <= size <= MAX_SOURCE_BRANCHES:
         raise ValueError(f"branch count must be in 1..{MAX_SOURCE_BRANCHES}")
@@ -154,7 +136,24 @@ def single_source_table(
         raise ValueError(f"branch_angles must have shape ({size}, 2)")
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must be in [0, 1]")
-    dim = 1 << size
+    # (x, c, a) -> values[x, y, a, b]: the center qubit measured last.
+    amp = np.einsum(
+        "yod,xda->xyao", _basis_adjoints(bob_angles), _branch_amplitudes(angles)
+    )
+    values = amp.real**2 + amp.imag**2
+    values *= visibility
+    values += (1.0 - visibility) / 2 ** (size + 1)
+    return CorrelationTable(NetworkConfig(1, (size,)), values)
+
+
+def _branch_amplitudes(angles: np.ndarray) -> np.ndarray:
+    """``amp[x, c, a]`` of one pure GHZ source: setting word ``x``, center
+    qubit ``c`` (computational basis) and branch outcome word ``a``, with
+    branch observer ``k`` at angles ``angles[k]`` in bit ``k`` of ``x``
+    and ``a``.  Each qubit's rotation adds its setting bit as a new
+    leading axis, so all setting words are batched.
+    """
+    size = len(angles)
     # amp[x, i]: amplitude of outcome word i (qubit q in bit q) after the
     # branch qubits seen so far were rotated for setting word x.  Qubit k
     # splits i into (higher bits, bit k, lower bits).
@@ -163,14 +162,8 @@ def single_source_table(
         parts = amp.reshape(amp.shape[0], 1 << (size - k), 2, 1 << k)
         amp = np.einsum("sod,xhdl->sxhol", _basis_adjoints(angles[k]), parts)
         amp = amp.reshape(2 * parts.shape[0], -1)
-    # The center qubit is the top bit: (x, b, a) -> values[x, y, a, b].
-    amp = np.einsum(
-        "yod,xda->xyao", _basis_adjoints(bob_angles), amp.reshape(dim, 2, dim)
-    )
-    values = amp.real**2 + amp.imag**2
-    values *= visibility
-    values += (1.0 - visibility) / (2 * dim)
-    return CorrelationTable(NetworkConfig(1, (size,)), values)
+    # The center qubit is the top bit of i.
+    return amp.reshape(1 << size, 2, 1 << size)
 
 
 def _basis_adjoints(thetas) -> np.ndarray:
@@ -190,13 +183,7 @@ def single_source_closed_form_table(size: int) -> CorrelationTable:
     Each entry is ``2**-(size+1) * (1 + sign * c)`` where ``sign`` is the
     parity of all outcomes and ``c = cos(pi/2 * (weight(x) + y))``.
     """
-    dim = 1 << size
-    xw = np.array([x.bit_count() for x in range(dim)])
-    aw = np.array([a.bit_count() for a in range(dim)])
-    cos = _quarter_cos(xw[:, None] + np.arange(2)[None, :])  # (x, y)
-    sign = np.where((aw[:, None] + np.arange(2)[None, :]) & 1, -1.0, 1.0)  # (a, b)
-    values = (1.0 + cos[:, :, None, None] * sign[None, None, :, :]) / (2 * dim)
-    return CorrelationTable(NetworkConfig(1, (size,)), values)
+    return network_closed_form_table(NetworkConfig(1, (size,)))
 
 
 def network_closed_form_table(config: NetworkConfig) -> CorrelationTable:
@@ -353,28 +340,28 @@ def ghz_like_basis(n: int) -> np.ndarray:
 
     Column ``v`` is the basis state obtained from the n-qubit GHZ state by
     applying Z to qubit 0 when bit 0 of ``v`` is set and X to qubit ``q``
-    when bit ``q`` is set, for q >= 1.  Rows are indexed little-endian.
+    when bit ``q`` is set, for q >= 1.  It has two nonzero entries, at
+    word ``w = v`` with bit 0 cleared and at its complement, which carries
+    the sign of bit 0.  Rows are indexed little-endian.
     """
     if not 1 <= n <= MAX_STATE_QUBITS:
         raise ValueError(f"qubit count must be in 1..{MAX_STATE_QUBITS}")
-    g = ghz_state(n).reshape((2,) * n)
-    cols = []
-    for v in range(1 << n):
-        vec = g
-        for q in range(n):
-            if (v >> q) & 1:
-                op = PAULI_Z if q == 0 else PAULI_X
-                vec = _apply_rows(op, vec, q)
-        cols.append(_little_endian_flatten(vec))
-    return np.stack(cols, axis=1)
+    v = np.arange(1 << n)
+    w = v & ~1
+    basis = np.zeros((1 << n, 1 << n), dtype=np.complex128)
+    basis[w, v] = 1 / math.sqrt(2)
+    basis[w ^ ((1 << n) - 1), v] = np.where(v & 1, -1, 1) / math.sqrt(2)
+    return basis
 
 
 def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     """Simulate the network with the center observer measuring jointly.
 
-    All sources' qubits form one pure state; for every branch setting word
-    the branch qubits are rotated into their measurement bases and the
-    center observer's qubits are projected onto each GHZ-like basis state.
+    Sources are independent, so the amplitude of center word ``w`` is the
+    product of each source's branch amplitudes at its bit of ``w``.  A
+    GHZ-like basis state has two nonzero entries, so its projection sums
+    two such products; each is the last source's amplitudes times those
+    of the rest, formed into one reused buffer.
     """
     m = config.total + config.n
     if m > MAX_STATE_QUBITS:
@@ -383,31 +370,31 @@ def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     if angles.shape != (config.total, 2):
         raise ValueError("branch_angles must have shape (total observers, 2)")
 
-    psi = np.ones((), dtype=np.complex128)
-    for size in config.branches:
-        psi = np.tensordot(psi, ghz_state(size + 1).reshape((2,) * (size + 1)), axes=0)
-
-    # Per-qubit axes: source j occupies axes [qoff, qoff + size], center last.
-    branch_axes, bob_axes = [], []
-    qoff = 0
-    for size in config.branches:
-        branch_axes.extend(range(qoff, qoff + size))
-        bob_axes.append(qoff + size)
-        qoff += size + 1
-
+    amps = [
+        _branch_amplitudes(angles[off : off + size])
+        for off, size in zip(config.offsets, config.branches)
+    ]
+    # rest[u, x, a]: the product over every source but the last, u packing
+    # their center qubits; each later source's bits sit above the earlier.
+    rest = np.ones((1, 1, 1), dtype=np.complex128)
+    for amp in amps[:-1]:
+        d = amp.shape[0] * rest.shape[1]
+        rest = np.einsum("xca,uXA->cuxXaA", amp, rest).reshape(2 * len(rest), d, d)
+    # The two nonzero words of a basis state differ in every bit, so the
+    # last source's center qubit is 0 in one term and 1 in the other:
+    # buf[x, a] = sum_c last[x_last, c, a_last] * terms[x_rest, c, a_rest].
+    last = amps[-1].transpose(0, 2, 1)[:, None]
+    d_last, d_rest = last.shape[0], rest.shape[1]
+    terms = np.empty((d_rest, 2, d_rest), dtype=np.complex128)
+    buf = np.empty((d_last, d_rest, d_last, d_rest), dtype=np.complex128)
+    top = config.n - 1
     basis = ghz_like_basis(config.n)
     dim = 1 << config.total
     values = np.empty((dim, dim, 1 << config.n))
-    for x in range(dim):
-        psi_x = psi
-        for t, axis in enumerate(branch_axes):
-            psi_x = _rotate_state(psi_x, axis, angles[t, (x >> t) & 1])
-        # Branch outcome axes first (little-endian), center qubits last.
-        moved = np.moveaxis(psi_x, bob_axes, range(config.total, m))
-        order = tuple(range(config.total - 1, -1, -1)) + tuple(
-            range(m - 1, config.total - 1, -1)
-        )
-        amp = moved.transpose(order).reshape(dim, 1 << config.n)
-        values[x] = np.abs(amp @ basis.conj()) ** 2
+    for v in range(1 << config.n):
+        for w in np.flatnonzero(basis[:, v]):
+            np.multiply(basis[w, v].conj(), rest[w & ~(1 << top)], out=terms[:, w >> top])
+        np.matmul(last, terms[None], out=buf)
+        np.abs(buf.reshape(dim, dim), out=values[..., v])
+    values *= values
     return SwapJointTable(config, values)
-

@@ -205,3 +205,66 @@ def direct_swap_spectrum(values, branches, masks):
             acc += _truncated_sign(mask, word, branches) * (values[word] * sign).sum()
         entries[mask] = acc / dim
     return entries
+
+
+_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+
+
+def brute_force_swap_table(config, branch_angles):
+    """Joint table (x, a, v) of the entangled center measurement computed
+    from one global state vector.
+
+    The network state is the Kronecker product of every source's GHZ
+    vector (source 0 on the lowest-order qubits, each source's center
+    qubit after its branch qubits).  A permutation matrix moves the branch
+    qubits to the low bits and the center qubits, in source order, to the
+    high bits.  Outcome v of the center projects onto the GHZ state with Z
+    applied to center qubit 0 when bit 0 of v is set and X to center qubit
+    q when bit q is set; each branch observer projects with
+    :func:`projector`.
+    """
+    total, n = config.total, config.n
+    n_qubits = total + n
+    psi = np.ones(1, dtype=complex)
+    for size in config.branches:
+        ghz = np.zeros(1 << (size + 1), dtype=complex)
+        ghz[0] = ghz[-1] = 1.0 / np.sqrt(2.0)
+        psi = np.kron(ghz, psi)
+
+    new_position = []  # global qubit -> qubit after the permutation
+    offset = 0
+    for j, size in enumerate(config.branches):
+        new_position.extend(range(offset, offset + size))
+        new_position.append(total + j)
+        offset += size
+    perm = np.zeros((1 << n_qubits, 1 << n_qubits))
+    for index in range(1 << n_qubits):
+        moved = sum(1 << new_position[q] for q in range(n_qubits)
+                    if (index >> q) & 1)
+        perm[moved, index] = 1.0
+    phi = perm @ psi
+
+    ghz_center = np.zeros(1 << n, dtype=complex)
+    ghz_center[0] = ghz_center[-1] = 1.0 / np.sqrt(2.0)
+    center_projectors = []
+    for v in range(1 << n):
+        ops = [_ID2] * n
+        if v & 1:
+            ops[0] = _Z
+        for q in range(1, n):
+            if (v >> q) & 1:
+                ops[q] = _X
+        state = _kron_chain(ops) @ ghz_center
+        center_projectors.append(np.outer(state, state.conj()))
+
+    values = np.zeros((1 << total, 1 << total, 1 << n))
+    for x_word in range(1 << total):
+        for a_word in range(1 << total):
+            branch = _kron_chain([
+                projector(branch_angles[t, (x_word >> t) & 1], (a_word >> t) & 1)
+                for t in range(total)
+            ])
+            for v in range(1 << n):
+                op = np.kron(center_projectors[v], branch)
+                values[x_word, a_word, v] = (phi.conj() @ op @ phi).real
+    return values

@@ -397,6 +397,27 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert report["predicted_value"] == pytest.approx(math.sqrt(8.0))
 
 
+@pytest.mark.parametrize(
+    "argv, content, key",
+    [
+        (["violate"], {"L": 2.5, "n": 2}, "'L'"),
+        (["sweep"], {"L": True}, "'L'"),
+        (["violate"], {"branches": [1.9, 2]}, "'branches'"),
+        (["violate"], {"L": [2]}, "'L'"),
+        (["swap", "--n", "2", "--L", "1"], {"scheme": "bogus"}, "'scheme'"),
+    ],
+)
+def test_config_file_values_are_checked(tmp_path, capsys, argv, content, key):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(content))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", str(cfg)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config file key {key}" in captured.err
+
+
 def test_contradictory_flags_are_usage_errors():
     run_cli("violate", "--n", "3", "--branches", "1,2", expect=1)
     run_cli("violate", "--branches", "1,0", expect=1)

@@ -345,7 +345,7 @@ def test_sweep_diagonal_closed_form():
     for theta in np.linspace(0.0, math.pi / 2, 25):
         got = sweep_value(theta, math.pi / 2 - theta, 2)
         assert got == pytest.approx(1.0 + abs(math.cos(2 * theta)), abs=1e-12)
-    # conjectured form for small branch counts
+    # closed form (the sweep formula at m = pi/4) for small branch counts
     for size in range(1, 7):
         for theta in np.linspace(0.0, math.pi / 2, 21):
             got = sweep_value(theta, math.pi / 2 - theta, size)

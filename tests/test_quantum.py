@@ -32,6 +32,7 @@ from bellnet.quantum import (
 from oracles import (
     bell_basis_two_qubits,
     brute_force_network_table,
+    brute_force_swap_table,
     projector,
     uniform_table,
 )
@@ -309,6 +310,20 @@ def test_swap_joint_table_two_pairs():
     cond = table.values[0b01, :, 0] / marginal[0b01, 0]
     corr = sum((-1) ** (int(a).bit_count() & 1) * cond[a] for a in range(4))
     assert abs(corr) < 1e-12
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    data=st.data(),
+    branches=st.sampled_from([(1,), (2, 1), (1, 2), (2, 2), (3, 1), (1, 1, 1)]),
+)
+def test_swap_joint_table_matches_oracle(data, branches):
+    cfg = NetworkConfig(len(branches), branches)
+    angles = np.array(
+        data.draw(st.lists(ANGLES, min_size=2 * cfg.total, max_size=2 * cfg.total))
+    ).reshape(cfg.total, 2)
+    table = swap_joint_table(cfg, angles)
+    assert np.abs(table.values - brute_force_swap_table(cfg, angles)).max() < 1e-12
 
 
 def test_swap_joint_table_guards():
