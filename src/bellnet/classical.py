@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequality import fwht
+from .inequality import fwht, parity_signs
 from .network import NetworkConfig, subsets_of, xy_setting_map
-from .quantum import CorrelationTable, bob_setting_count
+from .quantum import CorrelationTable, bob_setting_count, compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
 MAX_ENUMERATION_BRANCHES = 4
@@ -56,38 +56,26 @@ def saturating_table(p, config: NetworkConfig) -> CorrelationTable:
     """Execute the saturating strategy by exact expectation.
 
     Every source carries a uniform bit; each observer answers that bit,
-    flipped with probability 1-p_j^k when its setting is 1.  The center
-    observer announces the XOR of the source bits when the branch count is
-    odd and 0 otherwise, for both of his settings.
+    flipped with probability 1-p_j^k when its setting is 1.  Per source,
+    the center observer's bit is the source bit when the branch count is
+    odd and 0 otherwise, at both of his settings; :func:`compose_network`
+    joins the one-source tables, so he announces the XOR of those bits.
+    The table's values are a read-only view that repeats one setting.
     """
     arr = saturating_probabilities(p, config)
-    size = config.max_branch
-    dim_src = 1 << size
-    per_source = np.empty((config.n, 2, dim_src, dim_src))
-    for j in range(config.n):
-        for lam in (0, 1):
-            mat = np.ones((1, 1))
-            for k in range(size):
-                keep, flip = arr[j, k], 1.0 - arr[j, k]
-                bit = np.empty((2, 2))
-                bit[0, lam], bit[0, 1 - lam] = 1.0, 0.0
-                bit[1, lam], bit[1, 1 - lam] = keep, flip
-                mat = np.kron(bit, mat)
-            per_source[j, lam] = mat
-    dim = 1 << config.total
-    values = np.zeros((dim, 2, dim, 2))
-    odd = size & 1
-    for lams in range(1 << config.n):
-        joint = np.ones((1, 1))
-        parity = 0
-        for j in range(config.n):
-            lam = (lams >> j) & 1
-            parity ^= lam
-            joint = np.kron(per_source[j, lam], joint)
-        b = parity if odd else 0
-        for y in (0, 1):
-            values[:, y, :, b] += joint / (1 << config.n)
-    return CorrelationTable(config, values)
+    tables = []
+    for probs in arr:
+        # given[x, a]: probability of outcome word a at setting word x when
+        # the source bit is 0; bit 1 complements every answer, reversing a.
+        given = np.ones((1, 1))
+        for keep in probs:
+            given = np.kron([[1.0, 0.0], [keep, 1.0 - keep]], given)
+        flipped = given[:, ::-1]
+        per_bit = [given, flipped] if len(probs) & 1 else [given + flipped, 0 * given]
+        values = np.stack(per_bit, axis=-1)[:, None] / 2  # one center setting
+        tables.append(CorrelationTable(NetworkConfig(1, (len(probs),)), values))
+    joint = compose_network(tables).values
+    return CorrelationTable(config, np.broadcast_to(joint, (len(joint), 2, len(joint), 2)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,7 +94,6 @@ class SampledModel:
     weights: np.ndarray
     responses: tuple
     center_bits: np.ndarray
-    seed: int
 
     @property
     def n_center_settings(self) -> int:
@@ -131,7 +118,7 @@ def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledM
     )
     n_y = bob_setting_count(config)
     center = rng.integers(0, 2, size=(combos, n_y), dtype=np.uint8)
-    return SampledModel(config, lattice, weights, responses, center, seed)
+    return SampledModel(config, lattice, weights, responses, center)
 
 
 def model_table(model: SampledModel) -> CorrelationTable:
@@ -142,13 +129,7 @@ def model_table(model: SampledModel) -> CorrelationTable:
     values = np.zeros((dim, n_y, dim, 2))
     words = np.arange(dim)
     # Per source: outcome word for each (setting word, hidden value).
-    local = []
-    for j, size in enumerate(config.branches):
-        table = np.zeros((1 << size, model.lattice), dtype=np.int64)
-        for k in range(size):
-            bits = (np.arange(1 << size) >> k) & 1
-            table |= model.responses[j][k][bits, :].astype(np.int64) << k
-        local.append(table)
+    local = [_outcome_words(answers) for answers in model.responses]
     for combo in range(model.lattice ** config.n):
         digits = [(combo // model.lattice ** j) % model.lattice for j in range(config.n)]
         weight = 1.0
@@ -187,7 +168,8 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=
     factors = []
     for j, size in enumerate(config.branches):
         resp = np.stack([m.responses[j] for m in models], axis=2)  # (size, 2, B, lattice)
-        f = fwht(_word_signs(resp)) / (1 << size)  # (local mask, B, lattice)
+        signs = parity_signs(size)[_outcome_words(resp)]  # (x, B, lattice)
+        f = fwht(signs) / (1 << size)  # (local mask, B, lattice)
         factors.append(f[masks & ((1 << size) - 1)].transpose(1, 0, 2))
 
     entries = np.zeros((len(models), masks.size))
@@ -200,18 +182,19 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=
     return entries
 
 
-def _word_signs(answers: np.ndarray) -> np.ndarray:
-    """Product of the observers' answer signs for every setting word.
+def _outcome_words(answers: np.ndarray) -> np.ndarray:
+    """Packed outcome word of a source's observers for every setting word.
 
     ``answers[k, s, ...]`` is observer k's answer bit at setting s; the
-    result is indexed ``[x, ...]`` with observer k's setting in bit k of x.
+    result is indexed ``[x, ...]`` with observer k's setting in bit k of x
+    and its answer in bit k of the word.
     """
     size = answers.shape[0]
-    words = np.arange(1 << size)
-    parity = np.zeros((1 << size,) + answers.shape[2:], dtype=answers.dtype)
+    settings = np.arange(1 << size)
+    words = np.zeros((1 << size,) + answers.shape[2:], dtype=np.int64)
     for k in range(size):
-        parity ^= answers[k, (words >> k) & 1]
-    return 1.0 - 2.0 * parity
+        words |= answers[k, (settings >> k) & 1].astype(np.int64) << k
+    return words
 
 
 def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
@@ -238,7 +221,7 @@ def deterministic_maximum(config: NetworkConfig):
     # answers[k, s, code]: bit 2k + s of the response code.
     codes = np.arange(1 << (2 * size))
     answers = (codes >> np.arange(2 * size)[:, None]).reshape(size, 2, -1) & 1
-    entries = fwht(_word_signs(answers)) / (1 << size)
+    entries = fwht(parity_signs(size)[_outcome_words(answers)]) / (1 << size)
     values = np.abs(entries).sum(axis=0)
     code = int(np.argmax(values))
     responses = [((code >> (2 * k)) & 1, (code >> (2 * k + 1)) & 1) for k in range(size)]

@@ -579,7 +579,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_region)
 
     p = sub.add_parser("swap", parents=[common], help="entangled center measurement")
-    p.add_argument("--scheme", choices=("xy", "rotated"), default="rotated")
+    p.add_argument("--scheme", choices=("xy", "rotated"))
     p.add_argument("--conditioning", help="JSON file mapping subsets to outcome bits")
     p.set_defaults(func=cmd_swap)
 

@@ -33,11 +33,11 @@ _ENTRY_TOL = 1e-9
 
 
 def parity_signs(width: int) -> np.ndarray:
-    """Vector of (-1)**bit_count(i) for all words i of the given width."""
-    signs = np.ones(1)
-    for _ in range(width):
-        signs = np.concatenate([signs, -signs])
-    return signs
+    """Vector of (-1)**bit_count(i) for all words i of the given width: the
+    Walsh–Hadamard transform of the one-hot vector at the all-ones word."""
+    onehot = np.zeros(1 << width)
+    onehot[-1] = 1.0
+    return fwht(onehot)
 
 
 def fwht(values, axis: int = 0) -> np.ndarray:
@@ -62,12 +62,10 @@ def fwht(values, axis: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SubsetSpectrum:
-    """Correlator entries for every subset mask, plus the map that chose
-    the center setting per subset (None when no table was involved)."""
+    """Correlator entries for every subset mask."""
 
     config: NetworkConfig
     entries: np.ndarray  # (2**max_branch,)
-    setting_map: np.ndarray | None = None
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -76,11 +74,6 @@ class SubsetSpectrum:
             raise ValueError("spectrum length does not match the branch count")
         if np.abs(entries).max() > 1.0 + _ENTRY_TOL:
             raise ValueError("correlator entry outside [-1, 1]")
-        if self.setting_map is not None:
-            smap = np.asarray(self.setting_map)
-            object.__setattr__(self, "setting_map", smap)
-            if smap.shape != entries.shape:
-                raise ValueError("setting map length does not match the spectrum")
 
 
 def table_correlators(table: CorrelationTable) -> np.ndarray:
@@ -105,7 +98,7 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
         raise ValueError("setting map refers to a missing center setting")
     words = subset_setting_mask(np.array(subsets_of(config.max_branch)), config)
     spectrum = fwht(table_correlators(table)) / (1 << config.total)
-    return SubsetSpectrum(config, spectrum[words, setting_map], setting_map)
+    return SubsetSpectrum(config, spectrum[words, setting_map])
 
 
 def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
@@ -116,9 +109,16 @@ def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
 
 
 def bell_value(spectrum: SubsetSpectrum) -> float:
-    """sum_X |entry_X|**(1/n)."""
-    n = spectrum.config.n
-    return float((np.abs(spectrum.entries) ** (1.0 / n)).sum())
+    """sum_X |entry_X|**(1/n).
+
+    A table sums at most 2**(T+n) outcome words per setting (T branch
+    observers, n sources), so an entry within eps * 2**(T+n) of zero is
+    rounding noise and counts as zero; the root would magnify it.
+    """
+    config = spectrum.config
+    entries = np.abs(spectrum.entries)
+    entries[entries <= np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)] = 0.0
+    return float((entries ** (1.0 / config.n)).sum())
 
 
 def classical_bound(config: NetworkConfig) -> float:

@@ -94,12 +94,6 @@ class NetworkConfig:
     def to_json(self) -> dict:
         return {"n": self.n, "branches": list(self.branches)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "NetworkConfig":
-        if not isinstance(obj, dict) or "n" not in obj or "branches" not in obj:
-            raise ValueError("config JSON needs keys 'n' and 'branches'")
-        return cls(obj["n"], tuple(obj["branches"]))
-
 
 def subsets_of(size: int) -> range:
     """All subsets of ``{1..size}`` as bitmasks, in ascending-mask order."""

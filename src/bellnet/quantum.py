@@ -31,7 +31,7 @@ same as its density operator gives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -238,25 +238,23 @@ def compose_network(tables) -> CorrelationTable:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementScheme:
-    """Branch-observer angles plus the center observer's measurement style.
+    """Branch-observer angles, named by ``kind``.
 
     ``branch_angles[t, s]`` is the equatorial angle observer ``t`` uses for
-    setting ``s``.  ``bob`` is ``"separable"`` (per-qubit axis measurements,
-    parity announced) or ``"swap"`` (joint GHZ-like basis measurement).
+    setting ``s``.  The scheme does not fix the center measurement:
+    :func:`network_table` measures his qubits one by one and
+    :func:`swap_joint_table` jointly, both from the same branch angles.
     """
 
     config: NetworkConfig
     branch_angles: np.ndarray
     kind: str
-    bob: str = field(default="separable")
 
     def __post_init__(self):
         angles = np.asarray(self.branch_angles, dtype=np.float64)
         object.__setattr__(self, "branch_angles", angles)
         if angles.shape != (self.config.total, 2):
             raise ValueError("branch_angles must have shape (total observers, 2)")
-        if self.bob not in ("separable", "swap"):
-            raise ValueError("bob must be 'separable' or 'swap'")
 
 
 def xy_scheme(config: NetworkConfig) -> MeasurementScheme:
@@ -310,8 +308,6 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
     angle on the qubit from source ``j`` is X or Y according to the setting
     bit of that source's block.
     """
-    if scheme.bob != "separable":
-        raise ValueError("network_table needs a separable-center scheme")
     config = scheme.config
     if visibilities is None:
         visibilities = (1.0,) * config.n

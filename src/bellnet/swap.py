@@ -18,6 +18,15 @@ from .quantum import swap_joint_table
 from .inequality import SubsetSpectrum, fwht, parity_signs
 
 
+# Conditioning masks are int64 words holding one outcome bit per source.
+MAX_SWAP_SOURCES = 63
+
+
+def _check_source_count(n: int) -> None:
+    if n > MAX_SWAP_SOURCES:
+        raise ValueError(f"swap supports at most {MAX_SWAP_SOURCES} sources, got {n}")
+
+
 @dataclass(frozen=True, eq=False)
 class SwapConditioning:
     """Per-subset parity masks over the center observer's outcome bits."""
@@ -42,6 +51,7 @@ def default_conditioning(config: NetworkConfig, setting_map) -> SwapConditioning
     setting-1 subsets read the parity of all n bits.  The second half
     holds only for an even source count, and the map must be two-valued.
     """
+    _check_source_count(config.n)
     setting_map = np.asarray(setting_map)
     if setting_map.max() > 1:
         raise ValueError("default conditioning needs a two-setting map")
@@ -54,6 +64,7 @@ def default_conditioning(config: NetworkConfig, setting_map) -> SwapConditioning
 
 def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning:
     """Parse {"<subset mask>": {"bit": i} | {"parity": [i, ...]}, ...}."""
+    _check_source_count(config.n)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -116,4 +127,4 @@ def swap_spectrum(
     correlators = parity_signs(config.total) @ table.values  # (x, v)
     spectrum = fwht(fwht(correlators, axis=0), axis=1) / (1 << config.total)
     words = subset_setting_mask(np.array(subsets_of(config.max_branch)), config)
-    return SubsetSpectrum(config, spectrum[words, conditioning.masks], None)
+    return SubsetSpectrum(config, spectrum[words, conditioning.masks])

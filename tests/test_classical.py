@@ -67,11 +67,15 @@ def test_saturating_family_attains_the_bound():
             assert value == pytest.approx(classical_bound(cfg), abs=1e-12)
 
 
-def test_saturating_table_matches_formula():
-    cfg = NetworkConfig.homogeneous(2, 2)
-    smap = xy_setting_map(2)
-    for _ in range(50):
-        p = RNG.uniform(0.0, 1.0, (2, 2))
+@pytest.mark.parametrize(
+    "n, size", [(1, 1), (2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (3, 3)]
+)
+def test_saturating_table_matches_formula(n, size):
+    # p per observer; the center bit is 0 at even L, the source bit at odd L
+    cfg = NetworkConfig.homogeneous(n, size)
+    smap = xy_setting_map(size)
+    for _ in range(10):
+        p = RNG.uniform(0.0, 1.0, (n, size))
         table = saturating_table(p, cfg)
         spec = subset_spectrum(table, smap)
         assert np.abs(spec.entries - saturating_entries(p, cfg)).max() < 1e-12

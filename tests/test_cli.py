@@ -373,6 +373,43 @@ def test_swap_skips_separable_check_beyond_budget(monkeypatch, capsys, tmp_path)
     assert report["swap_value"] > report["classical_bound"]
 
 
+def test_swap_reads_scheme_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scheme": "xy"}))
+    argv = ["swap", "--n", "2", "--L", "2", "--config", str(cfg)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["scheme"] == "xy"
+    assert cli.main([*argv, "--scheme", "rotated"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["scheme"] == "rotated"
+
+
+@pytest.mark.parametrize(
+    "n, rules",
+    [(64, None), (70, None), (64, {"0": {"bit": 63}, "1": {"bit": 63}})],
+)
+def test_swap_source_limit_is_usage_error(tmp_path, capsys, n, rules):
+    # one outcome bit per source must fit a 64-bit conditioning mask
+    argv = ["swap", "--n", str(n), "--L", "1"]
+    if rules is not None:
+        path = tmp_path / "cond.json"
+        path.write_text(json.dumps(rules))
+        argv += ["--conditioning", str(path)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    assert f"at most {swap_module.MAX_SWAP_SOURCES} sources, got {n}" in capsys.readouterr().err
+
+
+def test_swap_exact_zero_prints_zero(tmp_path, capsys):
+    # both entries are exactly 0; their rounding noise (about 5e-17) used
+    # to print as 3e-06 after the cube root
+    path = tmp_path / "cond.json"
+    path.write_text(json.dumps({"0": {"parity": [0, 2]}, "1": {"parity": [0, 1, 2]}}))
+    argv = ["swap", "--n", "3", "--L", "1", "--scheme", "rotated", "--conditioning", str(path)]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["swap_value"] == 0.0
+
+
 def test_bound_heterogeneous():
     report = run_json("bound", "--branches", "1,2")
     assert report["classical_bound"] == pytest.approx(math.sqrt(2.0))

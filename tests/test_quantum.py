@@ -242,8 +242,6 @@ def test_scheme_construction():
     with pytest.raises(ValueError):
         custom_scheme(NetworkConfig(2, (1, 2)), 0.0, 1.0)
     with pytest.raises(ValueError):
-        MeasurementScheme(cfg, np.zeros((4, 2)), "xy", bob="joint")
-    with pytest.raises(ValueError):
         MeasurementScheme(cfg, np.zeros((3, 2)), "xy")
 
 
