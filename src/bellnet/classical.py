@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inequality import fwht, parity_signs
-from .network import NetworkConfig, subsets_of, xy_setting_map
+from .network import NetworkConfig, fwht, parity_signs, subsets_of, xy_setting_map
 from .quantum import CorrelationTable, bob_setting_count, compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
@@ -41,14 +40,14 @@ def saturating_entries(p, config: NetworkConfig) -> np.ndarray:
 
     Entry for subset X: prod_j (prod_{k in X} (1-p_j^k)) (prod_{k not in X} p_j^k).
     Source-symmetric p makes the entries a product distribution over branch
-    positions, so the Bell value hits the classical bound exactly.
+    positions, so the Bell value hits the classical bound exactly: the
+    Kronecker product over positions k of (prod_j p_j^k, prod_j (1-p_j^k)).
     """
     arr = saturating_probabilities(p, config)
-    size = config.max_branch
-    entries = np.empty(1 << size)
-    for mask in subsets_of(size):
-        inside = np.array([(mask >> k) & 1 for k in range(size)], dtype=bool)
-        entries[mask] = np.prod(np.where(inside, 1.0 - arr, arr))
+    subsets_of(config.max_branch)  # bounds the 2**max_branch entries
+    entries = np.ones(1)
+    for outside, inside in zip(arr.prod(axis=0), (1.0 - arr).prod(axis=0)):
+        entries = np.multiply.outer([outside, inside], entries).ravel()
     return entries
 
 

@@ -60,7 +60,8 @@ SEPARABLE_SKIPPED_WARNING = "separable network too large to simulate; cross-chec
 # sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
 # so the branch cap leaves a wide margin.  One call evaluates every grid
 # point at once, so the point count bounds its memory (a peak of about
-# 130 MB at the cap, mostly the emitted rows).
+# 130 MB at the cap, mostly the emitted rows).  region's grid**2 points
+# obey the same cap.
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
@@ -409,14 +410,15 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["lattice"] = args.lattice
         report["max_value"] = float(values.max())
         checks["all_below_classical_bound"] = bool(values.max() <= bound + VALUE_TOL)
-        probe_seeds = list(range(seed, seed + min(args.trials, 5)))
-        batch = sampled_spectra(probe_seeds, config, args.lattice)
-        worst = 0.0
-        for row, probe in zip(batch, probe_seeds):
-            table = model_table(sample_model(probe, config, args.lattice))
-            spectrum = truncated_spectrum(table, xy_setting_map(config.max_branch))
-            worst = max(worst, float(np.abs(spectrum.entries - row).max()))
-        checks["batch_matches_table_route"] = worst <= 1e-12
+        if _table_elements(config, bob_setting_count(config)) <= SIM_BUDGET_ELEMENTS:
+            probe_seeds = list(range(seed, seed + min(args.trials, 5)))
+            batch = sampled_spectra(probe_seeds, config, args.lattice)
+            worst = 0.0
+            for row, probe in zip(batch, probe_seeds):
+                table = model_table(sample_model(probe, config, args.lattice))
+                spectrum = truncated_spectrum(table, xy_setting_map(config.max_branch))
+                worst = max(worst, float(np.abs(spectrum.entries - row).max()))
+            checks["batch_matches_table_route"] = worst <= 1e-12
     else:  # enumerate
         if config.n != 1:
             parser.error("enumeration is only sound for --n 1")
@@ -438,6 +440,10 @@ def cmd_classical(args, parser: _Parser) -> int:
 
 
 def cmd_region(args, parser: _Parser) -> int:
+    if args.grid**2 > MAX_SWEEP_POINTS:
+        parser.error(
+            f"--grid {args.grid} gives {args.grid**2} points, more than {MAX_SWEEP_POINTS}"
+        )
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
     try:

@@ -26,38 +26,10 @@ from math import comb
 
 import numpy as np
 
-from .network import NetworkConfig, subset_setting_mask, subsets_of
+from .network import NetworkConfig, fwht, parity_signs, subset_setting_mask, subsets_of
 from .quantum import CorrelationTable, MeasurementScheme, network_table, scheme_setting_map
 
 _ENTRY_TOL = 1e-9
-
-
-def parity_signs(width: int) -> np.ndarray:
-    """Vector of (-1)**bit_count(i) for all words i of the given width: the
-    Walsh–Hadamard transform of the one-hot vector at the all-ones word."""
-    onehot = np.zeros(1 << width)
-    onehot[-1] = 1.0
-    return fwht(onehot)
-
-
-def fwht(values, axis: int = 0) -> np.ndarray:
-    """Unnormalized Walsh–Hadamard transform along ``axis``.
-
-    ``out[X] = sum_x (-1)**bit_count(x & X) * values[x]``, computed with
-    one butterfly per bit in O(m 2**m) for an axis of length 2**m.
-    """
-    out = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0).copy()
-    size = out.shape[0]
-    if size & (size - 1):
-        raise ValueError("transform length must be a power of two")
-    half = 1
-    while half < size:
-        pairs = out.reshape(size // (2 * half), 2, half, -1)
-        low = pairs[:, 0] + pairs[:, 1]
-        pairs[:, 1] = pairs[:, 0] - pairs[:, 1]
-        pairs[:, 0] = low
-        half *= 2
-    return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True, eq=False)

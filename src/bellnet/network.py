@@ -13,6 +13,9 @@ Everything downstream of this module relies on two packing conventions:
 * A subset of branch positions ``{1, ..., L}`` is a plain bitmask whose bit
   ``k - 1`` marks position ``k``.  ``subsets_of`` enumerates masks in
   ascending order, which fixes entry order in every emitted file.
+
+Every parity rule over such words reads one Walsh–Hadamard core,
+:func:`fwht` and its all-ones character :func:`parity_signs`.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ def subsets_of(size: int) -> range:
     return range(1 << size)
 
 
-def subset_cardinality(mask: int) -> int:
-    return int(mask).bit_count()
-
-
 def subset_setting_mask(mask, config: NetworkConfig):
     """Packed-word mask selecting, in every source block, the branch
     positions named by ``mask`` (an int, or an integer array elementwise).
@@ -119,26 +118,43 @@ def subset_setting_mask(mask, config: NetworkConfig):
     return word
 
 
-def bob_setting_bit(mask: int, size: int) -> int:
-    """Center-observer setting bit assigned to a subset by the two-setting
-    measurement convention.
+def parity_signs(width: int) -> np.ndarray:
+    """Vector of (-1)**bit_count(i) for all words i of the given width: the
+    Walsh character of the all-ones word, i.e. the Walsh–Hadamard
+    transform of the one-hot vector there, built by doubling."""
+    signs = np.ones(1)
+    for _ in range(width):
+        signs = np.concatenate((signs, -signs))
+    return signs
 
-    The bit alternates with subset cardinality; the parity flips when the
-    branch count is a multiple of four, which keeps all subset correlators
-    at equal magnitude for sources measured along the two coordinate axes
-    of the equatorial plane.
+
+def fwht(values, axis: int = 0) -> np.ndarray:
+    """Unnormalized Walsh–Hadamard transform along ``axis``.
+
+    ``out[X] = sum_x (-1)**bit_count(x & X) * values[x]``, computed with
+    one butterfly per bit in O(m 2**m) for an axis of length 2**m.
     """
-    flip = 1 if size % 4 == 0 else 0
-    return ((subset_cardinality(mask) + flip) & 1) ^ 1
+    out = np.moveaxis(np.asarray(values, dtype=np.float64), axis, 0).copy()
+    size = out.shape[0]
+    if size & (size - 1):
+        raise ValueError("transform length must be a power of two")
+    half = 1
+    while half < size:
+        pairs = out.reshape(size // (2 * half), 2, half, -1)
+        low = pairs[:, 0] + pairs[:, 1]
+        pairs[:, 1] = pairs[:, 0] - pairs[:, 1]
+        pairs[:, 0] = low
+        half *= 2
+    return np.moveaxis(out, 0, axis)
 
 
 def xy_setting_map(size: int) -> np.ndarray:
-    """Per-subset center-observer setting for the two-setting convention."""
-    return np.fromiter(
-        (bob_setting_bit(mask, size) for mask in subsets_of(size)),
-        dtype=np.int64,
-        count=1 << size,
-    )
+    """Per-subset center setting for the two-setting convention: the
+    subset's cardinality parity, complemented unless 4 divides ``size``,
+    which keeps all subset correlators at equal magnitude for sources
+    measured along the two coordinate axes of the equatorial plane."""
+    subsets_of(size)  # bounds the size before 2**size signs are built
+    return ((parity_signs(size) < 0) ^ (size % 4 != 0)).astype(np.int64)
 
 
 def rotated_setting_map(config: NetworkConfig) -> np.ndarray:
@@ -148,13 +164,9 @@ def rotated_setting_map(config: NetworkConfig) -> np.ndarray:
     block is the parity of its positions that fit inside that branch count.
     On a homogeneous network this reduces to "cardinality mod 2".
     """
-    size = config.max_branch
-    out = np.empty(1 << size, dtype=np.int64)
-    blocks = config.block_sizes
-    for mask in subsets_of(size):
-        y = 0
-        for i, r in enumerate(blocks):
-            y |= ((mask & ((1 << r) - 1)).bit_count() & 1) << i
-        out[mask] = y
+    masks = np.array(subsets_of(config.max_branch))
+    odd = (parity_signs(config.max_branch) < 0).astype(np.int64)
+    out = np.zeros_like(odd)
+    for i, r in enumerate(config.block_sizes):
+        out |= odd[masks & ((1 << r) - 1)] << i
     return out
-

@@ -25,7 +25,8 @@ with the branch qubits rotated, batched over every setting word.  White
 noise enters the separable route linearly: a unitary basis change maps
 the maximally mixed state to itself, so a source of visibility ``V`` has
 outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
-same as its density operator gives.
+same as its density operator gives.  One-source tables join as a product
+in the Walsh–Hadamard domain of the center's parity bit.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkConfig, rotated_setting_map, xy_setting_map
+from .network import NetworkConfig, parity_signs, rotated_setting_map, xy_setting_map
 
 HALF_PI = math.pi / 2
 
@@ -195,8 +196,7 @@ def network_closed_form_table(config: NetworkConfig) -> CorrelationTable:
     for j in range(config.n):
         xw = np.array([config.source_bits(int(x), j).bit_count() for x in xs])
         prod *= _quarter_cos(xw[:, None] + np.arange(2)[None, :])
-    aw = np.array([a.bit_count() for a in range(dim)])
-    sign = np.where((aw[:, None] + np.arange(2)[None, :]) & 1, -1.0, 1.0)
+    sign = np.outer(parity_signs(config.total), [1.0, -1.0])
     values = (1.0 + prod[:, :, None, None] * sign[None, None, :, :]) / (2 * dim)
     return CorrelationTable(config, values)
 
@@ -205,9 +205,10 @@ def compose_network(tables) -> CorrelationTable:
     """Join independent single-source tables into one network table.
 
     The center observer announces the XOR of his per-source parity bits, so
-    composition is an XOR convolution over those bits.  Sources are packed
-    in list order: the first table owns the least significant setting and
-    outcome bits.
+    composition is an XOR convolution over those bits: a product of each
+    source's Walsh pair ``(p0 + p1, p0 - p1)``, taken plane by plane and
+    inverted once in place.  Sources are packed in list order: the first
+    table owns the least significant setting and outcome bits.
     """
     tables = list(tables)
     if not tables:
@@ -219,21 +220,25 @@ def compose_network(tables) -> CorrelationTable:
     if any(t.n_bob_settings != n_y for t in tables):
         raise ValueError("all per-source tables must share the setting count")
     branches = tuple(t.config.branches[0] for t in tables)
-    acc = tables[0].values
-    for t in tables[1:]:
-        tv = t.values
-        dim_new, dim_acc = tv.shape[0], acc.shape[0]
-        # out[x, X, y, a, A, b]: the new source's bits above the earlier ones.
-        out = np.empty((dim_new, dim_acc, n_y, dim_new, dim_acc, 2))
-        tmp = np.empty(out.shape[:-1])
-        earlier = acc[None, :, :, None, :, :]
-        new = tv[:, None, :, :, None, :]
-        for b in (0, 1):
-            np.multiply(earlier[..., 0], new[..., b], out=out[..., b])
-            np.multiply(earlier[..., 1], new[..., b ^ 1], out=tmp)
-            out[..., b] += tmp
-        acc = out.reshape(dim_new * dim_acc, n_y, dim_new * dim_acc, 2)
-    return CorrelationTable(NetworkConfig(len(tables), branches), acc)
+    dim, d_last = 1 << sum(branches), tables[-1].values.shape[0]
+    # out[x, X, y, a, A, b]: the last source's bits above the earlier ones.
+    out = np.empty((d_last, dim // d_last, n_y, d_last, dim // d_last, 2))
+    sums, diffs = out[..., 0], out[..., 1]
+    for plane, sign in ((sums, 1.0), (diffs, -1.0)):
+        # The product of every source's p0 + p1 (or p0 - p1) and of the
+        # inverse transform's factor 1/2; later sources take higher bits.
+        acc = np.full((1, n_y, 1), 0.5)
+        for t in tables[:-1]:
+            pair = t.values[..., 0] + sign * t.values[..., 1]
+            d = len(pair) * len(acc)
+            acc = (pair[:, None, :, :, None] * acc[None, :, :, None, :]).reshape(d, n_y, d)
+        pair = tables[-1].values[..., 0] + sign * tables[-1].values[..., 1]
+        np.multiply(pair[:, None, :, :, None], acc[None, :, :, None, :], out=plane)
+    # Back from the Walsh domain: parity 0 is s + d, parity 1 is s - d.
+    sums += diffs
+    diffs *= -2
+    diffs += sums
+    return CorrelationTable(NetworkConfig(len(tables), branches), out.reshape(dim, n_y, dim, 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,33 +336,16 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
     return compose_network(tables)
 
 
-def ghz_like_basis(n: int) -> np.ndarray:
-    """Orthonormal entangled basis for the center observer's ``n`` qubits.
-
-    Column ``v`` is the basis state obtained from the n-qubit GHZ state by
-    applying Z to qubit 0 when bit 0 of ``v`` is set and X to qubit ``q``
-    when bit ``q`` is set, for q >= 1.  It has two nonzero entries, at
-    word ``w = v`` with bit 0 cleared and at its complement, which carries
-    the sign of bit 0.  Rows are indexed little-endian.
-    """
-    if not 1 <= n <= MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_STATE_QUBITS}")
-    v = np.arange(1 << n)
-    w = v & ~1
-    basis = np.zeros((1 << n, 1 << n), dtype=np.complex128)
-    basis[w, v] = 1 / math.sqrt(2)
-    basis[w ^ ((1 << n) - 1), v] = np.where(v & 1, -1, 1) / math.sqrt(2)
-    return basis
-
-
 def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     """Simulate the network with the center observer measuring jointly.
 
-    Sources are independent, so the amplitude of center word ``w`` is the
-    product of each source's branch amplitudes at its bit of ``w``.  A
-    GHZ-like basis state has two nonzero entries, so its projection sums
-    two such products; each is the last source's amplitudes times those
-    of the rest, formed into one reused buffer.
+    Outcome ``v`` is the GHZ state with Z on his qubit 0 when bit 0 of
+    ``v`` is set and X on his qubit ``q >= 1`` when bit ``q`` is: 1/sqrt(2)
+    at word ``w = v & ~1`` and at its complement, signed by bit 0.  Sources
+    are independent, so the amplitude of center word ``w`` is the product
+    of each source's branch amplitudes at its bit of ``w``; each of the two
+    products is the last source's amplitudes times those of the rest,
+    formed into one reused buffer.
     """
     m = config.total + config.n
     if m > MAX_STATE_QUBITS:
@@ -383,13 +371,13 @@ def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     d_last, d_rest = last.shape[0], rest.shape[1]
     terms = np.empty((d_rest, 2, d_rest), dtype=np.complex128)
     buf = np.empty((d_last, d_rest, d_last, d_rest), dtype=np.complex128)
-    top = config.n - 1
-    basis = ghz_like_basis(config.n)
+    top, all_bits, s = config.n - 1, (1 << config.n) - 1, 1 / math.sqrt(2)
     dim = 1 << config.total
     values = np.empty((dim, dim, 1 << config.n))
     for v in range(1 << config.n):
-        for w in np.flatnonzero(basis[:, v]):
-            np.multiply(basis[w, v].conj(), rest[w & ~(1 << top)], out=terms[:, w >> top])
+        w = v & ~1
+        for word, coeff in ((w, s), (w ^ all_bits, -s if v & 1 else s)):
+            np.multiply(coeff, rest[word & ~(1 << top)], out=terms[:, word >> top])
         np.matmul(last, terms[None], out=buf)
         np.abs(buf.reshape(dim, dim), out=values[..., v])
     values *= values

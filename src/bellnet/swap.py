@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkConfig, subset_setting_mask, subsets_of
+from .network import NetworkConfig, fwht, parity_signs, subset_setting_mask, subsets_of
 from .quantum import swap_joint_table
-from .inequality import SubsetSpectrum, fwht, parity_signs
+from .inequality import SubsetSpectrum
 
 
 # Conditioning masks are int64 words holding one outcome bit per source.

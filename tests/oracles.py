@@ -268,3 +268,25 @@ def brute_force_swap_table(config, branch_angles):
                 op = np.kron(center_projectors[v], branch)
                 values[x_word, a_word, v] = (phi.conj() @ op @ phi).real
     return values
+
+
+def direct_xy_setting_map(size):
+    """Center setting of each subset under the two-setting convention, one
+    mask at a time: the cardinality parity, complemented unless 4 divides
+    ``size``."""
+    flip = 1 if size % 4 == 0 else 0
+    return np.array([((mask.bit_count() + flip) & 1) ^ 1
+                     for mask in range(1 << size)])
+
+
+def direct_rotated_setting_map(branches):
+    """Center settings for rotated branch measurements, one mask and one
+    block at a time: bit i is the parity of the subset's positions inside
+    the i-th smallest distinct branch count."""
+    out = []
+    for mask in range(1 << max(branches)):
+        y = 0
+        for i, r in enumerate(sorted(set(branches))):
+            y |= ((mask & ((1 << r) - 1)).bit_count() & 1) << i
+        out.append(y)
+    return np.array(out)

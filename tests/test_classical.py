@@ -56,6 +56,10 @@ def test_saturating_entries_examples():
     fair = saturating_entries(0.5, cfg)
     assert np.allclose(fair, 2.0 ** (-2 * 2))
 
+    # 2**30 entries would need 8 GiB; the subset-universe cap refuses first
+    with pytest.raises(ValueError):
+        saturating_entries(0.5, NetworkConfig.homogeneous(1, 30))
+
 
 def test_saturating_family_attains_the_bound():
     for n, size in [(2, 2), (3, 2), (2, 3)]:

@@ -275,6 +275,18 @@ def test_classical_sample_seed_changes_run():
     assert c["run"]["seed"] == 8
 
 
+def test_classical_sample_skips_table_check_beyond_budget(monkeypatch, capsys):
+    # 24 branch observers: the model table would hold 4**24 * 2 * 2 entries
+    def no_table(*args, **kwargs):
+        raise AssertionError("built a model table beyond the budget")
+
+    monkeypatch.setattr(cli, "model_table", no_table)
+    argv = ["classical", "--n", "3", "--L", "8", "--mode", "sample", "--trials", "1"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"] == {"all_below_classical_bound": True}
+
+
 def test_classical_enumerate():
     report = run_json("classical", "--L", "2", "--mode", "enumerate")
     assert report["max_value"] == 1.0
@@ -312,6 +324,21 @@ def test_region_empty_slice():
     )
     lines = proc.stdout.strip().split("\n")
     assert lines[-1] == "K_empty,K_1,K_2"
+
+
+@pytest.mark.parametrize("grid", [cli.MAX_SWEEP_POINTS, 12000000])
+def test_region_grid_over_point_cap_is_usage_error(monkeypatch, capsys, grid):
+    def no_slice(*args, **kwargs):
+        raise AssertionError("region evaluated a grid it should refuse")
+
+    monkeypatch.setattr(cli, "region_slice", no_slice)
+    argv = ["region", "--n", "1", "--L", "2", "--fixed-value", "0.1", "--grid", str(grid)]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert "--grid" in err
+    assert "Traceback" not in err
 
 
 def test_swap_default_matches_separable():

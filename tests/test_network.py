@@ -4,19 +4,19 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellnet.network import (
     MAX_SUBSET_BITS,
     NetworkConfig,
-    bob_setting_bit,
     rotated_setting_map,
-    subset_cardinality,
     subset_setting_mask,
     subsets_of,
     xy_setting_map,
 )
+
+from oracles import direct_rotated_setting_map, direct_xy_setting_map
 
 
 def test_config_validation():
@@ -73,10 +73,6 @@ def test_subsets_of():
         subsets_of(MAX_SUBSET_BITS + 1)
 
 
-def test_subset_cardinality():
-    assert [subset_cardinality(m) for m in subsets_of(3)] == [0, 1, 1, 2, 1, 2, 2, 3]
-
-
 def test_subset_setting_mask_examples():
     homog = NetworkConfig.homogeneous(2, 2)
     assert subset_setting_mask(0b01, homog) == 0b0101
@@ -103,25 +99,19 @@ def test_setting_mask_distributes_over_xor(m1, m2):
     )
 
 
-def test_bob_setting_bit_examples():
-    assert bob_setting_bit(0b00, 2) == 1
-    assert bob_setting_bit(0b01, 2) == 0
-    assert bob_setting_bit(0b0000, 4) == 0
-    assert bob_setting_bit(0b0001, 4) == 1
-
-
 def test_xy_setting_map():
     assert xy_setting_map(2).tolist() == [1, 0, 0, 1]
     four = xy_setting_map(4)
-    assert four[0] == 0
-    cards = np.array([subset_cardinality(m) for m in subsets_of(4)])
+    assert four[0b0000] == 0
+    assert four[0b0001] == 1
+    cards = np.array([int(m).bit_count() for m in subsets_of(4)])
     assert np.array_equal(four, cards % 2)
 
 
 def test_rotated_setting_map_homogeneous_is_parity():
     cfg = NetworkConfig.homogeneous(2, 3)
     got = rotated_setting_map(cfg)
-    cards = np.array([subset_cardinality(m) for m in subsets_of(3)])
+    cards = np.array([int(m).bit_count() for m in subsets_of(3)])
     assert np.array_equal(got, cards % 2)
 
 
@@ -136,3 +126,20 @@ def test_rotated_setting_map_heterogeneous():
     # one setting bit per distinct branch count
     assert got.max() < 1 << len(cfg.block_sizes)
 
+
+
+@pytest.mark.parametrize("size", range(1, 13))
+def test_setting_maps_match_per_mask_reference(size):
+    got = xy_setting_map(size)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, direct_xy_setting_map(size))
+    got = rotated_setting_map(NetworkConfig.homogeneous(2, size))
+    assert np.array_equal(got, direct_rotated_setting_map([size, size]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=5))
+def test_rotated_setting_map_matches_reference_on_random_networks(branches):
+    got = rotated_setting_map(NetworkConfig(len(branches), tuple(branches)))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, direct_rotated_setting_map(branches))

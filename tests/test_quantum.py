@@ -16,7 +16,6 @@ from bellnet.quantum import (
     MeasurementScheme,
     compose_network,
     custom_scheme,
-    ghz_like_basis,
     ghz_state,
     measurement_basis,
     network_closed_form_table,
@@ -174,7 +173,14 @@ def test_compose_matches_pairwise_einsum():
         acc = np.stack(parts, axis=-1)
     got = compose_network(tables)
     assert got.config == NetworkConfig(3, (1, 2, 1))
-    assert np.array_equal(got.values, acc)
+    # compose_network multiplies Walsh pairs (p0 + p1, p0 - p1) and inverts
+    # once, which rounds differently.  Per source each route adds about two
+    # roundings of at most eps/2 to sums no larger than twice the largest
+    # entry, so 4 n eps of the largest entry bounds the gap (200 random
+    # noisy networks of 2-4 sources gave at most 1.8 (n - 1) eps).
+    n = len(tables)
+    tol = 4 * n * np.finfo(np.float64).eps * np.abs(acc).max()
+    assert np.abs(got.values - acc).max() <= tol
 
 
 def test_compose_of_uniform_is_uniform():
@@ -269,22 +275,28 @@ def test_correlation_table_validation():
         CorrelationTable(cfg, np.full((4, 2, 4, 2), 0.125))
 
 
-def test_ghz_like_basis_orthonormal():
-    for n in (1, 2, 3):
-        basis = ghz_like_basis(n)
-        dim = 1 << n
-        assert np.allclose(basis.conj().T @ basis, np.eye(dim), atol=1e-12)
-        # resolution of identity
-        ident = sum(
-            np.outer(basis[:, v], basis[:, v].conj()) for v in range(dim)
-        )
-        assert np.allclose(ident, np.eye(dim), atol=1e-12)
-
-
-def test_ghz_like_basis_two_qubits_by_hand():
-    got = ghz_like_basis(2)
-    expected = bell_basis_two_qubits()
-    assert np.abs(got - expected).max() < 1e-12
+def test_swap_joint_table_one_pair_per_source_by_hand():
+    # Two Bell pairs; the center projects his two qubits onto the Bell
+    # basis written out by hand, column v, row c0 + 2 c1.
+    cfg = NetworkConfig.homogeneous(2, 1)
+    angles = RNG.uniform(-math.pi, math.pi, (2, 2))
+    bell = bell_basis_two_qubits()
+    # psi[a0, a1, c0 + 2 c1]: (|00> + |11>)/sqrt(2) on (branch j, center j)
+    psi = np.zeros((2, 2, 4), dtype=complex)
+    for b0 in (0, 1):
+        for b1 in (0, 1):
+            psi[b0, b1, b0 + 2 * b1] = 0.5
+    table = swap_joint_table(cfg, angles)
+    for x in range(4):
+        for a in range(4):
+            p0 = projector(angles[0, x & 1], a & 1)
+            p1 = projector(angles[1, x >> 1], a >> 1)
+            for v in range(4):
+                prob = np.einsum(
+                    "ijc,ik,jl,c,d,kld->",
+                    psi.conj(), p0, p1, bell[:, v], bell[:, v].conj(), psi,
+                ).real
+                assert abs(table.values[x, a, v] - prob) < 1e-12
 
 
 def test_swap_joint_table_two_pairs():
