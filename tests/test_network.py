@@ -99,11 +99,18 @@ def test_setting_mask_distributes_over_xor(m1, m2):
     )
 
 
+def test_bob_setting_bit_examples():
+    # Bob's setting bit for a mask is one entry of the xy setting map
+    assert xy_setting_map(2)[0b00] == 1
+    assert xy_setting_map(2)[0b01] == 0
+    assert xy_setting_map(4)[0b0000] == 0
+    assert xy_setting_map(4)[0b0001] == 1
+
+
 def test_xy_setting_map():
     assert xy_setting_map(2).tolist() == [1, 0, 0, 1]
     four = xy_setting_map(4)
-    assert four[0b0000] == 0
-    assert four[0b0001] == 1
+    assert four[0] == 0
     cards = np.array([int(m).bit_count() for m in subsets_of(4)])
     assert np.array_equal(four, cards % 2)
 
