@@ -18,6 +18,12 @@ from .quantum import CorrelationTable, bob_setting_count, compose_network
 MAX_HIDDEN_COMBINATIONS = 1 << 16
 MAX_ENUMERATION_BRANCHES = 4
 
+# Sampled models come from a counter-based stream (Salmon et al., SC 2011) on
+# the SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014); reports name it.
+SAMPLE_STREAM = "splitmix64-v1"
+MAX_SAMPLE_SEED = (1 << 63) - 1
+SAMPLE_BLOCK_ENTRIES = 1 << 22  # entries a sampling block holds (32 MiB per float64 array)
+
 
 def _check_probabilities(p: np.ndarray) -> None:
     if p.min() < 0.0 or p.max() > 1.0:
@@ -99,25 +105,60 @@ class SampledModel:
         return self.center_bits.shape[1]
 
 
-def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledModel:
-    """Draw a random classical model, reproducibly from the seed."""
+def _model_entries(config: NetworkConfig, lattice: int) -> int:
+    """Entries one sampled model holds in a block: its center signs, or its
+    per-source factors if more, at every subset mask."""
     if lattice < 1:
         raise ValueError("lattice must hold at least one hidden value")
-    combos = lattice ** config.n
-    if combos > MAX_HIDDEN_COMBINATIONS:
+    if lattice ** config.n > MAX_HIDDEN_COMBINATIONS:
         raise ValueError("hidden-variable combination count too large")
-    rng = np.random.default_rng(seed)
-    # flat Dirichlet via normalized exponentials; true division keeps a
-    # one-point lattice at weight exactly 1.0
-    weights = rng.gamma(1.0, size=(config.n, lattice))
-    weights /= weights.sum(axis=1, keepdims=True)
-    responses = tuple(
-        rng.integers(0, 2, size=(size, 2, lattice), dtype=np.uint8)
-        for size in config.branches
-    )
-    n_y = bob_setting_count(config)
-    center = rng.integers(0, 2, size=(combos, n_y), dtype=np.uint8)
-    return SampledModel(config, lattice, weights, responses, center)
+    entries = max(lattice ** config.n, config.n * lattice) << config.max_branch
+    if entries > SAMPLE_BLOCK_ENTRIES:
+        raise ValueError(f"one sampled model holds {entries} entries, over {SAMPLE_BLOCK_ENTRIES}")
+    return entries
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array (wrapping)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _stream_words(seeds, count: int) -> np.ndarray:
+    """Word c < count of seed s is mix(mix(s) + (c+1)·γ) mod 2**64; one row per seed."""
+    seeds = np.asarray(seeds)
+    if seeds.dtype.kind not in "iu" or seeds.min() < 0 or int(seeds.max()) > MAX_SAMPLE_SEED:
+        raise ValueError(f"sample seeds must be integers in 0..{MAX_SAMPLE_SEED}")
+    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return _mix(_mix(seeds.astype(np.uint64).reshape(-1))[:, None] + steps)
+
+
+def _draw(seeds, config: NetworkConfig, lattice: int):
+    """Weights, response bits and center bits of each seed's model: ``n·lattice``
+    words of weights, then bits (lowest first) for each source, then the center."""
+    _model_entries(config, lattice)
+    combos, n_y, n_weights = lattice ** config.n, bob_setting_count(config), config.n * lattice
+    sizes = [2 * lattice * size for size in config.branches] + [combos * n_y]
+    words = _stream_words(seeds, n_weights - (-sum(sizes) // 64))
+    # Top 53 bits, half a step into (0, 1): -log gives unit exponentials,
+    # which normalize to a flat Dirichlet (exactly 1.0 on one point).
+    top = (words[:, :n_weights] >> np.uint64(11)).astype(np.float64)
+    weights = -np.log((top + 0.5) / 2.0**53).reshape(-1, config.n, lattice)
+    weights /= weights.sum(axis=2, keepdims=True)
+    packed = np.ascontiguousarray(words[:, n_weights:], dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(packed, axis=1, count=sum(sizes), bitorder="little")
+    parts = np.split(bits, np.cumsum(sizes), axis=1)
+    responses = [part.reshape(-1, size, 2, lattice) for part, size in zip(parts, config.branches)]
+    return weights, responses, parts[config.n].reshape(-1, combos, n_y)
+
+
+def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledModel:
+    """Draw a random classical model from a seed in ``0..2**63 - 1``: the
+    seed's words of the stream :data:`SAMPLE_STREAM` (``splitmix64-v1``),
+    read exactly as :func:`sampled_spectra` reads them."""
+    weights, responses, center = _draw([seed], config, lattice)
+    return SampledModel(config, lattice, weights[0], tuple(r[0] for r in responses), center[0])
 
 
 def model_table(model: SampledModel) -> CorrelationTable:
@@ -145,40 +186,33 @@ def model_table(model: SampledModel) -> CorrelationTable:
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
     """Spectrum entries for many seeded models at once.
 
-    Works directly on the factorized response algebra instead of building
-    each model's table, so large seed batches stay cheap.  Rows follow the
-    seed order; columns follow ascending subset masks.
+    Works on the factorized response algebra instead of building each
+    model's table, and draws blocks of at most SAMPLE_BLOCK_ENTRIES entries
+    from the stream :data:`SAMPLE_STREAM` in a few array passes.  ``seeds``
+    is a range, list or array in ``0..2**63 - 1``; row ``i`` is the model
+    of ``seeds[i]``, whatever the blocks, and columns ascend by subset mask.
     """
-    if setting_map is None:
-        setting_map = xy_setting_map(config.max_branch)
-    setting_map = np.asarray(setting_map)
-    if setting_map.shape != (1 << config.max_branch,):
+    smap = xy_setting_map(config.max_branch) if setting_map is None else np.asarray(setting_map)
+    if smap.shape != (1 << config.max_branch,):
         raise ValueError("need one center setting per subset mask")
-    models = [sample_model(int(s), config, lattice) for s in seeds]
-    combos = lattice ** config.n
-    weights = np.stack([m.weights for m in models])  # (B, n, lattice)
-    center = np.stack([m.center_bits for m in models])  # (B, combos, n_y)
-    center_signs = (1.0 - 2.0 * center)[:, :, setting_map]  # (B, combos, mask)
-
-    # Per-source subset factors: the Walsh–Hadamard transform of the
-    # response sign over local setting words, for every local mask, read
-    # at each subset mask truncated to the source's branch count.
+    step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
     masks = np.arange(1 << config.max_branch)
-    factors = []
-    for j, size in enumerate(config.branches):
-        resp = np.stack([m.responses[j] for m in models], axis=2)  # (size, 2, B, lattice)
-        signs = parity_signs(size)[_outcome_words(resp)]  # (x, B, lattice)
-        f = fwht(signs) / (1 << size)  # (local mask, B, lattice)
-        factors.append(f[masks & ((1 << size) - 1)].transpose(1, 0, 2))
-
-    entries = np.zeros((len(models), masks.size))
-    for combo in range(combos):
-        term = center_signs[:, combo].copy()
-        for j in range(config.n):
-            digit = (combo // lattice ** j) % lattice
-            term *= weights[:, j, digit, None] * factors[j][:, :, digit]
-        entries += term
-    return entries
+    out = np.empty((len(seeds), masks.size))
+    for lo in range(0, len(seeds), step):
+        weights, responses, center = _draw(seeds[lo : lo + step], config, lattice)
+        entries = (1.0 - 2.0 * center)[:, :, smap]  # (B, hidden word, mask)
+        for j, size in enumerate(config.branches):
+            # Subset factors: the Walsh–Hadamard transform of the response
+            # sign over local setting words, read at each subset mask
+            # truncated to the source's branch count, times the weights.
+            signs = parity_signs(size)[_outcome_words(responses[j].transpose(1, 2, 0, 3))]
+            f = fwht(signs) / (1 << size)  # (local mask, B, lattice)
+            factor = f[masks & ((1 << size) - 1)].transpose(1, 2, 0) * weights[:, j, :, None]
+            # Sum out source j's digit, the lowest left in the hidden word.
+            entries = entries.reshape(len(factor), -1, lattice, masks.size)
+            entries = np.einsum("brdm,bdm->brm", entries, factor)
+        out[lo : lo + step] = entries[:, 0]
+    return out
 
 
 def _outcome_words(answers: np.ndarray) -> np.ndarray:
@@ -197,9 +231,13 @@ def _outcome_words(answers: np.ndarray) -> np.ndarray:
 
 
 def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
-    """Bell value of each seeded model, batch-evaluated."""
-    entries = sampled_spectra(seeds, config, lattice, setting_map)
-    return (np.abs(entries) ** (1.0 / config.n)).sum(axis=1)
+    """Bell value of each seeded model, batch-evaluated block by block."""
+    step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
+    out = np.empty(len(seeds))
+    for lo in range(0, len(seeds), step):
+        entries = sampled_spectra(seeds[lo : lo + step], config, lattice, setting_map)
+        out[lo : lo + step] = (np.abs(entries) ** (1.0 / config.n)).sum(axis=1)
+    return out
 
 
 def deterministic_maximum(config: NetworkConfig):

@@ -18,6 +18,8 @@ import sys
 import numpy as np
 
 from .classical import (
+    MAX_SAMPLE_SEED,
+    SAMPLE_STREAM,
     deterministic_maximum,
     model_table,
     region_slice,
@@ -64,6 +66,8 @@ SEPARABLE_SKIPPED_WARNING = "separable network too large to simulate; cross-chec
 # obey the same cap.
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
+# Bounds sample work: about 3 s per million trials at n=3, L=2, lattice 3.
+MAX_SAMPLE_TRIALS = 1 << 24
 
 VALUE_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
@@ -404,6 +408,12 @@ def cmd_classical(args, parser: _Parser) -> int:
             )
             checks["table_route_saturates_bound"] = abs(via_table - 1.0) <= 1e-12
     elif args.mode == "sample":
+        if args.trials > MAX_SAMPLE_TRIALS:
+            parser.error(f"--trials {args.trials} is more than {MAX_SAMPLE_TRIALS}")
+        last = MAX_SAMPLE_SEED + 1 - args.trials
+        if not 0 <= seed <= last:
+            parser.error(f"--seed must lie in 0..{last} for {args.trials} trials, got {seed}")
+        report["run"]["stream"] = SAMPLE_STREAM
         seeds = range(seed, seed + args.trials)
         values = sampled_bell_values(seeds, config, args.lattice)
         report["trials"] = args.trials
@@ -551,18 +561,18 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("violate", parents=[common], help="Bell value vs classical bound")
     p.add_argument("--scheme", choices=("xy", "rotated"))
-    p.set_defaults(func=cmd_violate)
+    p.set_defaults(func=cmd_violate, parser=p)
 
     p = sub.add_parser("sweep", parents=[common], help="Bell value over measurement angles")
     p.add_argument(
         "--grid", type=_int_at_least(2), default=101, help="points per angle axis"
     )
     p.add_argument("--full", action="store_true", help="full theta0 x theta1 grid")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, parser=p)
 
     p = sub.add_parser("noise", parents=[common], help="critical visibility")
     p.add_argument("--scheme", choices=("xy", "rotated"))
-    p.set_defaults(func=cmd_noise)
+    p.set_defaults(func=cmd_noise, parser=p)
 
     p = sub.add_parser("classical", parents=[common], help="classical-model experiments")
     p.add_argument(
@@ -573,7 +583,7 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--grid", type=_int_at_least(1), default=101, help="saturating p-grid points"
     )
-    p.set_defaults(func=cmd_classical)
+    p.set_defaults(func=cmd_classical, parser=p)
 
     p = sub.add_parser("region", parents=[common], help="classical-region slice CSV")
     p.add_argument("--fixed-value", type=float, required=True)
@@ -582,15 +592,15 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--tol", type=_positive_float, help="slice thickness (default: grid pitch)"
     )
-    p.set_defaults(func=cmd_region)
+    p.set_defaults(func=cmd_region, parser=p)
 
     p = sub.add_parser("swap", parents=[common], help="entangled center measurement")
     p.add_argument("--scheme", choices=("xy", "rotated"))
     p.add_argument("--conditioning", help="JSON file mapping subsets to outcome bits")
-    p.set_defaults(func=cmd_swap)
+    p.set_defaults(func=cmd_swap, parser=p)
 
     p = sub.add_parser("bound", parents=[common], help="closed-form bounds only")
-    p.set_defaults(func=cmd_bound)
+    p.set_defaults(func=cmd_bound, parser=p)
     return parser
 
 
@@ -598,7 +608,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        return args.func(args, args.parser)
     except ValueError as exc:
         parser.exit(1, f"{parser.prog}: error: {exc}\n")
 

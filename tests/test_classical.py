@@ -1,6 +1,7 @@
 """Tests for classical strategy families, sampling, and the region tools."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from bellnet import classical
 from bellnet.classical import (
     MAX_ENUMERATION_BRANCHES,
     deterministic_maximum,
@@ -117,6 +119,118 @@ def test_sample_model_shapes():
         sample_model(5, cfg, lattice=0)
     with pytest.raises(ValueError):
         sample_model(5, NetworkConfig.homogeneous(3, 1), lattice=60)
+
+
+def _splitmix_word(seed: int, counter: int) -> int:
+    """Word ``counter`` of ``seed``'s stream, in Python integers."""
+
+    def mix(z):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    return mix((mix(seed) + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64)
+
+
+def test_stream_known_answers():
+    # mix(0) = 0, so seed 0 gives the standard SplitMix64 outputs from state 0
+    words = classical._stream_words(np.zeros(1, dtype=np.uint64), 5)[0]
+    assert [int(w) for w in words] == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+        0xF88BB8A8724C81EC,
+        0x1B39896A51A8749B,
+    ]
+    seeds = [1, 12345, 2**32 + 7, classical.MAX_SAMPLE_SEED]
+    words = classical._stream_words(np.array(seeds, dtype=np.uint64), 3)
+    assert words.dtype == np.uint64
+    assert [[int(w) for w in row] for row in words] == [
+        [_splitmix_word(s, c) for c in range(3)] for s in seeds
+    ]
+
+
+def test_sample_model_golden():
+    model = sample_model(12345, NetworkConfig(3, (1, 2, 3)), lattice=3)
+    want_weights = [
+        [0.3318803039914782, 0.37255378595858035, 0.29556591004994154],
+        [0.010654562889738648, 0.4877662835268023, 0.5015791535834591],
+        [0.17425718285124492, 0.15580973446859311, 0.669933082680162],
+    ]
+    # log may differ by an ulp between numpy builds; the bits may not
+    assert np.abs(model.weights - want_weights).max() < 1e-15
+    assert [r.tolist() for r in model.responses] == [
+        [[[1, 1, 0], [0, 1, 0]]],
+        [[[1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]]],
+        [[[1, 1, 0], [1, 0, 1]], [[0, 0, 1], [1, 0, 0]], [[1, 1, 1], [1, 0, 0]]],
+    ]
+    assert model.center_bits.shape == (27, 8)
+    packed = np.packbits(model.center_bits, bitorder="little").tobytes().hex()
+    assert packed == "7fbe381964acc54f548cd88829e732594796796f08dd087cdf02e2"
+
+
+def test_single_seed_draws_raise_no_warning():
+    cases = [(NetworkConfig.homogeneous(1, 1), 1), (NetworkConfig(2, (1, 3)), 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in (0, 1, classical.MAX_SAMPLE_SEED):
+            for cfg, lattice in cases:
+                sample_model(seed, cfg, lattice)
+                sampled_spectra([seed], cfg, lattice)
+
+
+def test_stream_draw_statistics():
+    count = 100_000
+    cfg = NetworkConfig(2, (1, 2))
+    seeds = np.arange(count, dtype=np.uint64)
+    weights, responses, center = classical._draw(seeds, cfg, 2)
+    assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-12
+    # a flat Dirichlet on two points has a uniform marginal: mean 1/2, variance 1/12
+    marginal = weights[:, :, 0]
+    assert np.abs(marginal.mean(axis=0) - 0.5).max() < 5 * math.sqrt(1 / 12 / count)
+    assert np.abs(marginal.var(axis=0) - 1 / 12).max() < 5 * math.sqrt((1 / 80 - 1 / 144) / count)
+    bits = np.concatenate([b.reshape(count, -1) for b in (*responses, center)], axis=1)
+    assert np.abs(bits.mean(axis=0) - 0.5).max() < 5 * 0.5 / math.sqrt(count)
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [[-1], [classical.MAX_SAMPLE_SEED + 1], [2**64], [0, 1.5], range(2**63 - 2, 2**63 + 1)],
+)
+def test_seeds_outside_the_stream_domain_are_refused(seeds):
+    cfg = NetworkConfig.homogeneous(2, 1)
+    with pytest.raises(ValueError, match="seeds"):
+        sampled_spectra(seeds, cfg)
+    if len(seeds) == 1:
+        with pytest.raises(ValueError, match="seeds"):
+            sample_model(seeds[0], cfg)
+
+
+def test_block_boundaries_change_no_row():
+    cfg = NetworkConfig.homogeneous(2, 2)
+    step = classical.SAMPLE_BLOCK_ENTRIES // classical._model_entries(cfg, 16)
+    cuts = [0, step - 7, 2 * step + 5, 10_000]  # each cut falls in another block
+    assert cuts[2] < cuts[3]
+    whole = sampled_spectra(range(10_000), cfg, lattice=16)
+    parts = [sampled_spectra(range(a, b), cfg, lattice=16) for a, b in zip(cuts, cuts[1:])]
+    assert np.array_equal(whole, np.concatenate(parts))
+    values = sampled_bell_values(range(10_000), cfg, lattice=16)
+    assert np.array_equal(values, (np.abs(whole) ** 0.5).sum(axis=1))
+
+
+def test_oversized_model_is_refused_before_drawing(monkeypatch):
+    # 256**2 hidden words times 2**16 subset masks: 32 GiB of center signs
+    cfg = NetworkConfig.homogeneous(2, 16)
+    with pytest.raises(ValueError, match="entries"):
+        sample_model(0, cfg, lattice=256)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a model beyond the block budget")
+
+    monkeypatch.setattr(classical, "_draw", no_draw)
+    for call in (sampled_spectra, sampled_bell_values):
+        with pytest.raises(ValueError, match="entries"):
+            call([0], cfg, lattice=256)
 
 
 def test_single_point_lattice_is_deterministic():

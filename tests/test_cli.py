@@ -252,10 +252,55 @@ def test_classical_sample():
     report = run_json(
         "classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "400"
     )
+    assert report["run"]["stream"] == "splitmix64-v1"
     assert report["classical_bound"] == 1.0
     assert report["max_value"] <= 1.0 + 1e-9
     assert report["checks"]["all_below_classical_bound"] is True
     assert report["checks"]["batch_matches_table_route"] is True
+
+
+@pytest.mark.parametrize(
+    "seed, trials, flag",
+    [
+        (-5, 1000, "--seed"),
+        (2**64 - 2, 1000, "--seed"),
+        (2**63 - 1, 2, "--seed"),
+        (2**63 - 1000, 1001, "--seed"),
+        (0, cli.MAX_SAMPLE_TRIALS + 1, "--trials"),
+    ],
+)
+def test_sample_seeds_and_trials_beyond_limits_are_usage_errors(
+    monkeypatch, capsys, seed, trials, flag
+):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled beyond the seed or trial limits")
+
+    monkeypatch.setattr(cli, "sampled_bell_values", no_sampling)
+    argv = ["classical", "--n", "2", "--L", "1", "--mode", "sample"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--seed", str(seed), "--trials", str(trials)])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: {flag}" in err
+    assert "Traceback" not in err
+
+
+def test_sample_last_seeds_of_the_stream_domain(capsys):
+    argv = ["classical", "--n", "2", "--L", "1", "--mode", "sample"]
+    assert cli.main([*argv, "--seed", str(2**63 - 2), "--trials", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"]["batch_matches_table_route"] is True
+
+
+def test_sample_model_beyond_block_budget_is_usage_error(capsys):
+    # one model would hold 256**2 * 2**16 center signs (32 GiB)
+    argv = ["classical", "--n", "2", "--L", "16", "--lattice", "256", "--mode", "sample"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([*argv, "--trials", "1"])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "entries" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_classical_sample_seed_changes_run():
@@ -480,6 +525,24 @@ def test_config_file_values_are_checked(tmp_path, capsys, argv, content, key):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"config file key {key}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["region", "--n", "1", "--L", "2", "--fixed-value", "0.1", "--grid", "12000000"],
+        ["bound", "--n", "1", "--L", "0"],
+        ["violate", "--branches", "1,0"],
+    ],
+)
+def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: bellnet {argv[0]} ")
+    assert f"bellnet {argv[0]}: error: " in err
+    assert "Traceback" not in err
 
 
 def test_contradictory_flags_are_usage_errors():
