@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -354,13 +355,21 @@ def cmd_noise(args, parser: _Parser) -> int:
         "closed_form_visibility": formula,
     }
     status = 0
-    # Each bisection probe simulates the whole network, so the budget
-    # bounds the work of one probe as it does for violate.
+    # The bisection simulates the whole network three times (noiseless and
+    # both ends of the final bracket), so the budget bounds the work of
+    # each simulation as it does for violate.
     if not _within_budget(config):
         report["warning"] = TOO_LARGE_WARNING
         _emit_report(args, report)
         return status
-    found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
+    try:
+        found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
+    except ArithmeticError as exc:
+        # The simulated tables contradict the bisection's scaling law.
+        report["error"] = str(exc)
+        report["checks"] = {"bracket_certified": False}
+        _emit_report(args, report)
+        return 2
     if found is None:
         report["no_violation"] = True
     else:
@@ -545,7 +554,10 @@ def cmd_bound(args, parser: _Parser) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # Built once per process: parse_args fills a fresh namespace each call,
+    # so no option carries over from one command to the next.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with n / branches / L / scheme defaults")
     common.add_argument("--out", help="output file (default: stdout)")
@@ -610,7 +622,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args, args.parser)
     except ValueError as exc:
-        parser.exit(1, f"{parser.prog}: error: {exc}\n")
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

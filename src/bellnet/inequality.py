@@ -124,11 +124,18 @@ def critical_visibility(config: NetworkConfig) -> float:
 def find_critical_visibility(
     config: NetworkConfig, scheme: MeasurementScheme, tol: float = 1e-6
 ):
-    """Locate the violation threshold by bisection on simulated tables.
+    """Locate the violation threshold by bisection, certified on simulated
+    tables.
 
-    The total visibility V is split evenly as V**(1/n) per source; each
-    probe simulates the noisy network from scratch.  Returns None when the
-    noiseless value does not exceed the classical bound.
+    The total visibility V is split evenly as V**(1/n) per source.  White
+    noise has no full correlator, so every spectrum entry is V times its
+    noiseless value and the Bell value at V is exactly V**(1/n) times the
+    noiseless one.  The noiseless network is simulated once and the
+    bisection steps on that scaling law; the final bracket is then
+    certified on two noisy simulations, value(lo) <= bound < value(hi), as
+    the probes of a fully simulated bisection would have left it.  Returns
+    None when the noiseless value does not exceed the classical bound and
+    raises ArithmeticError when the simulated tables do not bracket it.
     """
     smap = scheme_setting_map(scheme)
     bound = classical_bound(config)
@@ -138,15 +145,22 @@ def find_critical_visibility(
         table = network_table(scheme, (per_source,) * config.n)
         return bell_value(truncated_spectrum(table, smap))
 
-    if value_at(1.0) <= bound + 1e-9:
+    top = value_at(1.0)
+    if top <= bound + 1e-9:
         return None
     lo, hi = 0.0, 1.0
     while hi - lo > tol / 4:
         mid = (lo + hi) / 2
-        if value_at(mid) > bound:
+        if mid ** (1.0 / config.n) * top > bound:
             hi = mid
         else:
             lo = mid
+    low, high = value_at(lo), value_at(hi)
+    if not low <= bound < high:
+        raise ArithmeticError(
+            f"simulated values {low!r} at {lo!r} and {high!r} at {hi!r} "
+            f"do not bracket the bound {bound!r}"
+        )
     return (lo + hi) / 2
 
 

@@ -4,6 +4,9 @@ Everything here is written the slow, obvious way (explicit Kronecker
 products, operator traces, direct enumeration) and deliberately shares no
 code with ``bellnet`` beyond the network layout dataclass.  Keep it that
 way: these routines are the second opinion the tests compare against.
+The one exception is :func:`simulated_bisection`, a second opinion on a
+search rather than on a simulation: it probes the package's own noisy
+tables at every bisection step.
 """
 
 from __future__ import annotations
@@ -290,3 +293,30 @@ def direct_rotated_setting_map(branches):
             y |= ((mask & ((1 << r) - 1)).bit_count() & 1) << i
         out.append(y)
     return np.array(out)
+
+
+def simulated_bisection(config, scheme, tol):
+    """Critical visibility by bisection with a fresh noisy simulation at
+    every probe, the total visibility V split as V**(1/n) per source.
+    None when the noiseless value does not exceed the classical bound."""
+    from bellnet.inequality import bell_value, classical_bound, truncated_spectrum
+    from bellnet.quantum import network_table, scheme_setting_map
+
+    smap = scheme_setting_map(scheme)
+    bound = classical_bound(config)
+
+    def value_at(total):
+        per_source = total ** (1.0 / config.n)
+        table = network_table(scheme, (per_source,) * config.n)
+        return bell_value(truncated_spectrum(table, smap))
+
+    if value_at(1.0) <= bound + 1e-9:
+        return None
+    lo, hi = 0.0, 1.0
+    while hi - lo > tol / 4:
+        mid = (lo + hi) / 2
+        if value_at(mid) > bound:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2

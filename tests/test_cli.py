@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bellnet import cli
+from bellnet import inequality
 from bellnet import swap as swap_module
 from bellnet.inequality import sweep_value
 
@@ -224,6 +225,22 @@ def test_noise_beyond_budget_reports_closed_form(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["closed_form_visibility"] == 2.0 ** -6
     assert "warning" in report
+    assert "bisection_visibility" not in report
+
+
+def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
+    # Tables that ignore the visibilities contradict the scaling law the
+    # bisection steps on, so the simulated bracket cannot be certified.
+    plain_table = inequality.network_table
+    monkeypatch.setattr(
+        inequality, "network_table", lambda scheme, visibilities=None: plain_table(scheme)
+    )
+    assert cli.main(["noise", "--n", "2", "--L", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert report["checks"] == {"bracket_certified": False}
+    assert "do not bracket" in report["error"]
     assert "bisection_visibility" not in report
 
 
@@ -543,6 +560,35 @@ def test_handler_usage_errors_print_the_subcommand_usage(capsys, argv):
     assert err.startswith(f"usage: bellnet {argv[0]} ")
     assert f"bellnet {argv[0]}: error: " in err
     assert "Traceback" not in err
+
+
+def test_library_value_errors_print_the_subcommand_usage(capsys):
+    # sample_model raises the ValueError; main reports it for the subcommand
+    argv = ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--lattice", "0"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: bellnet classical ")
+    assert err.endswith("bellnet classical: error: lattice must hold at least one hidden value\n")
+
+
+def test_repeated_main_calls_share_one_parser_and_no_options(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    assert cli.main(["sweep", "--L", "2", "--grid", "3", "--full", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["mode"] == "full"
+    assert cli.main(["sweep", "--L", "2", "--grid", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# sweep L=2 grid=3 mode=diagonal"
+    assert len([line for line in lines if not line.startswith("#")]) == 1 + 3
+    argv = ["classical", "--n", "1", "--L", "1"]
+    assert cli.main([*argv, "--mode", "sample", "--trials", "3", "--seed", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["trials"] == 3
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["run"]["mode"] == "saturating"
+    assert "seed" not in report["run"]
+    assert "trials" not in report
 
 
 def test_contradictory_flags_are_usage_errors():

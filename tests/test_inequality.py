@@ -27,13 +27,21 @@ from bellnet.inequality import (
     truncated_spectrum,
 )
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
-from bellnet.quantum import CorrelationTable, network_table, rotated_scheme, xy_scheme
+from bellnet import inequality
+from bellnet.quantum import (
+    CorrelationTable,
+    MeasurementScheme,
+    network_table,
+    rotated_scheme,
+    xy_scheme,
+)
 
 from oracles import (
     direct_spectrum,
     direct_sweep_value,
     expansion_coefficients,
     harmonic_sweep_value,
+    simulated_bisection,
     subset_count,
     uniform_table,
 )
@@ -243,6 +251,75 @@ def test_find_critical_visibility_bisection():
     assert find_critical_visibility(chsh, xy_scheme(chsh)) is None
     got = find_critical_visibility(chsh, rotated_scheme(chsh))
     assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
+
+
+UNEVEN_BRANCHES = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda b: sum(b) <= 8
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), branches=UNEVEN_BRANCHES)
+def test_white_noise_scales_the_spectrum(data, branches):
+    # White noise has no full correlator, so each entry is prod(vis) times
+    # its noiseless value, whatever the angles.
+    cfg = NetworkConfig(len(branches), tuple(branches))
+    angle = st.floats(-math.pi, math.pi)
+    angles = np.array(
+        data.draw(st.lists(angle, min_size=2 * cfg.total, max_size=2 * cfg.total))
+    ).reshape(cfg.total, 2)
+    vis = data.draw(st.lists(st.floats(0.0, 1.0), min_size=cfg.n, max_size=cfg.n))
+    scheme = MeasurementScheme(cfg, angles, "custom")
+    smap = rotated_setting_map(cfg)
+    noiseless = truncated_spectrum(network_table(scheme), smap).entries
+    noisy = truncated_spectrum(network_table(scheme, vis), smap).entries
+    assert np.abs(noisy - math.prod(vis) * noiseless).max() <= 1e-13
+
+
+# The noise ladder: one source L=1..7, two sources L=1..4, three sources
+# L=1..3 and uneven networks.  (5, 5) is left out only because the
+# per-probe oracle takes about 1.6 s there.
+NOISE_LADDER = (
+    tuple((L,) for L in range(1, 8))
+    + tuple((L, L) for L in range(1, 5))
+    + tuple((L, L, L) for L in range(1, 4))
+    + ((1, 2, 3), (2, 3), (1, 3), (1, 2), (3, 1, 1), (1, 4), (2, 1, 1), (1, 1, 2), (2, 4))
+)
+NOISE_CASES = [
+    (branches, kind)
+    for branches in NOISE_LADDER
+    for kind in ("xy", "rotated")
+    if kind == "rotated" or len(set(branches)) == 1
+]
+
+
+@pytest.mark.parametrize("branches,kind", NOISE_CASES)
+def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branches, kind):
+    cfg = NetworkConfig(len(branches), branches)
+    scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
+    expected = simulated_bisection(cfg, scheme, 1e-6)
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return network_table(*args, **kwargs)
+
+    monkeypatch.setattr(inequality, "network_table", counted)
+    assert find_critical_visibility(cfg, scheme, tol=1e-6) == expected
+    # noiseless, then both ends of the certified bracket
+    assert len(calls) == (1 if expected is None else 3)
+
+
+def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
+    # Tables that ignore the visibilities violate at every probe, so the
+    # bracket's lower end cannot be certified.
+    monkeypatch.setattr(
+        inequality, "network_table", lambda scheme, visibilities=None: network_table(scheme)
+    )
+    cfg = NetworkConfig.homogeneous(2, 2)
+    with pytest.raises(ArithmeticError, match="do not bracket"):
+        find_critical_visibility(cfg, xy_scheme(cfg))
 
 
 def test_contribution_count_against_direct_enumeration():
