@@ -3,7 +3,8 @@
 Every subcommand runs one experiment to completion and emits a CSV or
 JSON artifact; nothing is interactive.  Commands re-derive their headline
 numbers through an independent route whenever the problem size allows and
-exit with status 2 when the routes disagree, 1 on usage errors, 0 otherwise.
+exit with status 2 when a reported check is false, 1 on usage errors, 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -131,29 +132,34 @@ def _plain(obj):
 
 def _write(args, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            args.parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 
 
-def _emit_report(args, report: dict) -> None:
+def _emit_report(args, report: dict) -> int:
+    """Write the report; the exit status is 2 if any of its checks failed."""
     report = _plain(report)
     if (args.format or "json") == "json":
         _write(args, json.dumps(report, indent=2) + "\n")
-        return
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["key", "value"])
-    for key, value in report.items():
-        if isinstance(value, (dict, list, bool)):
-            cell = json.dumps(value)
-        elif isinstance(value, float):
-            cell = _fmt(value)
-        else:
-            cell = value
-        writer.writerow([key, cell])
-    _write(args, buf.getvalue())
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["key", "value"])
+        for key, value in report.items():
+            if isinstance(value, (dict, list, bool)):
+                cell = json.dumps(value)
+            elif isinstance(value, float):
+                cell = _fmt(value)
+            else:
+                cell = value
+            writer.writerow([key, cell])
+        _write(args, buf.getvalue())
+    return 0 if all(report.get("checks", {}).values()) else 2
 
 
 def _emit_rows(args, run: dict, columns, rows, comments=()) -> None:
@@ -269,19 +275,16 @@ def cmd_violate(args, parser: _Parser) -> int:
         "classical_bound": bound,
         "violated": predicted > bound + VALUE_TOL,
     }
-    status = 0
     if _within_budget(config):
         table = network_table(scheme)
         simulated = bell_value(truncated_spectrum(table, scheme_setting_map(scheme)))
-        matches = abs(simulated - predicted) <= VALUE_TOL
         report["simulated_value"] = simulated
-        report["checks"] = {"simulation_matches_closed_form": matches}
-        if not matches:
-            status = 2
+        report["checks"] = {
+            "simulation_matches_closed_form": abs(simulated - predicted) <= VALUE_TOL
+        }
     else:
         report["warning"] = TOO_LARGE_WARNING
-    _emit_report(args, report)
-    return status
+    return _emit_report(args, report)
 
 
 def cmd_sweep(args, parser: _Parser) -> int:
@@ -305,7 +308,6 @@ def cmd_sweep(args, parser: _Parser) -> int:
     values = sweep_value(theta0, theta1, size)
     rows = list(zip(theta0.tolist(), theta1.tolist(), values.tolist()))
 
-    status = 0
     checked = "skipped (branch count beyond the simulation budget)"
     check_line = f"simulation check: {checked}"
     if size <= 8:
@@ -319,8 +321,6 @@ def cmd_sweep(args, parser: _Parser) -> int:
             ok = ok and abs(simulated - value) <= VALUE_TOL
         checked = "ok" if ok else "FAILED"
         check_line = f"simulation check at {len(probes)} probes: {checked}"
-        if not ok:
-            status = 2
     run = _run_spec(
         args,
         "sweep",
@@ -340,7 +340,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
             check_line,
         ],
     )
-    return status
+    return 2 if checked == "FAILED" else 0
 
 
 def cmd_noise(args, parser: _Parser) -> int:
@@ -354,37 +354,32 @@ def cmd_noise(args, parser: _Parser) -> int:
         "run": _run_spec(args, "noise", config, scheme=kind),
         "closed_form_visibility": formula,
     }
-    status = 0
-    # The bisection simulates the whole network three times (noiseless and
-    # both ends of the final bracket), so the budget bounds the work of
-    # each simulation as it does for violate.
+    # The crossing is read off one noiseless simulation and certified on
+    # two noisy ones, so the budget bounds the work of each simulation as
+    # it does for violate.
     if not _within_budget(config):
         report["warning"] = TOO_LARGE_WARNING
-        _emit_report(args, report)
-        return status
+        return _emit_report(args, report)
     try:
         found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
-        # The simulated tables contradict the bisection's scaling law.
+        # The simulated tables contradict the white-noise scaling law.
         report["error"] = str(exc)
         report["checks"] = {"bracket_certified": False}
-        _emit_report(args, report)
-        return 2
+        return _emit_report(args, report)
     if found is None:
         report["no_violation"] = True
     else:
-        # The scheme's own crossing; equals the closed form whenever the
-        # scheme reaches the predicted optimum.
+        # The crossing from the closed-form value; equals the closed-form
+        # visibility whenever the scheme reaches the predicted optimum.
         expected = (bound / predicted) ** config.n
-        matches = abs(found - expected) <= VISIBILITY_TOL
         report["bisection_visibility"] = found
         report["scheme_crossing"] = expected
         report["scheme_attains_closed_form"] = abs(expected - formula) <= VALUE_TOL
-        report["checks"] = {"bisection_matches_scheme_crossing": matches}
-        if not matches:
-            status = 2
-    _emit_report(args, report)
-    return status
+        report["checks"] = {
+            "bisection_matches_scheme_crossing": abs(found - expected) <= VISIBILITY_TOL
+        }
+    return _emit_report(args, report)
 
 
 def cmd_classical(args, parser: _Parser) -> int:
@@ -396,7 +391,6 @@ def cmd_classical(args, parser: _Parser) -> int:
         "run": _run_spec(args, "classical", config, mode=args.mode),
         "classical_bound": bound,
     }
-    status = 0
     checks = {}
     if args.mode == "saturating":
         if not config.is_homogeneous():
@@ -452,10 +446,7 @@ def cmd_classical(args, parser: _Parser) -> int:
         }
         checks["maximum_equals_bound_exactly"] = best == 1.0
     report["checks"] = checks
-    if not all(checks.values()):
-        status = 2
-    _emit_report(args, report)
-    return status
+    return _emit_report(args, report)
 
 
 def cmd_region(args, parser: _Parser) -> int:
@@ -518,8 +509,7 @@ def cmd_swap(args, parser: _Parser) -> int:
             "classical_bound": bound,
             "warning": TOO_LARGE_WARNING,
         }
-        _emit_report(args, report)
-        return 0
+        return _emit_report(args, report)
     swap_bell = bell_value(swap_spectrum(config, scheme.branch_angles, conditioning))
     report = {"run": run, "swap_value": swap_bell}
     within_budget = _within_budget(config)
@@ -527,16 +517,11 @@ def cmd_swap(args, parser: _Parser) -> int:
         separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
         report["separable_value"] = separable_bell
     report["classical_bound"] = bound
-    status = 0
     if not within_budget:
         report["warning"] = SEPARABLE_SKIPPED_WARNING
     elif not custom:
-        matches = abs(swap_bell - separable_bell) <= VALUE_TOL
-        report["checks"] = {"swap_matches_separable": matches}
-        if not matches:
-            status = 2
-    _emit_report(args, report)
-    return status
+        report["checks"] = {"swap_matches_separable": abs(swap_bell - separable_bell) <= VALUE_TOL}
+    return _emit_report(args, report)
 
 
 def cmd_bound(args, parser: _Parser) -> int:
@@ -550,8 +535,7 @@ def cmd_bound(args, parser: _Parser) -> int:
     }
     if config.is_homogeneous():
         report["predicted_xy"] = predicted_quantum_value(config, "xy")
-    _emit_report(args, report)
-    return 0
+    return _emit_report(args, report)
 
 
 @functools.cache
@@ -623,6 +607,8 @@ def main(argv=None) -> int:
         return args.func(args, args.parser)
     except ValueError as exc:
         args.parser.error(str(exc))
+    except OverflowError:
+        args.parser.error("a value of this network is too large for a float")
 
 
 if __name__ == "__main__":

@@ -96,9 +96,10 @@ def bell_value(spectrum: SubsetSpectrum) -> float:
 def classical_bound(config: NetworkConfig) -> float:
     """Largest Bell value any classical model can reach.
 
-    1 for even networks; 2**Lmax * 2**(-sum(L_j)/n) in general.
+    1 for even networks; 2**(Lmax - sum(L_j)/n) in general, taken as one
+    power so that no factor overflows on its own.
     """
-    return 2.0 ** config.max_branch * 2.0 ** (-sum(config.branches) / config.n)
+    return 2.0 ** (config.max_branch - sum(config.branches) / config.n)
 
 
 def predicted_quantum_value(config: NetworkConfig, kind: str) -> float:
@@ -108,8 +109,7 @@ def predicted_quantum_value(config: NetworkConfig, kind: str) -> float:
             raise ValueError("the xy scheme has no closed form on uneven networks")
         return 2.0 ** (config.max_branch // 2)
     if kind == "rotated":
-        s = sum(config.branches)
-        return 2.0 ** config.max_branch * 2.0 ** (-s / (2.0 * config.n))
+        return 2.0 ** (config.max_branch - sum(config.branches) / (2.0 * config.n))
     raise ValueError(f"unknown scheme kind {kind!r}")
 
 
@@ -124,19 +124,21 @@ def critical_visibility(config: NetworkConfig) -> float:
 def find_critical_visibility(
     config: NetworkConfig, scheme: MeasurementScheme, tol: float = 1e-6
 ):
-    """Locate the violation threshold by bisection, certified on simulated
-    tables.
+    """The total visibility at which the scheme stops violating, certified
+    on simulated tables.
 
     The total visibility V is split evenly as V**(1/n) per source.  White
     noise has no full correlator, so every spectrum entry is V times its
     noiseless value and the Bell value at V is exactly V**(1/n) times the
-    noiseless one.  The noiseless network is simulated once and the
-    bisection steps on that scaling law; the final bracket is then
-    certified on two noisy simulations, value(lo) <= bound < value(hi), as
-    the probes of a fully simulated bisection would have left it.  Returns
-    None when the noiseless value does not exceed the classical bound and
-    raises ArithmeticError when the simulated tables do not bracket it.
+    noiseless value ``top``.  The crossing is therefore V* = (bound/top)**n,
+    read off one noiseless simulation.  Two noisy simulations certify it:
+    value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
+    [0, 1].  Returns None when the noiseless value does not exceed the
+    classical bound and raises ArithmeticError when the simulated tables do
+    not bracket it.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     smap = scheme_setting_map(scheme)
     bound = classical_bound(config)
 
@@ -148,20 +150,15 @@ def find_critical_visibility(
     top = value_at(1.0)
     if top <= bound + 1e-9:
         return None
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol / 4:
-        mid = (lo + hi) / 2
-        if mid ** (1.0 / config.n) * top > bound:
-            hi = mid
-        else:
-            lo = mid
+    crossing = (bound / top) ** config.n
+    lo, hi = max(crossing - tol / 2, 0.0), min(crossing + tol / 2, 1.0)
     low, high = value_at(lo), value_at(hi)
     if not low <= bound < high:
         raise ArithmeticError(
             f"simulated values {low!r} at {lo!r} and {high!r} at {hi!r} "
             f"do not bracket the bound {bound!r}"
         )
-    return (lo + hi) / 2
+    return crossing
 
 
 def contribution_count(size: int, residue: int) -> int:

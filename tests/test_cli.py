@@ -513,6 +513,49 @@ def test_bound_homogeneous_includes_xy():
     assert report["classical_bound"] == 1.0
 
 
+def test_bound_beyond_1024_branches(capsys):
+    # 2**1100 overflows a float; the bounds are taken as one power of two
+    assert cli.main(["bound", "--L", "1100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classical_bound"] == 1.0
+    assert report["predicted_rotated"] == pytest.approx(2.0 ** 550, rel=1e-11)
+    assert cli.main(["bound", "--branches", "1,1100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classical_bound"] == pytest.approx(2.0 ** 549.5, rel=1e-11)
+    assert report["predicted_rotated"] == pytest.approx(2.0 ** (1100 - 1101 / 4), rel=1e-11)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound", "--L", "2100"], "too large for a float"),
+        (["classical", "--mode", "sample", "--L", "1100"], "one sampled model holds"),
+        (["classical", "--mode", "enumerate", "--L", "1100"], "enumeration limited"),
+    ],
+)
+def test_huge_branch_counts_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: bellnet {argv[0]} ")
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("out", ["missing/x.json", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, out):
+    path = tmp_path / out
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["bound", "--L", "2", "--out", str(path)])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"cannot write --out {path}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"n": 1, "L": 3, "scheme": "xy"}))

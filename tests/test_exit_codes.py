@@ -1,0 +1,208 @@
+"""The exit-code contract of the command line, checked in process.
+
+0 means success, 1 a usage error and 2 a failed cross-check: a command
+exits 2 exactly when its output shows a false check (or, for ``sweep``, a
+``FAILED`` simulation line), and no input lets a traceback escape.
+"""
+
+import contextlib
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from bellnet import cli
+from bellnet import inequality
+from bellnet.quantum import CorrelationTable
+
+# The routes each command re-derives its headline numbers through.
+TABLE_ROUTES = (
+    (cli, "network_table"),
+    (cli, "saturating_table"),
+    (cli, "model_table"),
+    (inequality, "network_table"),
+)
+
+
+def _halved(route):
+    """``route`` with every table mixed half and half with uniform outcomes.
+
+    Each full correlator halves, so a value read off such a table
+    disagrees with the same value reached another way.
+    """
+
+    def mixed(*args, **kwargs):
+        table = route(*args, **kwargs)
+        return CorrelationTable(table.config, 0.5 * table.values + 0.25 / table.values.shape[2])
+
+    return mixed
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _shows_a_failure(text: str) -> bool:
+    """Whether a command's output reports a failed cross-check."""
+    if text.startswith("key,value"):
+        checks = json.loads(dict(csv.reader(io.StringIO(text))).get("checks", "{}"))
+    elif text.startswith("{"):
+        checks = json.loads(text).get("checks", {})
+    else:
+        checks = {}
+    # sweep names a failed simulation check in its comment line (CSV) or
+    # in run.simulation_check (JSON)
+    return not all(checks.values()) or "FAILED" in text
+
+
+@pytest.mark.parametrize(
+    "argv, route, check",
+    [
+        (["violate", "--n", "2", "--L", "2"], "network_table", "simulation_matches_closed_form"),
+        (["swap", "--n", "2", "--L", "2"], "network_table", "swap_matches_separable"),
+        (
+            ["classical", "--n", "2", "--L", "2", "--mode", "saturating"],
+            "saturating_table",
+            "table_route_saturates_bound",
+        ),
+        (
+            ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "20"],
+            "model_table",
+            "batch_matches_table_route",
+        ),
+        (["sweep", "--L", "2", "--grid", "3"], "network_table", None),
+    ],
+    ids=["violate", "swap", "saturating", "sample", "sweep"],
+)
+def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
+    monkeypatch.setattr(cli, route, _halved(getattr(cli, route)))
+    code, out, err = _run(argv)
+    assert code == 2
+    assert "Traceback" not in err
+    if check is None:
+        assert "# simulation check at 3 probes: FAILED" in out.splitlines()
+        assert out.splitlines()[2] == "theta0,theta1,value"
+    else:
+        report = json.loads(out)
+        assert report["checks"][check] is False
+        assert "classical_bound" in report
+
+
+# Networks no command accepts.
+BAD_NETWORK = st.sampled_from(
+    [["--n", "0", "--L", "2"], ["--n", "2", "--L", "0"], ["--branches", "1,0"], ["--L", "-1"], []]
+)
+
+
+def _network(max_branch, max_total):
+    """Flags naming a network of at most ``max_total`` branch observers:
+    ``--n``/``--L`` or ``--branches``, now and then an invalid one."""
+    homogeneous = st.integers(1, max_branch).flatmap(
+        lambda L: st.integers(1, min(4, max_total // L)).map(
+            lambda n: ["--n", str(n), "--L", str(L)]
+        )
+    )
+    uneven = st.lists(st.integers(1, max_branch), min_size=1, max_size=3).filter(
+        lambda b: sum(b) <= max_total
+    ).map(lambda b: ["--branches", ",".join(map(str, b))])
+    return st.one_of(homogeneous, uneven, BAD_NETWORK)
+
+
+def _maybe(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+# Simulating commands stay at 8 branch observers in all; closed-form
+# commands reach branch counts whose powers of two overflow a float.
+SIMULATED = _network(8, 8)
+HUGE_BRANCH = st.one_of(st.integers(1, 6), st.integers(1000, 3000))
+CLOSED_FORM = st.one_of(
+    _network(6, 24),
+    st.lists(HUGE_BRANCH, min_size=1, max_size=3).map(
+        lambda b: ["--branches", ",".join(map(str, b))]
+    ),
+    st.tuples(st.integers(1, 3), HUGE_BRANCH).map(
+        lambda nl: ["--n", str(nl[0]), "--L", str(nl[1])]
+    ),
+)
+SCHEME = _maybe("--scheme", st.sampled_from(["xy", "rotated"]))
+
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["violate", "noise", "swap"]), SIMULATED, SCHEME),
+    st.tuples(
+        st.just("sweep"),
+        _maybe("--L", st.one_of(st.integers(-1, 8), st.integers(9, 1100))),
+        _maybe("--grid", st.integers(1, 40)),
+        st.sampled_from([[], ["--full"]]),
+    ),
+    st.tuples(st.just("bound"), CLOSED_FORM),
+    st.tuples(
+        st.just("classical"),
+        CLOSED_FORM,
+        _maybe("--mode", st.sampled_from(["saturating", "sample", "enumerate"])),
+        _maybe("--trials", st.integers(0, 40)),
+        _maybe("--lattice", st.integers(0, 4)),
+        _maybe("--grid", st.integers(0, 30)),
+        _maybe("--seed", st.one_of(st.integers(-2, 100), st.integers(2**63 - 50, 2**63 + 1))),
+    ),
+    st.tuples(
+        st.just("region"),
+        st.one_of(
+            st.integers(1, 3).map(lambda n: ["--n", str(n), "--L", "2"]), _network(3, 6)
+        ),
+        st.floats(-1.5, 1.5).map(lambda v: [f"--fixed-value={v!r}"]),
+        _maybe("--fixed-mask", st.integers(-1, 4)),
+        _maybe("--grid", st.integers(2, 30)),
+        _maybe("--tol", st.sampled_from(["1e-3", "0.05", "0", "-1"])),
+    ),
+).map(lambda parts: [parts[0]] + [flag for part in parts[1:] for flag in part])
+
+FORMAT = _maybe("--format", st.sampled_from(["json", "csv"]))
+# Mostly stdout; else a new file, a missing directory or a directory.
+OUT = st.sampled_from([None, None, None, "report.out", "missing/report.out", "."])
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(argv=COMMANDS, fmt=FORMAT, out=OUT, broken=st.booleans())
+def test_exit_code_contract(tmp_path, argv, fmt, out, broken):
+    argv = argv + fmt
+    target = None
+    if out is not None:
+        target = tmp_path / out
+        if target.is_file():
+            target.unlink()
+        argv += ["--out", str(target)]
+    with pytest.MonkeyPatch.context() as patch:
+        if broken:
+            for module, name in TABLE_ROUTES:
+                patch.setattr(module, name, _halved(getattr(module, name)))
+        code, stdout, stderr = _run(argv)
+
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in stderr
+    if code == 1:
+        assert stdout == ""
+        assert f"bellnet {argv[0]}: error: " in stderr
+        return
+    if target is None:
+        text = stdout
+    else:
+        assert stdout == ""
+        text = target.read_text(encoding="utf-8")
+    assert text
+    assert (code == 2) == _shows_a_failure(text), (argv, text)

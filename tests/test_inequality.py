@@ -306,9 +306,29 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
         return network_table(*args, **kwargs)
 
     monkeypatch.setattr(inequality, "network_table", counted)
-    assert find_critical_visibility(cfg, scheme, tol=1e-6) == expected
+    found = find_critical_visibility(cfg, scheme, tol=1e-6)
     # noiseless, then both ends of the certified bracket
     assert len(calls) == (1 if expected is None else 3)
+    if expected is None:
+        assert found is None
+        return
+    # The simulated bisection stops within tol/4 of the exact crossing,
+    # which the scaling law gives in closed form.
+    assert abs(found - expected) <= 1e-6 / 4
+    crossing = (classical_bound(cfg) / predicted_quantum_value(cfg, kind)) ** cfg.n
+    assert abs(found - crossing) <= 1e-12
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_find_critical_visibility_refuses_a_nonpositive_tolerance(monkeypatch, tol):
+    monkeypatch.setattr(inequality, "network_table", _no_table)
+    cfg = NetworkConfig.homogeneous(2, 2)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        find_critical_visibility(cfg, rotated_scheme(cfg), tol=tol)
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("simulated a network for a tolerance it should refuse")
 
 
 def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
