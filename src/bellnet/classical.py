@@ -112,10 +112,14 @@ def _model_entries(config: NetworkConfig, lattice: int) -> int:
         raise ValueError("lattice must hold at least one hidden value")
     if lattice ** config.n > MAX_HIDDEN_COMBINATIONS:
         raise ValueError("hidden-variable combination count too large")
-    entries = max(lattice ** config.n, config.n * lattice) << config.max_branch
-    if entries > SAMPLE_BLOCK_ENTRIES:
-        raise ValueError(f"one sampled model holds {entries} entries, over {SAMPLE_BLOCK_ENTRIES}")
-    return entries
+    per_mask = max(lattice ** config.n, config.n * lattice)
+    # Compared without forming per_mask << max_branch, which can run to hundreds of digits.
+    if per_mask > SAMPLE_BLOCK_ENTRIES >> config.max_branch:
+        raise ValueError(
+            f"one sampled model holds {per_mask} * 2^{config.max_branch} entries, "
+            f"over 2^{SAMPLE_BLOCK_ENTRIES.bit_length() - 1}"
+        )
+    return per_mask << config.max_branch
 
 
 def _mix(z: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Every subcommand runs one experiment to completion and emits a CSV or
 JSON artifact; nothing is interactive.  Commands re-derive their headline
 numbers through an independent route whenever the problem size allows and
 exit with status 2 when a reported check is false, 1 on usage errors, 0
-otherwise.
+otherwise.  violate, noise and swap refuse, as a usage error, a network
+too large to simulate; bound prints its closed forms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -55,11 +57,9 @@ from .quantum import (
 from .swap import conditioning_from_json, default_conditioning, swap_spectrum
 from .version import __version__
 
-# Largest dense table (elements) any command simulates before falling
-# back to closed forms.
+# Largest dense table (elements) any command simulates; violate, noise
+# and swap refuse a larger network.
 SIM_BUDGET_ELEMENTS = 1 << 24
-TOO_LARGE_WARNING = "network too large to simulate; closed forms only"
-SEPARABLE_SKIPPED_WARNING = "separable network too large to simulate; cross-check skipped"
 
 # sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
 # so the branch cap leaves a wide margin.  One call evaluates every grid
@@ -77,6 +77,11 @@ VISIBILITY_TOL = 1e-6
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent: "-1e-05" would read as a flag.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -234,18 +239,18 @@ def _resolve_scheme(args, file_cfg: dict, config: NetworkConfig, parser: _Parser
         kind = "xy" if config.is_homogeneous() else "rotated"
     try:
         scheme = xy_scheme(config) if kind == "xy" else rotated_scheme(config)
-        scheme_setting_map(scheme)
+        setting_map = scheme_setting_map(scheme)
     except ValueError as exc:
         parser.error(str(exc))
-    return kind, scheme
+    return kind, scheme, setting_map
 
 
-def _run_spec(args, command: str, config: NetworkConfig | None, **extra) -> dict:
+def _run_spec(command: str, config: NetworkConfig | None, seed=None, **extra) -> dict:
     run = {"command": command, "version": __version__}
     if config is not None:
         run["config"] = config.to_json()
-    if args.seed is not None:
-        run["seed"] = args.seed
+    if seed is not None:
+        run["seed"] = seed
     run.update(extra)
     return run
 
@@ -254,36 +259,40 @@ def _table_elements(config: NetworkConfig, n_settings: int) -> int:
     return 4 ** config.total * n_settings * 2
 
 
-def _within_budget(config: NetworkConfig) -> bool:
-    """Whether the separable network table fits the simulation budget and
-    every source fits the single-source simulator."""
-    return (
-        config.max_branch <= MAX_SOURCE_BRANCHES
-        and _table_elements(config, bob_setting_count(config)) <= SIM_BUDGET_ELEMENTS
-    )
+def _refuse_unsimulable(config: NetworkConfig, parser: _Parser, joint: bool = False) -> None:
+    """Exit 1 unless the separable table fits the budget and each source the
+    simulator, and with ``joint`` the entangled-center state the qubit cap."""
+    # Both element counts are powers of two.
+    bits = _table_elements(config, bob_setting_count(config)).bit_length() - 1
+    budget_bits = SIM_BUDGET_ELEMENTS.bit_length() - 1
+    qubits = config.total + config.n
+    if bits > budget_bits:
+        size = f"its table holds 2^{bits} entries, over 2^{budget_bits}"
+    elif config.max_branch > MAX_SOURCE_BRANCHES:
+        size = f"one source has {config.max_branch} branches, over {MAX_SOURCE_BRANCHES}"
+    elif joint and qubits > MAX_STATE_QUBITS:
+        size = f"its joint state holds {qubits} qubits, over {MAX_STATE_QUBITS}"
+    else:
+        return
+    parser.error(f"network too large to simulate: {size}; bellnet bound prints its closed forms")
 
 
 def cmd_violate(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    kind, scheme = _resolve_scheme(args, file_cfg, config, parser)
+    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
+    _refuse_unsimulable(config, parser)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
+    simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
     report = {
-        "run": _run_spec(args, "violate", config, scheme=kind),
+        "run": _run_spec("violate", config, scheme=kind),
         "predicted_value": predicted,
         "classical_bound": bound,
         "violated": predicted > bound + VALUE_TOL,
+        "simulated_value": simulated,
+        "checks": {"simulation_matches_closed_form": abs(simulated - predicted) <= VALUE_TOL},
     }
-    if _within_budget(config):
-        table = network_table(scheme)
-        simulated = bell_value(truncated_spectrum(table, scheme_setting_map(scheme)))
-        report["simulated_value"] = simulated
-        report["checks"] = {
-            "simulation_matches_closed_form": abs(simulated - predicted) <= VALUE_TOL
-        }
-    else:
-        report["warning"] = TOO_LARGE_WARNING
     return _emit_report(args, report)
 
 
@@ -322,7 +331,6 @@ def cmd_sweep(args, parser: _Parser) -> int:
         checked = "ok" if ok else "FAILED"
         check_line = f"simulation check at {len(probes)} probes: {checked}"
     run = _run_spec(
-        args,
         "sweep",
         None,
         L=size,
@@ -346,20 +354,18 @@ def cmd_sweep(args, parser: _Parser) -> int:
 def cmd_noise(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    kind, scheme = _resolve_scheme(args, file_cfg, config, parser)
+    kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
+    # The crossing is read off one noiseless simulation and certified on
+    # two noisy ones, so the budget bounds the work of each simulation as
+    # it does for violate.
+    _refuse_unsimulable(config, parser)
     formula = critical_visibility(config)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
     report = {
-        "run": _run_spec(args, "noise", config, scheme=kind),
+        "run": _run_spec("noise", config, scheme=kind),
         "closed_form_visibility": formula,
     }
-    # The crossing is read off one noiseless simulation and certified on
-    # two noisy ones, so the budget bounds the work of each simulation as
-    # it does for violate.
-    if not _within_budget(config):
-        report["warning"] = TOO_LARGE_WARNING
-        return _emit_report(args, report)
     try:
         found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
@@ -388,7 +394,7 @@ def cmd_classical(args, parser: _Parser) -> int:
     bound = classical_bound(config)
     seed = 0 if args.seed is None else args.seed
     report = {
-        "run": _run_spec(args, "classical", config, mode=args.mode),
+        "run": _run_spec("classical", config, args.seed, mode=args.mode),
         "classical_bound": bound,
     }
     checks = {}
@@ -464,7 +470,6 @@ def cmd_region(args, parser: _Parser) -> int:
         parser.error(str(exc))
     tol = args.tol if args.tol is not None else config.n / (args.grid - 1)
     run = _run_spec(
-        args,
         "region",
         config,
         fixed_mask=args.fixed_mask,
@@ -488,8 +493,7 @@ def cmd_region(args, parser: _Parser) -> int:
 def cmd_swap(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    kind, scheme = _resolve_scheme(args, file_cfg, config, parser)
-    setting_map = scheme_setting_map(scheme)
+    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     custom = args.conditioning is not None
     try:
         if custom:
@@ -499,27 +503,17 @@ def cmd_swap(args, parser: _Parser) -> int:
             conditioning = default_conditioning(config, setting_map)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    run = _run_spec(args, "swap", config, scheme=kind, conditioning="custom" if custom else "default")
-    bound = classical_bound(config)
-    # The joint table holds 4**total * 2**n entries; the qubit cap bounds it.
-    if config.total + config.n > MAX_STATE_QUBITS:
-        report = {
-            "run": run,
-            "predicted_value": predicted_quantum_value(config, kind),
-            "classical_bound": bound,
-            "warning": TOO_LARGE_WARNING,
-        }
-        return _emit_report(args, report)
+    _refuse_unsimulable(config, parser, joint=True)
     swap_bell = bell_value(swap_spectrum(config, scheme.branch_angles, conditioning))
-    report = {"run": run, "swap_value": swap_bell}
-    within_budget = _within_budget(config)
-    if within_budget:
-        separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
-        report["separable_value"] = separable_bell
-    report["classical_bound"] = bound
-    if not within_budget:
-        report["warning"] = SEPARABLE_SKIPPED_WARNING
-    elif not custom:
+    separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+    run = _run_spec("swap", config, scheme=kind, conditioning="custom" if custom else "default")
+    report = {
+        "run": run,
+        "swap_value": swap_bell,
+        "separable_value": separable_bell,
+        "classical_bound": classical_bound(config),
+    }
+    if not custom:
         report["checks"] = {"swap_matches_separable": abs(swap_bell - separable_bell) <= VALUE_TOL}
     return _emit_report(args, report)
 
@@ -528,7 +522,7 @@ def cmd_bound(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
     report = {
-        "run": _run_spec(args, "bound", config),
+        "run": _run_spec("bound", config),
         "classical_bound": classical_bound(config),
         "critical_visibility": critical_visibility(config),
         "predicted_rotated": predicted_quantum_value(config, "rotated"),
@@ -546,16 +540,16 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", help="JSON file with n / branches / L / scheme defaults")
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--format", choices=("csv", "json"), help="output format")
-    common.add_argument("--seed", type=int, help="base seed for randomized runs")
-    common.add_argument("--n", type=int, help="source count")
     common.add_argument("--L", dest="size", type=int, help="branch observers per source")
-    common.add_argument("--branches", help="comma-separated per-source branch counts")
+    network = argparse.ArgumentParser(add_help=False, parents=[common])
+    network.add_argument("--n", type=int, help="source count")
+    network.add_argument("--branches", help="comma-separated per-source branch counts")
 
     parser = _Parser(prog="bellnet", description=__doc__)
     parser.add_argument("--version", action="version", version=f"bellnet {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    p = sub.add_parser("violate", parents=[common], help="Bell value vs classical bound")
+    p = sub.add_parser("violate", parents=[network], help="Bell value vs classical bound")
     p.add_argument("--scheme", choices=("xy", "rotated"))
     p.set_defaults(func=cmd_violate, parser=p)
 
@@ -566,22 +560,23 @@ def _build_parser() -> _Parser:
     p.add_argument("--full", action="store_true", help="full theta0 x theta1 grid")
     p.set_defaults(func=cmd_sweep, parser=p)
 
-    p = sub.add_parser("noise", parents=[common], help="critical visibility")
+    p = sub.add_parser("noise", parents=[network], help="critical visibility")
     p.add_argument("--scheme", choices=("xy", "rotated"))
     p.set_defaults(func=cmd_noise, parser=p)
 
-    p = sub.add_parser("classical", parents=[common], help="classical-model experiments")
+    p = sub.add_parser("classical", parents=[network], help="classical-model experiments")
     p.add_argument(
         "--mode", choices=("saturating", "sample", "enumerate"), default="saturating"
     )
     p.add_argument("--trials", type=_int_at_least(1), default=1000, help="sampled models")
     p.add_argument("--lattice", type=int, default=2, help="hidden values per source")
+    p.add_argument("--seed", type=int, help="first seed of the sampled models")
     p.add_argument(
         "--grid", type=_int_at_least(1), default=101, help="saturating p-grid points"
     )
     p.set_defaults(func=cmd_classical, parser=p)
 
-    p = sub.add_parser("region", parents=[common], help="classical-region slice CSV")
+    p = sub.add_parser("region", parents=[network], help="classical-region slice CSV")
     p.add_argument("--fixed-value", type=float, required=True)
     p.add_argument("--fixed-mask", type=int, default=3, help="subset mask held fixed")
     p.add_argument("--grid", type=_int_at_least(2), default=101)
@@ -590,12 +585,12 @@ def _build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_region, parser=p)
 
-    p = sub.add_parser("swap", parents=[common], help="entangled center measurement")
+    p = sub.add_parser("swap", parents=[network], help="entangled center measurement")
     p.add_argument("--scheme", choices=("xy", "rotated"))
     p.add_argument("--conditioning", help="JSON file mapping subsets to outcome bits")
     p.set_defaults(func=cmd_swap, parser=p)
 
-    p = sub.add_parser("bound", parents=[common], help="closed-form bounds only")
+    p = sub.add_parser("bound", parents=[network], help="closed-form bounds only")
     p.set_defaults(func=cmd_bound, parser=p)
     return parser
 

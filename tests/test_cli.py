@@ -39,6 +39,24 @@ def run_json(*args, expect=0, timeout=None):
     return json.loads(run_cli(*args, expect=expect, timeout=timeout).stdout)
 
 
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("simulated a network beyond its cap")
+
+
+def _assert_too_large(capsys, argv, cap):
+    """``argv`` exits 1 naming the cap it passes and ``bellnet bound``."""
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: bellnet {argv[0]} ")
+    assert captured.err.endswith(
+        f"bellnet {argv[0]}: error: network too large to simulate: {cap}; "
+        "bellnet bound prints its closed forms\n"
+    )
+
+
 def test_version():
     proc = run_cli("--version")
     assert proc.stdout.startswith("bellnet ")
@@ -73,10 +91,13 @@ def test_violate_heterogeneous_rotated():
     assert report["violated"] is True
 
 
-def test_violate_oversized_network_skips_simulation():
-    report = run_json("violate", "--L", "13")
-    assert "simulated_value" not in report
-    assert "warning" in report
+def test_violate_oversized_network_skips_simulation(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    _assert_too_large(capsys, ["violate", "--L", "13"], "its table holds 2^28 entries, over 2^24")
+    # 4**400 entries: the count is printed as a power of two
+    _assert_too_large(
+        capsys, ["violate", "--n", "40", "--L", "10"], "its table holds 2^802 entries, over 2^24"
+    )
 
 
 def test_violate_largest_single_source_is_simulated():
@@ -86,18 +107,12 @@ def test_violate_largest_single_source_is_simulated():
 
 
 @pytest.mark.parametrize("command,skipped", [("violate", "network_table"), ("noise", "find_critical_visibility")])
-def test_beyond_single_source_cap_reports_closed_form(monkeypatch, capsys, command, skipped):
+def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, skipped):
     # 4**11 * 2 * 2 elements fit the table budget, but one source of 11
     # branches exceeds the single-source simulator's cap.
-    def no_simulation(*args, **kwargs):
-        raise AssertionError(f"{skipped} ran beyond the single-source cap")
-
-    monkeypatch.setattr(cli, skipped, no_simulation)
-    assert cli.main([command, "--n", "1", "--L", "11"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["warning"] == cli.TOO_LARGE_WARNING
-    assert "simulated_value" not in report
-    assert "bisection_visibility" not in report
+    monkeypatch.setattr(cli, skipped, _no_simulation)
+    argv = [command, "--n", "1", "--L", "11"]
+    _assert_too_large(capsys, argv, "one source has 11 branches, over 10")
 
 
 def test_run_block_has_no_threads(capsys):
@@ -216,16 +231,10 @@ def test_noise_heterogeneous():
     assert report["bisection_visibility"] == pytest.approx(0.125, abs=2e-6)
 
 
-def test_noise_beyond_budget_reports_closed_form(monkeypatch, capsys):
-    def no_bisection(*args, **kwargs):
-        raise AssertionError("bisection ran beyond the simulation budget")
-
-    monkeypatch.setattr(cli, "find_critical_visibility", no_bisection)
-    assert cli.main(["noise", "--n", "4", "--L", "3"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["closed_form_visibility"] == 2.0 ** -6
-    assert "warning" in report
-    assert "bisection_visibility" not in report
+def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "find_critical_visibility", _no_simulation)
+    argv = ["noise", "--n", "4", "--L", "3"]
+    _assert_too_large(capsys, argv, "its table holds 2^26 entries, over 2^24")
 
 
 def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
@@ -431,35 +440,33 @@ def test_swap_bad_conditioning_is_usage_error(tmp_path):
     assert "missing subsets" in proc.stderr
 
 
-def _no_simulation(*args, **kwargs):
-    raise AssertionError("simulated a network beyond its cap")
-
-
-def test_swap_beyond_qubit_cap_reports_closed_form(monkeypatch, capsys):
-    # 2 sources of 6 branches hold 14 qubits in all, over the 12-qubit cap
+def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
+    # 2 sources of 6 branches hold 14 qubits in all and a separable table
+    # of 2^26 entries; 10 sources of 1 branch fit the table budget but hold
+    # 20 qubits.  A custom conditioning is refused alike: the closed forms
+    # of bellnet bound are the separable scheme's, not its swap value.
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     monkeypatch.setattr(cli, "network_table", _no_simulation)
-    assert cli.main(["swap", "--n", "2", "--L", "6"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["warning"] == cli.TOO_LARGE_WARNING
-    assert report["predicted_value"] == 8.0
-    assert report["classical_bound"] == 1.0
-    assert "swap_value" not in report
-    assert "checks" not in report
+    for n, size, cap in (
+        (2, 6, "its table holds 2^26 entries, over 2^24"),
+        (10, 1, "its joint state holds 20 qubits, over 12"),
+    ):
+        path = tmp_path / f"cond{n}.json"
+        path.write_text(json.dumps({str(m): {"bit": 1} for m in range(1 << size)}))
+        argv = ["swap", "--n", str(n), "--L", str(size)]
+        _assert_too_large(capsys, argv, cap)
+        _assert_too_large(capsys, [*argv, "--conditioning", str(path)], cap)
 
 
-def test_swap_skips_separable_check_beyond_budget(monkeypatch, capsys, tmp_path):
+def test_swap_beyond_separable_cap_is_refused(monkeypatch, capsys, tmp_path):
     # one source of 11 branches fits the joint simulation (12 qubits) but
-    # not the separable simulator's branch cap
+    # not the separable simulator's branch cap, and swap needs both tables
     path = tmp_path / "cond.json"
     path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 11)}))
+    monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     monkeypatch.setattr(cli, "network_table", _no_simulation)
     argv = ["swap", "--n", "1", "--L", "11", "--conditioning", str(path)]
-    assert cli.main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["warning"] == cli.SEPARABLE_SKIPPED_WARNING
-    assert "separable_value" not in report
-    assert report["swap_value"] > report["classical_bound"]
+    _assert_too_large(capsys, argv, "one source has 11 branches, over 10")
 
 
 def test_swap_reads_scheme_from_config_file(tmp_path, capsys):
@@ -542,6 +549,43 @@ def test_huge_branch_counts_are_usage_errors(capsys, argv, message):
     assert captured.err.startswith(f"usage: bellnet {argv[0]} ")
     assert message in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--L", "1100"], ["--n", "3", "--L", "3000"]])
+def test_huge_sampled_model_refusal_is_one_short_line(capsys, argv):
+    # the entry count is stated as a power of two, not as a 300-digit integer
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["classical", "--mode", "sample", *argv])
+    assert exit_info.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("bellnet classical: error: one sampled model holds ")
+    assert last.endswith(f" * 2^{argv[-1]} entries, over 2^22")
+    assert len(last) < 100
+
+
+@pytest.mark.parametrize("value", ["-1e-05", "-1E+3"])
+def test_negative_exponent_values_are_option_values(capsys, value):
+    argv = ["region", "--n", "1", "--L", "2", "--fixed-value", value, "--grid", "11"]
+    assert cli.main(argv) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert f" fixed_value={cli._fmt(float(value))} " in header
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["violate", "--L", "3", "--seed", "5"],
+        ["sweep", "--L", "2", "--grid", "3", "--n", "7"],
+        ["sweep", "--L", "2", "--grid", "3", "--branches", "1,2"],
+    ],
+)
+def test_options_no_command_reads_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("out", ["missing/x.json", "."])

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from bellnet import cli
 from bellnet import inequality
+from bellnet import swap
 from bellnet.quantum import CorrelationTable
 
 # The routes each command re-derives its headline numbers through.
@@ -135,10 +136,17 @@ CLOSED_FORM = st.one_of(
         lambda nl: ["--n", str(nl[0]), "--L", str(nl[1])]
     ),
 )
+# Networks past a simulation cap: one source of 11..40 branches, or two
+# sources whose table or joint state is too large.
+OVERSIZED = st.one_of(
+    st.integers(11, 40).map(lambda L: ["--L", str(L)]),
+    st.integers(6, 12).map(lambda L: ["--n", "2", "--L", str(L)]),
+)
 SCHEME = _maybe("--scheme", st.sampled_from(["xy", "rotated"]))
+SIMULATING = st.sampled_from(["violate", "noise", "swap"])
 
 COMMANDS = st.one_of(
-    st.tuples(st.sampled_from(["violate", "noise", "swap"]), SIMULATED, SCHEME),
+    st.tuples(SIMULATING, st.one_of(SIMULATED, OVERSIZED), SCHEME),
     st.tuples(
         st.just("sweep"),
         _maybe("--L", st.one_of(st.integers(-1, 8), st.integers(9, 1100))),
@@ -160,7 +168,7 @@ COMMANDS = st.one_of(
         st.one_of(
             st.integers(1, 3).map(lambda n: ["--n", str(n), "--L", "2"]), _network(3, 6)
         ),
-        st.floats(-1.5, 1.5).map(lambda v: [f"--fixed-value={v!r}"]),
+        st.floats(-1.5, 1.5).map(lambda v: ["--fixed-value", repr(v)]),
         _maybe("--fixed-mask", st.integers(-1, 4)),
         _maybe("--grid", st.integers(2, 30)),
         _maybe("--tol", st.sampled_from(["1e-3", "0.05", "0", "-1"])),
@@ -206,3 +214,22 @@ def test_exit_code_contract(tmp_path, argv, fmt, out, broken):
         text = target.read_text(encoding="utf-8")
     assert text
     assert (code == 2) == _shows_a_failure(text), (argv, text)
+
+
+def _no_table(*args, **kwargs):
+    raise AssertionError("built a table for a network past its cap")
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=SIMULATING, network=OVERSIZED, scheme=SCHEME, fmt=FORMAT)
+def test_oversized_networks_are_refused_before_any_table(command, network, scheme, fmt):
+    argv = [command, *network, *scheme, *fmt]
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in TABLE_ROUTES + ((swap, "swap_joint_table"),):
+            patch.setattr(module, name, _no_table)
+        code, stdout, stderr = _run(argv)
+    assert code == 1, argv
+    event(stderr.splitlines()[-1].split(": ")[2])
+    assert stdout == ""
+    assert f"bellnet {command}: error: " in stderr
+    assert "Traceback" not in stderr
