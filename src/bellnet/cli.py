@@ -54,12 +54,15 @@ from .quantum import (
     scheme_setting_map,
     xy_scheme,
 )
-from .swap import conditioning_from_json, default_conditioning, swap_spectrum
+from .swap import check_source_count, conditioning_from_json, default_conditioning
+from .swap import joint_table_spectrum, swap_spectrum
 from .version import __version__
 
 # Largest dense table (elements) any command simulates; violate, noise
 # and swap refuse a larger network.
 SIM_BUDGET_ELEMENTS = 1 << 24
+# swap checks its kernel against dense joint tables this large (under 1 ms).
+JOINT_CHECK_ELEMENTS = 1 << 16
 
 # sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
 # so the branch cap leaves a wide margin.  One call evaluates every grid
@@ -221,28 +224,21 @@ def _resolve_config(args, file_cfg: dict, parser: _Parser) -> NetworkConfig:
             parser.error("--branches must be comma-separated integers")
     n = args.n if args.n is not None else file_cfg.get("n")
     size = args.size if args.size is not None else file_cfg.get("L")
-    try:
-        if branches:
-            if n is not None and n != len(branches):
-                parser.error("--n contradicts the branch list length")
-            return NetworkConfig(len(branches), tuple(branches))
-        if size is None:
-            parser.error("specify the network with --L (and --n) or --branches")
-        return NetworkConfig.homogeneous(1 if n is None else n, size)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if branches:
+        if n is not None and n != len(branches):
+            parser.error("--n contradicts the branch list length")
+        return NetworkConfig(len(branches), tuple(branches))
+    if size is None:
+        parser.error("specify the network with --L (and --n) or --branches")
+    return NetworkConfig.homogeneous(1 if n is None else n, size)
 
 
 def _resolve_scheme(args, file_cfg: dict, config: NetworkConfig, parser: _Parser):
     kind = getattr(args, "scheme", None) or file_cfg.get("scheme")
     if kind is None:
         kind = "xy" if config.is_homogeneous() else "rotated"
-    try:
-        scheme = xy_scheme(config) if kind == "xy" else rotated_scheme(config)
-        setting_map = scheme_setting_map(scheme)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return kind, scheme, setting_map
+    scheme = xy_scheme(config) if kind == "xy" else rotated_scheme(config)
+    return kind, scheme, scheme_setting_map(scheme)
 
 
 def _run_spec(command: str, config: NetworkConfig | None, seed=None, **extra) -> dict:
@@ -280,8 +276,8 @@ def _refuse_unsimulable(config: NetworkConfig, parser: _Parser, joint: bool = Fa
 def cmd_violate(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     _refuse_unsimulable(config, parser)
+    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
     simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
@@ -354,11 +350,11 @@ def cmd_sweep(args, parser: _Parser) -> int:
 def cmd_noise(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
-    # The crossing is read off one noiseless simulation and certified on
-    # two noisy ones, so the budget bounds the work of each simulation as
-    # it does for violate.
+    # The crossing is read off the exact kernel and certified on two noisy
+    # simulations (one noiseless one without a violation), so the budget
+    # bounds the work of each simulation as it does for violate.
     _refuse_unsimulable(config, parser)
+    kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
     formula = critical_visibility(config)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
@@ -441,10 +437,7 @@ def cmd_classical(args, parser: _Parser) -> int:
     else:  # enumerate
         if config.n != 1:
             parser.error("enumeration is only sound for --n 1")
-        try:
-            best, strategy = deterministic_maximum(config)
-        except ValueError as exc:
-            parser.error(str(exc))
+        best, strategy = deterministic_maximum(config)
         report["max_value"] = best
         report["strategy"] = {
             "responses": [list(pair) for pair in strategy["responses"]],
@@ -462,12 +455,7 @@ def cmd_region(args, parser: _Parser) -> int:
         )
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    try:
-        names, rows = region_slice(
-            config, args.fixed_value, args.grid, args.fixed_mask, args.tol
-        )
-    except ValueError as exc:
-        parser.error(str(exc))
+    names, rows = region_slice(config, args.fixed_value, args.grid, args.fixed_mask, args.tol)
     tol = args.tol if args.tol is not None else config.n / (args.grid - 1)
     run = _run_spec(
         "region",
@@ -493,6 +481,8 @@ def cmd_region(args, parser: _Parser) -> int:
 def cmd_swap(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
+    check_source_count(config.n)
+    _refuse_unsimulable(config, parser, joint=True)
     kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     custom = args.conditioning is not None
     try:
@@ -501,10 +491,10 @@ def cmd_swap(args, parser: _Parser) -> int:
                 conditioning = conditioning_from_json(fh.read(), config)
         else:
             conditioning = default_conditioning(config, setting_map)
-    except (OSError, ValueError) as exc:
+    except OSError as exc:
         parser.error(str(exc))
-    _refuse_unsimulable(config, parser, joint=True)
-    swap_bell = bell_value(swap_spectrum(config, scheme.branch_angles, conditioning))
+    spectrum = swap_spectrum(config, scheme.branch_angles, conditioning)
+    swap_bell = bell_value(spectrum)
     separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
     run = _run_spec("swap", config, scheme=kind, conditioning="custom" if custom else "default")
     report = {
@@ -513,8 +503,16 @@ def cmd_swap(args, parser: _Parser) -> int:
         "separable_value": separable_bell,
         "classical_bound": classical_bound(config),
     }
+    checks = {}
     if not custom:
-        report["checks"] = {"swap_matches_separable": abs(swap_bell - separable_bell) <= VALUE_TOL}
+        checks["swap_matches_separable"] = abs(swap_bell - separable_bell) <= VALUE_TOL
+    if 4**config.total << config.n <= JOINT_CHECK_ELEMENTS:
+        dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries
+        # per entry, the noise floor of a sum over 2**(T+n) outcome words, as in bell_value
+        tol = np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)
+        checks["kernel_matches_joint_table"] = np.abs(spectrum.entries - dense).max() <= tol
+    if checks:
+        report["checks"] = checks
     return _emit_report(args, report)
 
 
@@ -597,7 +595,9 @@ def _build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         return args.func(args, args.parser)
     except ValueError as exc:

@@ -73,6 +73,43 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
     return SubsetSpectrum(config, spectrum[words, setting_map])
 
 
+def source_factors(config: NetworkConfig, branch_angles, turns) -> np.ndarray:
+    """``Re[i^{turns[j, X]} P_j(X)]`` for every source ``j`` and subset mask
+    ``X``, with ``P_j(X) = prod_{k in X_j} d_k prod_{k not in X_j} s_k``
+    over source ``j``'s observers, ``X_j`` the positions of ``X`` it has and
+    ``d_k, s_k = (e^{iθ_k0} ∓ e^{iθ_k1}) / 2``.  ``P_j(X)`` is the
+    ``X``-signed setting average of ``e^{i(sum of the source's angles)}``,
+    whose real part is a pure GHZ source's full correlator; ``i^turns`` is
+    the center's phase.  O(n 2**max_branch) work.
+    """
+    phases = np.exp(1j * np.asarray(branch_angles, dtype=np.float64))
+    if phases.shape != (config.total, 2):
+        raise ValueError("branch_angles must have shape (total observers, 2)")
+    masks = np.arange(len(subsets_of(config.max_branch)))
+    # Observer t, the k-th of its source, takes d_t where bit k of X is set.
+    k = np.arange(config.total) - np.repeat(config.offsets, config.branches)
+    first, second = phases[:, :1], phases[:, 1:]
+    picks = np.where((masks >> k[:, None]) & 1, first - second, first + second) / 2
+    products = np.multiply.reduceat(picks, config.offsets, axis=0)
+    # Multiplying by a power of i is exact.
+    return (np.array([1, 1j, -1, -1j])[turns % 4] * products).real
+
+
+def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
+    """Exact ``truncated_spectrum(network_table(scheme, visibilities), map)``
+    for the scheme's setting map: ``K_X = prod_j V_j Re[i^{b_j} P_j(X)]``
+    (see :func:`source_factors`), ``b_j`` the bit of source ``j``'s block in
+    the setting of ``X``, as the center's X or Y axis adds phase 0 or pi/2.
+    """
+    config = scheme.config
+    blocks = np.array([config.block_index(j) for j in range(config.n)])
+    bits = (scheme_setting_map(scheme) >> blocks[:, None]) & 1
+    factors = source_factors(config, scheme.branch_angles, bits)
+    if visibilities is not None:
+        factors *= np.reshape(visibilities, (config.n, 1))  # noise only scales
+    return SubsetSpectrum(config, factors.prod(axis=0))
+
+
 def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
     """Spectrum for an even network (every source the same branch count)."""
     if not table.config.is_homogeneous():
@@ -131,11 +168,11 @@ def find_critical_visibility(
     noise has no full correlator, so every spectrum entry is V times its
     noiseless value and the Bell value at V is exactly V**(1/n) times the
     noiseless value ``top``.  The crossing is therefore V* = (bound/top)**n,
-    read off one noiseless simulation.  Two noisy simulations certify it:
-    value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
-    [0, 1].  Returns None when the noiseless value does not exceed the
-    classical bound and raises ArithmeticError when the simulated tables do
-    not bracket it.
+    with ``top`` from :func:`separable_spectrum`.  Two noisy
+    simulations certify it: value(V* - tol/2) <= bound < value(V* + tol/2),
+    both ends clipped to [0, 1].  Returns None when ``top`` does not exceed
+    the classical bound, once one noiseless simulation agrees; raises
+    ArithmeticError when the simulated tables contradict the kernel.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -147,8 +184,13 @@ def find_critical_visibility(
         table = network_table(scheme, (per_source,) * config.n)
         return bell_value(truncated_spectrum(table, smap))
 
-    top = value_at(1.0)
+    top = bell_value(separable_spectrum(scheme))
     if top <= bound + 1e-9:
+        noiseless = value_at(1.0)
+        if noiseless > bound + 1e-9:
+            raise ArithmeticError(
+                f"simulated noiseless value {noiseless!r} exceeds the bound {bound!r}"
+            )
         return None
     crossing = (bound / top) ** config.n
     lo, hi = max(crossing - tol / 2, 0.0), min(crossing + tol / 2, 1.0)

@@ -1,4 +1,4 @@
-"""Exact quantum evaluation of star-network measurement statistics.
+"""Dense simulation of star-network measurement statistics.
 
 Sources emit GHZ states of ``branches[j] + 1`` qubits, optionally mixed
 with white noise.  Branch observers measure along directions in the
@@ -27,6 +27,10 @@ the maximally mixed state to itself, so a source of visibility ``V`` has
 outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
 same as its density operator gives.  One-source tables join as a product
 in the Walsh–Hadamard domain of the center's parity bit.
+
+The exact spectra of :func:`bellnet.inequality.separable_spectrum` and
+:func:`bellnet.swap.swap_spectrum` need no table; these tables are their
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -41,8 +45,10 @@ from .network import NetworkConfig, parity_signs, rotated_setting_map, xy_settin
 HALF_PI = math.pi / 2
 
 # A joint (swap) table holds 4**T * 2**n probabilities (64 MiB at most
-# when T + n <= 12); one source batched over its setting words holds
-# 4**L * n_settings * 2 probabilities and 2 * 4**L amplitudes.
+# when T + n <= 12, the network size swap accepts; it builds the table,
+# as a check, only up to far fewer entries); one source batched over its
+# setting words holds 4**L * n_settings * 2 probabilities and 2 * 4**L
+# amplitudes.
 MAX_STATE_QUBITS = 12
 MAX_SOURCE_BRANCHES = 10
 
@@ -58,14 +64,18 @@ def ghz_state(m: int) -> np.ndarray:
     return psi
 
 
-def measurement_basis(theta: float) -> np.ndarray:
-    """Eigenvector matrix of the equatorial observable.
+def measurement_basis(theta) -> np.ndarray:
+    """Eigenvector matrix of the equatorial observable, stacked over the
+    leading axes when ``theta`` is an array of angles.
 
     Column ``o`` is the eigenvector for outcome ``o``, so conjugating a
     state with this matrix moves it to the measurement basis.
     """
-    phase = np.exp(1j * theta)
-    return np.array([[1, 1], [phase, -phase]], dtype=np.complex128) / math.sqrt(2)
+    phase = np.exp(1j * np.asarray(theta, dtype=np.float64))
+    basis = np.empty(phase.shape + (2, 2), dtype=np.complex128)
+    basis[..., 0, :] = 1.0
+    basis[..., 1, 0], basis[..., 1, 1] = phase, -phase
+    return basis / math.sqrt(2)
 
 
 def _check_distributions(values: np.ndarray, outcome_axes) -> None:
@@ -169,7 +179,7 @@ def _branch_amplitudes(angles: np.ndarray) -> np.ndarray:
 
 def _basis_adjoints(thetas) -> np.ndarray:
     """``measurement_basis(theta)^dagger`` for each angle, stacked."""
-    return np.stack([measurement_basis(float(t)).conj().T for t in thetas])
+    return measurement_basis(thetas).conj().swapaxes(-1, -2)
 
 
 def _quarter_cos(m) -> np.ndarray:
@@ -248,7 +258,8 @@ class MeasurementScheme:
     ``branch_angles[t, s]`` is the equatorial angle observer ``t`` uses for
     setting ``s``.  The scheme does not fix the center measurement:
     :func:`network_table` measures his qubits one by one and
-    :func:`swap_joint_table` jointly, both from the same branch angles.
+    :func:`swap_joint_table` jointly, both from the same branch angles, as
+    do the exact kernels that these tables check.
     """
 
     config: NetworkConfig

@@ -3,7 +3,9 @@
 The center observer projects his qubits onto the GHZ-like basis and
 announces an n-bit outcome.  Each subset's correlator is built from one
 derived bit of that outcome: a parity over a caller-chosen set of outcome
-bit positions, supplied as a mask per subset.
+bit positions, supplied as a mask per subset.  :func:`swap_spectrum` is
+exact from per-source phase products; :func:`joint_table_spectrum`
+reduces the dense joint table as its independent check.
 """
 
 from __future__ import annotations
@@ -15,14 +17,14 @@ import numpy as np
 
 from .network import NetworkConfig, fwht, parity_signs, subset_setting_mask, subsets_of
 from .quantum import swap_joint_table
-from .inequality import SubsetSpectrum
+from .inequality import SubsetSpectrum, source_factors
 
 
 # Conditioning masks are int64 words holding one outcome bit per source.
 MAX_SWAP_SOURCES = 63
 
 
-def _check_source_count(n: int) -> None:
+def check_source_count(n: int) -> None:
     if n > MAX_SWAP_SOURCES:
         raise ValueError(f"swap supports at most {MAX_SWAP_SOURCES} sources, got {n}")
 
@@ -51,7 +53,7 @@ def default_conditioning(config: NetworkConfig, setting_map) -> SwapConditioning
     setting-1 subsets read the parity of all n bits.  The second half
     holds only for an even source count, and the map must be two-valued.
     """
-    _check_source_count(config.n)
+    check_source_count(config.n)
     setting_map = np.asarray(setting_map)
     if setting_map.max() > 1:
         raise ValueError("default conditioning needs a two-setting map")
@@ -64,7 +66,7 @@ def default_conditioning(config: NetworkConfig, setting_map) -> SwapConditioning
 
 def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning:
     """Parse {"<subset mask>": {"bit": i} | {"parity": [i, ...]}, ...}."""
-    _check_source_count(config.n)
+    check_source_count(config.n)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -108,10 +110,38 @@ def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning
     return SwapConditioning(config.n, masks)
 
 
+def _check_conditioning(config: NetworkConfig, conditioning: SwapConditioning) -> None:
+    if conditioning.n != config.n:
+        raise ValueError("conditioning source count does not match the network")
+    if conditioning.masks.size != 1 << config.max_branch:
+        raise ValueError("need one conditioning mask per subset of the network")
+
+
 def swap_spectrum(
     config: NetworkConfig, branch_angles, conditioning: SwapConditioning
 ) -> SubsetSpectrum:
-    """Subset correlators of the jointly measured network.
+    """Subset correlators of the jointly measured network, in stabilizer
+    form: outcome bit 0 is the ``X^{⊗n}`` eigenvalue and bit ``q`` that of
+    ``Z_0 Z_q``.  Mask ``M`` without bit 0 gives 0; else, with ``r`` the
+    popcount of ``M >> 1``, ``z_0 = r mod 2`` and ``z_q`` bit ``q`` of ``M``,
+    ``K_X = Re[(-i)^{z_0 + r}] prod_j Re[i^{z_j} P_j(X)]`` (``P`` as in
+    :func:`~bellnet.inequality.source_factors`).
+    """
+    _check_conditioning(config, conditioning)
+    masks = conditioning.masks
+    z = (masks >> np.arange(config.n)[:, None]) & 1
+    r = z[1:].sum(axis=0)
+    # z_0 + r is even, so (-i)^(z_0 + r) = i^(z_0 + r) is real: it joins
+    # source 0's turn z_0.
+    z[0] = 2 * (r % 2) + r
+    entries = source_factors(config, branch_angles, z).prod(axis=0)
+    return SubsetSpectrum(config, np.where(masks & 1, entries, 0.0))
+
+
+def joint_table_spectrum(
+    config: NetworkConfig, branch_angles, conditioning: SwapConditioning
+) -> SubsetSpectrum:
+    """:func:`swap_spectrum` the dense way, from the simulated joint table.
 
     The conditioning mask of each subset replaces the separable center
     parity bit; the remaining outcome bits are marginalized by the parity
@@ -119,10 +149,7 @@ def swap_spectrum(
     Walsh–Hadamard transform over the setting words and one over the
     center outcomes give every (subset word, conditioning mask) entry.
     """
-    if conditioning.n != config.n:
-        raise ValueError("conditioning source count does not match the network")
-    if conditioning.masks.size != 1 << config.max_branch:
-        raise ValueError("need one conditioning mask per subset of the network")
+    _check_conditioning(config, conditioning)
     table = swap_joint_table(config, branch_angles)
     correlators = parity_signs(config.total) @ table.values  # (x, v)
     spectrum = fwht(fwht(correlators, axis=0), axis=1) / (1 << config.total)

@@ -428,7 +428,25 @@ def test_swap_custom_conditioning(tmp_path):
     )
     assert report["run"]["conditioning"] == "custom"
     assert report["swap_value"] == pytest.approx(0.0, abs=1e-9)
-    assert "checks" not in report
+    # no separable check for a custom conditioning; the joint table still
+    # checks the kernel
+    assert report["checks"] == {"kernel_matches_joint_table": True}
+
+
+def test_swap_checks_kernel_on_joint_tables_up_to_the_cap(monkeypatch, capsys):
+    joint = swap_module.swap_joint_table
+    calls = []
+    monkeypatch.setattr(
+        swap_module, "swap_joint_table", lambda *args: calls.append(args) or joint(*args)
+    )
+    # 4**6 * 2**2 = 2^14 entries are checked, 4**8 * 2**2 = 2^18 are not
+    for size, checked in ((3, True), (4, False)):
+        assert cli.main(["swap", "--n", "2", "--L", str(size)]) == 0
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert ("kernel_matches_joint_table" in checks) is checked
+        assert checks["swap_matches_separable"] is True
+    assert len(calls) == 1
+    assert cli.JOINT_CHECK_ELEMENTS == 1 << 16
 
 
 def test_swap_bad_conditioning_is_usage_error(tmp_path):
@@ -585,7 +603,8 @@ def test_options_no_command_reads_are_refused(capsys, argv):
     assert exit_info.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    assert f"usage: bellnet {argv[0]} " in captured.err
+    assert f"bellnet {argv[0]}: error: unrecognized arguments: " in captured.err
 
 
 @pytest.mark.parametrize("out", ["missing/x.json", "."])

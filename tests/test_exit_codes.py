@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from bellnet import cli
 from bellnet import inequality
 from bellnet import swap
-from bellnet.quantum import CorrelationTable
+from bellnet import quantum
+from bellnet.quantum import CorrelationTable, SwapJointTable
 
 # The routes each command re-derives its headline numbers through.
 TABLE_ROUTES = (
@@ -99,6 +100,19 @@ def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
         assert "classical_bound" in report
 
 
+def test_kernel_disagreeing_with_joint_table_exits_2(monkeypatch):
+    def mixed(config, branch_angles):
+        table = quantum.swap_joint_table(config, branch_angles)
+        return SwapJointTable(config, 0.5 * table.values + 0.5 / table.values[0].size)
+
+    monkeypatch.setattr(swap, "swap_joint_table", mixed)
+    code, out, err = _run(["swap", "--n", "2", "--L", "2"])
+    assert code == 2
+    assert "Traceback" not in err
+    checks = json.loads(out)["checks"]
+    assert checks == {"swap_matches_separable": True, "kernel_matches_joint_table": False}
+
+
 # Networks no command accepts.
 BAD_NETWORK = st.sampled_from(
     [["--n", "0", "--L", "2"], ["--n", "2", "--L", "0"], ["--branches", "1,0"], ["--L", "-1"], []]
@@ -176,6 +190,9 @@ COMMANDS = st.one_of(
 ).map(lambda parts: [parts[0]] + [flag for part in parts[1:] for flag in part])
 
 FORMAT = _maybe("--format", st.sampled_from(["json", "csv"]))
+# Now and then an option the command may not know: each subcommand must
+# refuse it with its own usage line.
+UNKNOWN = st.sampled_from([[]] * 6 + [["--bogus"], ["--seed", "5"], ["--full"], ["--n", "2"]])
 # Mostly stdout; else a new file, a missing directory or a directory.
 OUT = st.sampled_from([None, None, None, "report.out", "missing/report.out", "."])
 
@@ -185,9 +202,9 @@ OUT = st.sampled_from([None, None, None, "report.out", "missing/report.out", "."
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(argv=COMMANDS, fmt=FORMAT, out=OUT, broken=st.booleans())
-def test_exit_code_contract(tmp_path, argv, fmt, out, broken):
-    argv = argv + fmt
+@given(argv=COMMANDS, fmt=FORMAT, unknown=UNKNOWN, out=OUT, broken=st.booleans())
+def test_exit_code_contract(tmp_path, argv, fmt, unknown, out, broken):
+    argv = argv + fmt + unknown
     target = None
     if out is not None:
         target = tmp_path / out
@@ -229,7 +246,9 @@ def test_oversized_networks_are_refused_before_any_table(command, network, schem
             patch.setattr(module, name, _no_table)
         code, stdout, stderr = _run(argv)
     assert code == 1, argv
-    event(stderr.splitlines()[-1].split(": ")[2])
+    event(stderr.splitlines()[-1].split(": ")[3])
     assert stdout == ""
-    assert f"bellnet {command}: error: " in stderr
+    # the size refusal runs before the setting map, which would refuse a
+    # subset universe past 20 branch positions with its own message
+    assert f"bellnet {command}: error: network too large to simulate: " in stderr
     assert "Traceback" not in stderr

@@ -20,6 +20,7 @@ from bellnet.inequality import (
     fwht,
     parity_signs,
     predicted_quantum_value,
+    separable_spectrum,
     single_experiment_value,
     subset_spectrum,
     sweep_value,
@@ -33,6 +34,7 @@ from bellnet.quantum import (
     MeasurementScheme,
     network_table,
     rotated_scheme,
+    scheme_setting_map,
     xy_scheme,
 )
 
@@ -307,8 +309,9 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
 
     monkeypatch.setattr(inequality, "network_table", counted)
     found = find_critical_visibility(cfg, scheme, tol=1e-6)
-    # noiseless, then both ends of the certified bracket
-    assert len(calls) == (1 if expected is None else 3)
+    # top comes from the exact kernel; the tables certify both ends of the
+    # bracket, or that the noiseless network does not violate
+    assert len(calls) == (1 if expected is None else 2)
     if expected is None:
         assert found is None
         return
@@ -317,6 +320,51 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
     assert abs(found - expected) <= 1e-6 / 4
     crossing = (classical_bound(cfg) / predicted_quantum_value(cfg, kind)) ** cfg.n
     assert abs(found - crossing) <= 1e-12
+
+
+def test_find_critical_visibility_certifies_no_violation_on_a_table(monkeypatch):
+    # a kernel that finds no violation where the simulated table does one
+    cfg = NetworkConfig.homogeneous(2, 2)
+    monkeypatch.setattr(
+        inequality, "separable_spectrum", lambda scheme: SubsetSpectrum(cfg, np.zeros(4))
+    )
+    with pytest.raises(ArithmeticError, match="simulated noiseless value 1.99.* exceeds the bound 1.0"):
+        find_critical_visibility(cfg, xy_scheme(cfg))
+
+
+# Uneven networks of up to 7 branch observers, both schemes where defined.
+KERNEL_NETWORKS = st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(
+    lambda b: sum(b) <= 7
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    branches=KERNEL_NETWORKS,
+    kind=st.sampled_from(["xy", "rotated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_separable_kernel_matches_simulated_table(branches, kind, seed):
+    cfg = NetworkConfig(len(branches), tuple(branches))
+    if not cfg.is_homogeneous():
+        kind = "rotated"  # the xy map needs an even network
+    rng = np.random.default_rng(seed)
+    scheme = MeasurementScheme(cfg, rng.uniform(-math.pi, math.pi, (cfg.total, 2)), kind)
+    visibilities = rng.uniform(0.0, 1.0, cfg.n)
+    got = separable_spectrum(scheme, visibilities).entries
+    table = network_table(scheme, visibilities)
+    # signed, entry by entry
+    assert np.abs(got - truncated_spectrum(table, scheme_setting_map(scheme)).entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("branches", [(1,), (2, 2), (1, 2, 3), (4, 1)])
+def test_separable_kernel_at_full_visibility(branches):
+    cfg = NetworkConfig(len(branches), branches)
+    scheme = rotated_scheme(cfg)
+    noiseless = separable_spectrum(scheme)
+    assert np.array_equal(noiseless.entries, separable_spectrum(scheme, (1.0,) * cfg.n).entries)
+    predicted = predicted_quantum_value(cfg, "rotated")
+    assert bell_value(noiseless) == pytest.approx(predicted, abs=1e-12)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

@@ -14,10 +14,11 @@ from bellnet.swap import (
     SwapConditioning,
     conditioning_from_json,
     default_conditioning,
+    joint_table_spectrum,
     swap_spectrum,
 )
 
-from oracles import direct_swap_spectrum
+from oracles import brute_force_swap_table, direct_swap_spectrum
 
 
 def test_conditioning_validation():
@@ -135,3 +136,28 @@ def test_swap_spectrum_matches_direct_sum(branches, seed):
     got = swap_spectrum(cfg, angles, SwapConditioning(cfg.n, masks))
     want = direct_swap_spectrum(swap_joint_table(cfg, angles).values, branches, masks)
     assert np.abs(got.entries - want).max() < 1e-12
+
+
+# Uneven networks of at most 6 qubits, where the global-state oracle is quick.
+ORACLE_NETWORKS = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+    lambda b: sum(b) + len(b) <= 6
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(branches=ORACLE_NETWORKS, seed=st.integers(0, 2**32 - 1))
+def test_swap_kernel_matches_joint_table_and_oracle(branches, seed):
+    cfg = NetworkConfig(len(branches), tuple(branches))
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(-math.pi, math.pi, (cfg.total, 2))
+    masks = rng.integers(0, 1 << cfg.n, 1 << cfg.max_branch)
+    masks[0] &= ~1  # one subset reads a mask without bit 0, one with it
+    masks[-1] |= 1
+    cond = SwapConditioning(cfg.n, masks)
+    got = swap_spectrum(cfg, angles, cond).entries
+    dense = joint_table_spectrum(cfg, angles, cond).entries
+    oracle = direct_swap_spectrum(brute_force_swap_table(cfg, angles), branches, masks)
+    # signed, entry by entry
+    assert np.abs(got - dense).max() < 1e-12
+    assert np.abs(got - oracle).max() < 1e-12
+    assert got[0] == 0.0
