@@ -1,11 +1,11 @@
 """Batch command line interface.
 
 Every subcommand runs one experiment to completion and emits a CSV or
-JSON artifact; nothing is interactive.  Commands re-derive their headline
-numbers through an independent route whenever the problem size allows and
-exit with status 2 when a reported check is false, 1 on usage errors, 0
-otherwise.  violate, noise and swap refuse, as a usage error, a network
-too large to simulate; bound prints its closed forms.
+JSON artifact; nothing is interactive.  violate, noise and swap read their
+values off the exact phase-product kernels.  Commands re-derive headline
+numbers through an independent route whenever its table fits, else name
+the skipped check and its cap under ``skipped_checks``.  They exit with
+status 2 when a reported check is false, 1 on usage errors, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -39,30 +39,28 @@ from .inequality import (
     critical_visibility,
     find_critical_visibility,
     predicted_quantum_value,
+    separable_spectrum,
     subset_spectrum,
     sweep_value,
     truncated_spectrum,
 )
 from .network import NetworkConfig, xy_setting_map
 from .quantum import (
-    MAX_SOURCE_BRANCHES,
-    MAX_STATE_QUBITS,
-    bob_setting_count,
     custom_scheme,
     network_table,
     rotated_scheme,
     scheme_setting_map,
+    separable_table_cap,
     xy_scheme,
 )
-from .swap import check_source_count, conditioning_from_json, default_conditioning
+from .swap import conditioning_from_json, default_conditioning
 from .swap import joint_table_spectrum, swap_spectrum
 from .version import __version__
 
-# Largest dense table (elements) any command simulates; violate, noise
-# and swap refuse a larger network.
-SIM_BUDGET_ELEMENTS = 1 << 24
 # swap checks its kernel against dense joint tables this large (under 1 ms).
 JOINT_CHECK_ELEMENTS = 1 << 16
+# run.config echoes every branch count; bound takes 0.2 s at this cap.
+MAX_SOURCES = 1 << 16
 
 # sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
 # so the branch cap leaves a wide margin.  One call evaluates every grid
@@ -224,6 +222,9 @@ def _resolve_config(args, file_cfg: dict, parser: _Parser) -> NetworkConfig:
             parser.error("--branches must be comma-separated integers")
     n = args.n if args.n is not None else file_cfg.get("n")
     size = args.size if args.size is not None else file_cfg.get("L")
+    count = len(branches) if branches else n
+    if count is not None and count > MAX_SOURCES:
+        parser.error(f"a network holds at most {MAX_SOURCES} sources, got {count}")
     if branches:
         if n is not None and n != len(branches):
             parser.error("--n contradicts the branch list length")
@@ -251,44 +252,33 @@ def _run_spec(command: str, config: NetworkConfig | None, seed=None, **extra) ->
     return run
 
 
-def _table_elements(config: NetworkConfig, n_settings: int) -> int:
-    return 4 ** config.total * n_settings * 2
-
-
-def _refuse_unsimulable(config: NetworkConfig, parser: _Parser, joint: bool = False) -> None:
-    """Exit 1 unless the separable table fits the budget and each source the
-    simulator, and with ``joint`` the entangled-center state the qubit cap."""
-    # Both element counts are powers of two.
-    bits = _table_elements(config, bob_setting_count(config)).bit_length() - 1
-    budget_bits = SIM_BUDGET_ELEMENTS.bit_length() - 1
-    qubits = config.total + config.n
-    if bits > budget_bits:
-        size = f"its table holds 2^{bits} entries, over 2^{budget_bits}"
-    elif config.max_branch > MAX_SOURCE_BRANCHES:
-        size = f"one source has {config.max_branch} branches, over {MAX_SOURCE_BRANCHES}"
-    elif joint and qubits > MAX_STATE_QUBITS:
-        size = f"its joint state holds {qubits} qubits, over {MAX_STATE_QUBITS}"
-    else:
-        return
-    parser.error(f"network too large to simulate: {size}; bellnet bound prints its closed forms")
+def _fits(report: dict, check: str, cap: str | None) -> bool:
+    """Whether ``check`` runs; if a ``cap`` stops it, note that in ``report``."""
+    if cap is not None:
+        report.setdefault("skipped_checks", {})[check] = cap
+    return cap is None
 
 
 def cmd_violate(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    _refuse_unsimulable(config, parser)
     kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
-    simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+    kernel = bell_value(separable_spectrum(scheme))
     report = {
         "run": _run_spec("violate", config, scheme=kind),
         "predicted_value": predicted,
         "classical_bound": bound,
-        "violated": predicted > bound + VALUE_TOL,
-        "simulated_value": simulated,
-        "checks": {"simulation_matches_closed_form": abs(simulated - predicted) <= VALUE_TOL},
+        "violated": kernel > bound + VALUE_TOL,
+        "kernel_value": kernel,
     }
+    checks = {"kernel_matches_closed_form": abs(kernel - predicted) <= VALUE_TOL}
+    if _fits(report, "simulation_matches_closed_form", separable_table_cap(config)):
+        simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+        report["simulated_value"] = simulated
+        checks["simulation_matches_closed_form"] = abs(simulated - predicted) <= VALUE_TOL
+    report["checks"] = checks
     return _emit_report(args, report)
 
 
@@ -350,10 +340,6 @@ def cmd_sweep(args, parser: _Parser) -> int:
 def cmd_noise(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    # The crossing is read off the exact kernel and certified on two noisy
-    # simulations (one noiseless one without a violation), so the budget
-    # bounds the work of each simulation as it does for violate.
-    _refuse_unsimulable(config, parser)
     kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
     formula = critical_visibility(config)
     predicted = predicted_quantum_value(config, kind)
@@ -362,6 +348,8 @@ def cmd_noise(args, parser: _Parser) -> int:
         "run": _run_spec("noise", config, scheme=kind),
         "closed_form_visibility": formula,
     }
+    # find_critical_visibility certifies the kernel's crossing on tables that fit
+    _fits(report, "bracket_certified", separable_table_cap(config))
     try:
         found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
@@ -405,7 +393,7 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["grid"] = args.grid
         report["max_value"] = best
         checks["grid_maximum_saturates_bound"] = abs(best - 1.0) <= 1e-12
-        if _table_elements(config, 2) <= SIM_BUDGET_ELEMENTS:
+        if _fits(report, "table_route_saturates_bound", separable_table_cap(config)):
             p_mid = 0.375
             table = saturating_table(p_mid, config)
             via_table = bell_value(
@@ -425,7 +413,7 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["lattice"] = args.lattice
         report["max_value"] = float(values.max())
         checks["all_below_classical_bound"] = bool(values.max() <= bound + VALUE_TOL)
-        if _table_elements(config, bob_setting_count(config)) <= SIM_BUDGET_ELEMENTS:
+        if _fits(report, "batch_matches_table_route", separable_table_cap(config)):
             probe_seeds = list(range(seed, seed + min(args.trials, 5)))
             batch = sampled_spectra(probe_seeds, config, args.lattice)
             worst = 0.0
@@ -481,8 +469,6 @@ def cmd_region(args, parser: _Parser) -> int:
 def cmd_swap(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
-    check_source_count(config.n)
-    _refuse_unsimulable(config, parser, joint=True)
     kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
     custom = args.conditioning is not None
     try:
@@ -495,7 +481,7 @@ def cmd_swap(args, parser: _Parser) -> int:
         parser.error(str(exc))
     spectrum = swap_spectrum(config, scheme.branch_angles, conditioning)
     swap_bell = bell_value(spectrum)
-    separable_bell = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+    separable_bell = bell_value(separable_spectrum(scheme))
     run = _run_spec("swap", config, scheme=kind, conditioning="custom" if custom else "default")
     report = {
         "run": run,
@@ -506,7 +492,13 @@ def cmd_swap(args, parser: _Parser) -> int:
     checks = {}
     if not custom:
         checks["swap_matches_separable"] = abs(swap_bell - separable_bell) <= VALUE_TOL
-    if 4**config.total << config.n <= JOINT_CHECK_ELEMENTS:
+    if _fits(report, "separable_matches_table", separable_table_cap(config)):
+        simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+        checks["separable_matches_table"] = abs(simulated - separable_bell) <= VALUE_TOL
+    joint_bits = 2 * config.total + config.n  # log2 of 4**T * 2**n entries
+    cap_bits = JOINT_CHECK_ELEMENTS.bit_length() - 1
+    joint_cap = f"the joint table would hold 2^{joint_bits} entries, over 2^{cap_bits}"
+    if _fits(report, "kernel_matches_joint_table", joint_cap if joint_bits > cap_bits else None):
         dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries
         # per entry, the noise floor of a sum over 2**(T+n) outcome words, as in bell_value
         tol = np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)

@@ -27,17 +27,19 @@ from math import comb
 import numpy as np
 
 from .network import NetworkConfig, fwht, parity_signs, subset_setting_mask, subsets_of
-from .quantum import CorrelationTable, MeasurementScheme, network_table, scheme_setting_map
+from .quantum import SIM_BUDGET_BITS, CorrelationTable, MeasurementScheme, network_table
+from .quantum import scheme_setting_map, separable_table_cap
 
 _ENTRY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class SubsetSpectrum:
-    """Correlator entries for every subset mask."""
+    """Correlator entries for every subset mask, and a kernel's factors."""
 
     config: NetworkConfig
     entries: np.ndarray  # (2**max_branch,)
+    factors: np.ndarray | None = None  # (n, 2**max_branch)
 
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=np.float64)
@@ -80,19 +82,29 @@ def source_factors(config: NetworkConfig, branch_angles, turns) -> np.ndarray:
     ``d_k, s_k = (e^{iθ_k0} ∓ e^{iθ_k1}) / 2``.  ``P_j(X)`` is the
     ``X``-signed setting average of ``e^{i(sum of the source's angles)}``,
     whose real part is a pure GHZ source's full correlator; ``i^turns`` is
-    the center's phase.  O(n 2**max_branch) work.
+    the center's phase.  A real part within ``L_j eps |P_j(X)|``, the
+    rounding of ``L_j`` factors, counts as zero.  O(T 2**max_branch) work
+    and memory for T observers, refused past ``2**SIM_BUDGET_BITS``.
     """
     phases = np.exp(1j * np.asarray(branch_angles, dtype=np.float64))
     if phases.shape != (config.total, 2):
         raise ValueError("branch_angles must have shape (total observers, 2)")
     masks = np.arange(len(subsets_of(config.max_branch)))
+    bits = math.log2(config.total) + config.max_branch  # of T * 2**Lmax entries
+    if bits > SIM_BUDGET_BITS:
+        raise ValueError(
+            f"the exact kernel would hold 2^{bits:.1f} entries, over 2^{SIM_BUDGET_BITS}"
+        )
     # Observer t, the k-th of its source, takes d_t where bit k of X is set.
     k = np.arange(config.total) - np.repeat(config.offsets, config.branches)
     first, second = phases[:, :1], phases[:, 1:]
     picks = np.where((masks >> k[:, None]) & 1, first - second, first + second) / 2
     products = np.multiply.reduceat(picks, config.offsets, axis=0)
     # Multiplying by a power of i is exact.
-    return (np.array([1, 1j, -1, -1j])[turns % 4] * products).real
+    factors = (np.array([1, 1j, -1, -1j])[turns % 4] * products).real
+    noise = np.finfo(np.float64).eps * np.reshape(config.branches, (-1, 1))
+    factors[np.abs(factors) <= noise * np.abs(products)] = 0.0
+    return factors
 
 
 def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
@@ -107,7 +119,7 @@ def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSp
     factors = source_factors(config, scheme.branch_angles, bits)
     if visibilities is not None:
         factors *= np.reshape(visibilities, (config.n, 1))  # noise only scales
-    return SubsetSpectrum(config, factors.prod(axis=0))
+    return SubsetSpectrum(config, factors.prod(axis=0), factors)
 
 
 def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
@@ -120,11 +132,15 @@ def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
 def bell_value(spectrum: SubsetSpectrum) -> float:
     """sum_X |entry_X|**(1/n).
 
-    A table sums at most 2**(T+n) outcome words per setting (T branch
-    observers, n sources), so an entry within eps * 2**(T+n) of zero is
-    rounding noise and counts as zero; the root would magnify it.
+    A kernel spectrum roots each per-source factor before the product,
+    which could underflow (1100 factors of 1/2).  A table sums at most
+    2**(T+n) outcome words per setting (T branch observers, n sources), so
+    a table entry within eps * 2**(T+n) of zero is rounding noise and
+    counts as zero; the root would magnify it.
     """
     config = spectrum.config
+    if spectrum.factors is not None:
+        return float((np.abs(spectrum.factors) ** (1.0 / config.n)).prod(axis=0).sum())
     entries = np.abs(spectrum.entries)
     entries[entries <= np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)] = 0.0
     return float((entries ** (1.0 / config.n)).sum())
@@ -162,17 +178,17 @@ def find_critical_visibility(
     config: NetworkConfig, scheme: MeasurementScheme, tol: float = 1e-6
 ):
     """The total visibility at which the scheme stops violating, certified
-    on simulated tables.
+    on simulated tables when :func:`separable_table_cap` lets them fit.
 
     The total visibility V is split evenly as V**(1/n) per source.  White
     noise has no full correlator, so every spectrum entry is V times its
     noiseless value and the Bell value at V is exactly V**(1/n) times the
-    noiseless value ``top``.  The crossing is therefore V* = (bound/top)**n,
-    with ``top`` from :func:`separable_spectrum`.  Two noisy
-    simulations certify it: value(V* - tol/2) <= bound < value(V* + tol/2),
-    both ends clipped to [0, 1].  Returns None when ``top`` does not exceed
-    the classical bound, once one noiseless simulation agrees; raises
-    ArithmeticError when the simulated tables contradict the kernel.
+    noiseless value ``top`` from :func:`separable_spectrum`.  The crossing
+    is therefore V* = (bound/top)**n, and two noisy simulations certify it:
+    value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
+    [0, 1].  Returns None when ``top`` does not exceed the bound, once one
+    noiseless simulation agrees; raises ArithmeticError when the simulated
+    tables contradict the kernel.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -185,14 +201,16 @@ def find_critical_visibility(
         return bell_value(truncated_spectrum(table, smap))
 
     top = bell_value(separable_spectrum(scheme))
-    if top <= bound + 1e-9:
+    crossing = (bound / top) ** config.n if top > bound + 1e-9 else None
+    if separable_table_cap(config) is not None:
+        return crossing  # the certificate tables would not fit
+    if crossing is None:
         noiseless = value_at(1.0)
         if noiseless > bound + 1e-9:
             raise ArithmeticError(
                 f"simulated noiseless value {noiseless!r} exceeds the bound {bound!r}"
             )
         return None
-    crossing = (bound / top) ** config.n
     lo, hi = max(crossing - tol / 2, 0.0), min(crossing + tol / 2, 1.0)
     low, high = value_at(lo), value_at(hi)
     if not low <= bound < high:

@@ -28,9 +28,10 @@ outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
 same as its density operator gives.  One-source tables join as a product
 in the Walsh–Hadamard domain of the center's parity bit.
 
-The exact spectra of :func:`bellnet.inequality.separable_spectrum` and
-:func:`bellnet.swap.swap_spectrum` need no table; these tables are their
-independent cross-check.
+The exact kernels :func:`bellnet.inequality.separable_spectrum` and
+:func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
+tables are only their cross-check, built where :func:`separable_table_cap`
+lets them fit.
 """
 
 from __future__ import annotations
@@ -44,13 +45,13 @@ from .network import NetworkConfig, parity_signs, rotated_setting_map, xy_settin
 
 HALF_PI = math.pi / 2
 
-# A joint (swap) table holds 4**T * 2**n probabilities (64 MiB at most
-# when T + n <= 12, the network size swap accepts; it builds the table,
-# as a check, only up to far fewer entries); one source batched over its
-# setting words holds 4**L * n_settings * 2 probabilities and 2 * 4**L
-# amplitudes.
+# A joint (swap) table holds 4**T * 2**n probabilities (64 MiB at T + n = 12);
+# one source over its setting words 4**L * n_settings * 2 and 2 * 4**L amplitudes.
 MAX_STATE_QUBITS = 12
 MAX_SOURCE_BRANCHES = 10
+# Largest separable table (elements) a check builds; also bounds the kernel's array.
+SIM_BUDGET_BITS = 24
+SIM_BUDGET_ELEMENTS = 1 << SIM_BUDGET_BITS
 
 _NORM_TOL = 1e-12
 
@@ -314,6 +315,16 @@ def scheme_setting_map(scheme: MeasurementScheme) -> np.ndarray:
 def bob_setting_count(config: NetworkConfig) -> int:
     """Number of separable center settings: one bit per distinct branch count."""
     return 1 << len(config.block_sizes)
+
+
+def separable_table_cap(config: NetworkConfig) -> str | None:
+    """None when :func:`network_table` fits ``config``, else the cap it passes."""
+    bits = 2 * config.total + len(config.block_sizes) + 1  # log2 of the elements
+    if bits > SIM_BUDGET_BITS:
+        return f"the separable table would hold 2^{bits} entries, over 2^{SIM_BUDGET_BITS}"
+    if config.max_branch > MAX_SOURCE_BRANCHES:
+        return f"one source has {config.max_branch} branches, over {MAX_SOURCE_BRANCHES}"
+    return None
 
 
 def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTable:

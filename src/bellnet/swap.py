@@ -134,8 +134,9 @@ def swap_spectrum(
     # z_0 + r is even, so (-i)^(z_0 + r) = i^(z_0 + r) is real: it joins
     # source 0's turn z_0.
     z[0] = 2 * (r % 2) + r
-    entries = source_factors(config, branch_angles, z).prod(axis=0)
-    return SubsetSpectrum(config, np.where(masks & 1, entries, 0.0))
+    factors = source_factors(config, branch_angles, z)
+    factors[0] *= masks & 1
+    return SubsetSpectrum(config, factors.prod(axis=0), factors)
 
 
 def joint_table_spectrum(

@@ -43,18 +43,17 @@ def _no_simulation(*args, **kwargs):
     raise AssertionError("simulated a network beyond its cap")
 
 
-def _assert_too_large(capsys, argv, cap):
-    """``argv`` exits 1 naming the cap it passes and ``bellnet bound``."""
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main(argv)
-    assert exit_info.value.code == 1
+def _computed(capsys, argv):
+    """The report of ``argv``, which must exit 0 without a traceback."""
+    assert cli.main(argv) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"usage: bellnet {argv[0]} ")
-    assert captured.err.endswith(
-        f"bellnet {argv[0]}: error: network too large to simulate: {cap}; "
-        "bellnet bound prints its closed forms\n"
-    )
+    assert "Traceback" not in captured.err
+    return json.loads(captured.out)
+
+
+SEPARABLE_CAP = "the separable table would hold 2^{} entries, over 2^24"
+JOINT_CAP = "the joint table would hold 2^{} entries, over 2^16"
+BRANCH_CAP = "one source has 11 branches, over 10"
 
 
 def test_version():
@@ -93,26 +92,40 @@ def test_violate_heterogeneous_rotated():
 
 def test_violate_oversized_network_skips_simulation(monkeypatch, capsys):
     monkeypatch.setattr(cli, "network_table", _no_simulation)
-    _assert_too_large(capsys, ["violate", "--L", "13"], "its table holds 2^28 entries, over 2^24")
     # 4**400 entries: the count is printed as a power of two
-    _assert_too_large(
-        capsys, ["violate", "--n", "40", "--L", "10"], "its table holds 2^802 entries, over 2^24"
-    )
+    for argv, value, bits in ((["--L", "13"], 64.0, 28), (["--n", "40", "--L", "10"], 32.0, 802)):
+        report = _computed(capsys, ["violate", *argv])
+        assert report["kernel_value"] == value
+        assert report["violated"] is True
+        assert "simulated_value" not in report
+        assert report["checks"] == {"kernel_matches_closed_form": True}
+        assert report["skipped_checks"] == {
+            "simulation_matches_closed_form": SEPARABLE_CAP.format(bits)
+        }
 
 
 def test_violate_largest_single_source_is_simulated():
     report = run_json("violate", "--n", "1", "--L", "10", timeout=60)
     assert report["simulated_value"] == 32.0
     assert report["checks"]["simulation_matches_closed_form"] is True
+    assert "skipped_checks" not in report
 
 
-@pytest.mark.parametrize("command,skipped", [("violate", "network_table"), ("noise", "find_critical_visibility")])
-def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, skipped):
+@pytest.mark.parametrize(
+    "command, check",
+    [("violate", "simulation_matches_closed_form"), ("noise", "bracket_certified")],
+    # named after the table route each command skips
+    ids=["violate-network_table", "noise-find_critical_visibility"],
+)
+def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, check):
     # 4**11 * 2 * 2 elements fit the table budget, but one source of 11
-    # branches exceeds the single-source simulator's cap.
-    monkeypatch.setattr(cli, skipped, _no_simulation)
-    argv = [command, "--n", "1", "--L", "11"]
-    _assert_too_large(capsys, argv, "one source has 11 branches, over 10")
+    # branches exceeds the single-source simulator's cap: the kernel alone
+    # gives the value, and the report says which check the cap skipped.
+    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_table", _no_simulation)
+    report = _computed(capsys, [command, "--n", "1", "--L", "11"])
+    assert report["skipped_checks"] == {check: BRANCH_CAP}
+    assert all(report["checks"].values())
 
 
 def test_run_block_has_no_threads(capsys):
@@ -232,9 +245,33 @@ def test_noise_heterogeneous():
 
 
 def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "find_critical_visibility", _no_simulation)
-    argv = ["noise", "--n", "4", "--L", "3"]
-    _assert_too_large(capsys, argv, "its table holds 2^26 entries, over 2^24")
+    # the crossing is read off the kernel; the certificate tables are skipped
+    monkeypatch.setattr(inequality, "network_table", _no_simulation)
+    report = _computed(capsys, ["noise", "--n", "4", "--L", "3", "--scheme", "rotated"])
+    assert report["bisection_visibility"] == 2.0**-6
+    assert report["checks"] == {"bisection_matches_scheme_crossing": True}
+    assert report["skipped_checks"] == {"bracket_certified": SEPARABLE_CAP.format(26)}
+
+
+@pytest.mark.parametrize(
+    "argv, key, value",
+    [
+        (["violate", "--n", "40", "--L", "10"], "kernel_value", 32.0),
+        (["swap", "--n", "20", "--L", "5"], "swap_value", 4.0),
+        (["swap", "--n", "20", "--L", "5"], "separable_value", 4.0),
+        (["noise", "--n", "40", "--L", "10"], "bisection_visibility", 6.22301527786e-61),
+        # 1100 factors of 1/2 underflow as one product
+        (["violate", "--n", "1100", "--L", "1"], "kernel_value", 1.0),
+    ],
+)
+def test_kernel_scale_commands_build_no_table(monkeypatch, capsys, argv, key, value):
+    for module in (cli, inequality):
+        monkeypatch.setattr(module, "network_table", _no_simulation)
+    monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
+    report = _computed(capsys, argv)
+    assert report[key] == value
+    assert all(report["checks"].values())
+    assert report["skipped_checks"]
 
 
 def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
@@ -428,9 +465,20 @@ def test_swap_custom_conditioning(tmp_path):
     )
     assert report["run"]["conditioning"] == "custom"
     assert report["swap_value"] == pytest.approx(0.0, abs=1e-9)
-    # no separable check for a custom conditioning; the joint table still
-    # checks the kernel
-    assert report["checks"] == {"kernel_matches_joint_table": True}
+    # a custom swap value is not the separable one; the joint table still
+    # checks the kernel, and a table checks the separable value
+    assert report["checks"] == {
+        "separable_matches_table": True,
+        "kernel_matches_joint_table": True,
+    }
+
+
+def test_swap_custom_conditioning_past_the_joint_cap_says_why_unchecked(tmp_path, capsys):
+    path = tmp_path / "cond.json"
+    path.write_text(json.dumps({str(m): {"bit": 0} for m in range(16)}))
+    report = _computed(capsys, ["swap", "--n", "2", "--L", "4", "--conditioning", str(path)])
+    assert report["checks"] == {"separable_matches_table": True}
+    assert report["skipped_checks"] == {"kernel_matches_joint_table": JOINT_CAP.format(18)}
 
 
 def test_swap_checks_kernel_on_joint_tables_up_to_the_cap(monkeypatch, capsys):
@@ -460,31 +508,40 @@ def test_swap_bad_conditioning_is_usage_error(tmp_path):
 
 def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
     # 2 sources of 6 branches hold 14 qubits in all and a separable table
-    # of 2^26 entries; 10 sources of 1 branch fit the table budget but hold
-    # 20 qubits.  A custom conditioning is refused alike: the closed forms
-    # of bellnet bound are the separable scheme's, not its swap value.
+    # of 2^26 entries: both kernels give values, and neither table is built.
+    # 10 sources of 1 branch hold 20 qubits but fit the table budget, so
+    # the separable table still checks its kernel.
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
-    monkeypatch.setattr(cli, "network_table", _no_simulation)
-    for n, size, cap in (
-        (2, 6, "its table holds 2^26 entries, over 2^24"),
-        (10, 1, "its joint state holds 20 qubits, over 12"),
-    ):
+    table = cli.network_table
+    for n, size, built in ((2, 6, False), (10, 1, True)):
+        monkeypatch.setattr(cli, "network_table", table if built else _no_simulation)
         path = tmp_path / f"cond{n}.json"
         path.write_text(json.dumps({str(m): {"bit": 1} for m in range(1 << size)}))
         argv = ["swap", "--n", str(n), "--L", str(size)]
-        _assert_too_large(capsys, argv, cap)
-        _assert_too_large(capsys, [*argv, "--conditioning", str(path)], cap)
+        skipped = {"kernel_matches_joint_table": JOINT_CAP.format(2 * n * size + n)}
+        if not built:
+            skipped = {"separable_matches_table": SEPARABLE_CAP.format(26), **skipped}
+        for extra in ([], ["--conditioning", str(path)]):
+            report = _computed(capsys, [*argv, *extra])
+            assert report["skipped_checks"] == skipped
+            assert ("separable_matches_table" in report.get("checks", {})) is built
+            assert all(report.get("checks", {}).values())
+        assert report["separable_value"] == 2.0 ** (size // 2)
 
 
 def test_swap_beyond_separable_cap_is_refused(monkeypatch, capsys, tmp_path):
-    # one source of 11 branches fits the joint simulation (12 qubits) but
-    # not the separable simulator's branch cap, and swap needs both tables
+    # one source of 11 branches passes the separable simulator's branch cap
+    # and the joint check's: the custom value is computed and unchecked
     path = tmp_path / "cond.json"
     path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 11)}))
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     monkeypatch.setattr(cli, "network_table", _no_simulation)
-    argv = ["swap", "--n", "1", "--L", "11", "--conditioning", str(path)]
-    _assert_too_large(capsys, argv, "one source has 11 branches, over 10")
+    report = _computed(capsys, ["swap", "--n", "1", "--L", "11", "--conditioning", str(path)])
+    assert "checks" not in report
+    assert report["skipped_checks"] == {
+        "separable_matches_table": BRANCH_CAP,
+        "kernel_matches_joint_table": JOINT_CAP.format(23),
+    }
 
 
 def test_swap_reads_scheme_from_config_file(tmp_path, capsys):
@@ -536,6 +593,35 @@ def test_bound_homogeneous_includes_xy():
     report = run_json("bound", "--n", "3", "--L", "2")
     assert report["predicted_xy"] == 2.0
     assert report["classical_bound"] == 1.0
+
+
+def test_source_count_is_capped_before_the_config_is_built(monkeypatch, tmp_path, capsys):
+    def no_config(*args, **kwargs):
+        raise AssertionError("built a network past the source cap")
+
+    monkeypatch.setattr(cli, "NetworkConfig", no_config)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 10**8, "L": 1}))
+    too_many = cli.MAX_SOURCES + 1
+    for argv in (
+        ["bound", "--n", str(10**8), "--L", "1"],
+        ["violate", "--branches", ",".join(["1"] * too_many)],
+        ["noise", "--config", str(cfg)],
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        count = 10**8 if "--branches" not in argv else too_many
+        assert captured.err.endswith(
+            f"bellnet {argv[0]}: error: a network holds at most 65536 sources, got {count}\n"
+        )
+
+
+def test_largest_source_count_is_accepted(capsys):
+    assert cli.main(["bound", "--n", str(cli.MAX_SOURCES), "--L", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["run"]["config"]["n"] == 1 << 16
 
 
 def test_bound_beyond_1024_branches(capsys):

@@ -71,7 +71,7 @@ def _shows_a_failure(text: str) -> bool:
     "argv, route, check",
     [
         (["violate", "--n", "2", "--L", "2"], "network_table", "simulation_matches_closed_form"),
-        (["swap", "--n", "2", "--L", "2"], "network_table", "swap_matches_separable"),
+        (["swap", "--n", "2", "--L", "2"], "network_table", "separable_matches_table"),
         (
             ["classical", "--n", "2", "--L", "2", "--mode", "saturating"],
             "saturating_table",
@@ -110,7 +110,11 @@ def test_kernel_disagreeing_with_joint_table_exits_2(monkeypatch):
     assert code == 2
     assert "Traceback" not in err
     checks = json.loads(out)["checks"]
-    assert checks == {"swap_matches_separable": True, "kernel_matches_joint_table": False}
+    assert checks == {
+        "swap_matches_separable": True,
+        "separable_matches_table": True,
+        "kernel_matches_joint_table": False,
+    }
 
 
 # Networks no command accepts.
@@ -150,8 +154,8 @@ CLOSED_FORM = st.one_of(
         lambda nl: ["--n", str(nl[0]), "--L", str(nl[1])]
     ),
 )
-# Networks past a simulation cap: one source of 11..40 branches, or two
-# sources whose table or joint state is too large.
+# Networks past a table cap: one source of 11..40 branches, or two
+# sources whose separable or joint table is too large.
 OVERSIZED = st.one_of(
     st.integers(11, 40).map(lambda L: ["--L", str(L)]),
     st.integers(6, 12).map(lambda L: ["--n", "2", "--L", str(L)]),
@@ -237,6 +241,15 @@ def _no_table(*args, **kwargs):
     raise AssertionError("built a table for a network past its cap")
 
 
+# The usage errors left past the table caps: the subset universe, the
+# kernel's own array and the entangled center's odd source count.
+KERNEL_LIMITS = (
+    "subset universe size must be in 1..20",
+    "entries, over 2^24",
+    "no default conditioning for an odd source count",
+)
+
+
 @settings(max_examples=60, deadline=None)
 @given(command=SIMULATING, network=OVERSIZED, scheme=SCHEME, fmt=FORMAT)
 def test_oversized_networks_are_refused_before_any_table(command, network, scheme, fmt):
@@ -245,10 +258,26 @@ def test_oversized_networks_are_refused_before_any_table(command, network, schem
         for module, name in TABLE_ROUTES + ((swap, "swap_joint_table"),):
             patch.setattr(module, name, _no_table)
         code, stdout, stderr = _run(argv)
-    assert code == 1, argv
-    event(stderr.splitlines()[-1].split(": ")[3])
-    assert stdout == ""
-    # the size refusal runs before the setting map, which would refuse a
-    # subset universe past 20 branch positions with its own message
-    assert f"bellnet {command}: error: network too large to simulate: " in stderr
     assert "Traceback" not in stderr
+    if code == 1:
+        message = stderr.splitlines()[-1]
+        event(message.split(": ", 2)[2])
+        assert stdout == ""
+        assert message.startswith(f"bellnet {command}: error: ")
+        assert message.endswith(KERNEL_LIMITS), argv
+        return
+    # the kernel computed every value; the report names each skipped check
+    assert code == 0, argv
+    if stdout.startswith("key,value"):
+        cells = dict(csv.reader(io.StringIO(stdout)))
+        report = {key: json.loads(cells.get(key, "{}")) for key in ("checks", "skipped_checks")}
+    else:
+        report = json.loads(stdout)
+    event(f"{command} computed")
+    table_checks = {
+        "violate": {"simulation_matches_closed_form"},
+        "noise": {"bracket_certified"},
+        "swap": {"separable_matches_table", "kernel_matches_joint_table"},
+    }[command]
+    assert set(report["skipped_checks"]) == table_checks
+    assert all(report.get("checks", {}).values())

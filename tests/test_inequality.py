@@ -30,6 +30,7 @@ from bellnet.inequality import (
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
 from bellnet import inequality
 from bellnet.quantum import (
+    SIM_BUDGET_ELEMENTS,
     CorrelationTable,
     MeasurementScheme,
     network_table,
@@ -365,6 +366,42 @@ def test_separable_kernel_at_full_visibility(branches):
     assert np.array_equal(noiseless.entries, separable_spectrum(scheme, (1.0,) * cfg.n).entries)
     predicted = predicted_quantum_value(cfg, "rotated")
     assert bell_value(noiseless) == pytest.approx(predicted, abs=1e-12)
+
+
+# Networks of up to 64 sources whose kernel array fits the budget.
+SCALE_NETWORKS = st.one_of(
+    st.tuples(st.integers(1, 64), st.integers(1, 10)).map(lambda nl: (nl[1],) * nl[0]),
+    st.lists(st.integers(1, 10), min_size=2, max_size=64),
+).filter(lambda b: sum(b) << max(b) <= SIM_BUDGET_ELEMENTS)
+
+
+@settings(max_examples=60, deadline=None)
+@given(branches=SCALE_NETWORKS, kind=st.sampled_from(["xy", "rotated"]))
+def test_kernel_bell_value_matches_closed_form_at_scale(branches, kind):
+    cfg = NetworkConfig(len(branches), tuple(branches))
+    if not cfg.is_homogeneous():
+        kind = "rotated"  # the xy map needs an even network
+    scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
+    want = predicted_quantum_value(cfg, kind)
+    assert bell_value(separable_spectrum(scheme)) == pytest.approx(want, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("n, size, value", [(1100, 1, 1.0), (40, 10, 32.0)])
+def test_kernel_bell_value_where_the_product_underflows(n, size, value):
+    cfg = NetworkConfig.homogeneous(n, size)
+    spectrum = separable_spectrum(xy_scheme(cfg))
+    assert bell_value(spectrum) == pytest.approx(value, rel=1e-12)
+    if n == 1100:
+        assert not spectrum.entries.any()  # 2**-1100 underflows
+    else:
+        # 2**-200 lies below a table's floor of eps * 2**440
+        assert bell_value(SubsetSpectrum(cfg, spectrum.entries)) == 0.0
+
+
+def test_kernel_refuses_an_array_past_the_budget():
+    cfg = NetworkConfig.homogeneous(4, 20)
+    with pytest.raises(ValueError, match=r"the exact kernel would hold 2\^26.3 entries, over 2\^24"):
+        separable_spectrum(rotated_scheme(cfg))
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])

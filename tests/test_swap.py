@@ -161,3 +161,20 @@ def test_swap_kernel_matches_joint_table_and_oracle(branches, seed):
     assert np.abs(got - dense).max() < 1e-12
     assert np.abs(got - oracle).max() < 1e-12
     assert got[0] == 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    branches=st.sampled_from([(1, 1), (2, 2), (1, 1, 1), (2, 2, 2), (3, 3), (1, 1, 1, 1)]),
+    kind=st.sampled_from(["xy", "rotated"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_swap_kernel_bell_value_matches_joint_table(branches, kind, seed):
+    # Scheme angles make some factors exactly zero; their rounding noise
+    # must not survive the per-source roots of the kernel's Bell value.
+    cfg = NetworkConfig(len(branches), branches)
+    angles = (xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)).branch_angles
+    masks = np.random.default_rng(seed).integers(0, 1 << cfg.n, 1 << cfg.max_branch)
+    cond = SwapConditioning(cfg.n, masks)
+    got = bell_value(swap_spectrum(cfg, angles, cond))
+    assert got == pytest.approx(bell_value(joint_table_spectrum(cfg, angles, cond)), abs=1e-9)
