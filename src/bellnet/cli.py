@@ -341,12 +341,11 @@ def cmd_noise(args, parser: _Parser) -> int:
     file_cfg = _load_file_config(args, parser)
     config = _resolve_config(args, file_cfg, parser)
     kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
-    formula = critical_visibility(config)
     predicted = predicted_quantum_value(config, kind)
     bound = classical_bound(config)
     report = {
         "run": _run_spec("noise", config, scheme=kind),
-        "closed_form_visibility": formula,
+        "closed_form_visibility": critical_visibility(config),
     }
     # find_critical_visibility certifies the kernel's crossing on tables that fit
     _fits(report, "bracket_certified", separable_table_cap(config))
@@ -360,15 +359,21 @@ def cmd_noise(args, parser: _Parser) -> int:
     if found is None:
         report["no_violation"] = True
     else:
-        # The crossing from the closed-form value; equals the closed-form
-        # visibility whenever the scheme reaches the predicted optimum.
-        expected = (bound / predicted) ** config.n
+        # Crossings compare in log2, where none underflows; where the found
+        # one does, the kernel's top gives n log2(bound/top).  A violation
+        # puts each n/2 or more from zero, and top carries a relative
+        # rounding of about (n + 2**Lmax) eps, far inside VALUE_TOL.
+        if found >= sys.float_info.min:
+            log2_found = math.log2(found)
+        else:
+            log2_found = config.n * math.log2(bound / bell_value(separable_spectrum(scheme)))
+        log2_expected = config.n * math.log2(bound / predicted)
+        close = functools.partial(math.isclose, rel_tol=VALUE_TOL)
         report["bisection_visibility"] = found
-        report["scheme_crossing"] = expected
-        report["scheme_attains_closed_form"] = abs(expected - formula) <= VALUE_TOL
-        report["checks"] = {
-            "bisection_matches_scheme_crossing": abs(found - expected) <= VISIBILITY_TOL
-        }
+        report["log2_bisection_visibility"] = log2_found
+        report["scheme_crossing"] = (bound / predicted) ** config.n
+        report["scheme_attains_closed_form"] = close(log2_expected, -sum(config.branches) / 2)
+        report["checks"] = {"bisection_matches_scheme_crossing": close(log2_found, log2_expected)}
     return _emit_report(args, report)
 
 
@@ -394,11 +399,8 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["max_value"] = best
         checks["grid_maximum_saturates_bound"] = abs(best - 1.0) <= 1e-12
         if _fits(report, "table_route_saturates_bound", separable_table_cap(config)):
-            p_mid = 0.375
-            table = saturating_table(p_mid, config)
-            via_table = bell_value(
-                subset_spectrum(table, xy_setting_map(config.max_branch))
-            )
+            table = saturating_table(0.375, config)
+            via_table = bell_value(subset_spectrum(table, xy_setting_map(config.max_branch)))
             checks["table_route_saturates_bound"] = abs(via_table - 1.0) <= 1e-12
     elif args.mode == "sample":
         if args.trials > MAX_SAMPLE_TRIALS:

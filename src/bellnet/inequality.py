@@ -51,9 +51,12 @@ class SubsetSpectrum:
 
 
 def table_correlators(table: CorrelationTable) -> np.ndarray:
-    """Full correlators (outcome-parity expectations), one per (x, y)."""
-    sa = parity_signs(table.config.total)
-    return np.einsum("xyab,a,b->xy", table.values, sa, np.array([1.0, -1.0]))
+    """Full correlators (outcome-parity expectations), one per (x, y): per
+    ``y``, ``values[:, y]`` (a view, also of a broadcast table) times the
+    sign ``(-1)^(|a| + b)`` of each outcome word ``2a + b``."""
+    dim, signs = 1 << table.config.total, parity_signs(table.config.total + 1)
+    per_y = [table.values[:, y].reshape(dim, 2 * dim) @ signs for y in range(table.n_bob_settings)]
+    return np.stack(per_y, axis=1)
 
 
 def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
@@ -136,13 +139,14 @@ def bell_value(spectrum: SubsetSpectrum) -> float:
     which could underflow (1100 factors of 1/2).  A table sums at most
     2**(T+n) outcome words per setting (T branch observers, n sources), so
     a table entry within eps * 2**(T+n) of zero is rounding noise and
-    counts as zero; the root would magnify it.
+    counts as zero; the root would magnify it.  From T + n = 53 on, that
+    floor exceeds every entry, so its exponent stops there.
     """
     config = spectrum.config
     if spectrum.factors is not None:
         return float((np.abs(spectrum.factors) ** (1.0 / config.n)).prod(axis=0).sum())
     entries = np.abs(spectrum.entries)
-    entries[entries <= np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)] = 0.0
+    entries[entries <= np.finfo(np.float64).eps * 2.0 ** min(config.total + config.n, 53)] = 0.0
     return float((entries ** (1.0 / config.n)).sum())
 
 

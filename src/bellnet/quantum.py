@@ -25,8 +25,8 @@ with the branch qubits rotated, batched over every setting word.  White
 noise enters the separable route linearly: a unitary basis change maps
 the maximally mixed state to itself, so a source of visibility ``V`` has
 outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
-same as its density operator gives.  One-source tables join as a product
-in the Walsh–Hadamard domain of the center's parity bit.
+same as its density operator gives.  One-source tables join by one batched
+matmul in the Walsh–Hadamard domain of the center's parity bit.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -217,38 +217,39 @@ def compose_network(tables) -> CorrelationTable:
 
     The center observer announces the XOR of his per-source parity bits, so
     composition is an XOR convolution over those bits: a product of each
-    source's Walsh pair ``(p0 + p1, p0 - p1)``, taken plane by plane and
-    inverted once in place.  Sources are packed in list order: the first
-    table owns the least significant setting and outcome bits.
+    source's Walsh pair ``(p0 + p1, p0 - p1)``.  One batched matmul takes
+    the largest source's table into the product of the others, which carries
+    its transform and the inverse one.  Sources are packed in list order:
+    the first table owns the least significant setting and outcome bits.
     """
     tables = list(tables)
     if not tables:
         raise ValueError("need at least one table")
-    for t in tables:
-        if t.config.n != 1:
-            raise ValueError("compose_network expects single-source tables")
+    if any(t.config.n != 1 for t in tables):
+        raise ValueError("compose_network expects single-source tables")
     n_y = tables[0].n_bob_settings
     if any(t.n_bob_settings != n_y for t in tables):
         raise ValueError("all per-source tables must share the setting count")
     branches = tuple(t.config.branches[0] for t in tables)
-    dim, d_last = 1 << sum(branches), tables[-1].values.shape[0]
-    # out[x, X, y, a, A, b]: the last source's bits above the earlier ones.
-    out = np.empty((d_last, dim // d_last, n_y, d_last, dim // d_last, 2))
-    sums, diffs = out[..., 0], out[..., 1]
-    for plane, sign in ((sums, 1.0), (diffs, -1.0)):
-        # The product of every source's p0 + p1 (or p0 - p1) and of the
-        # inverse transform's factor 1/2; later sources take higher bits.
-        acc = np.full((1, n_y, 1), 0.5)
-        for t in tables[:-1]:
-            pair = t.values[..., 0] + sign * t.values[..., 1]
-            d = len(pair) * len(acc)
-            acc = (pair[:, None, :, :, None] * acc[None, :, :, None, :]).reshape(d, n_y, d)
-        pair = tables[-1].values[..., 0] + sign * tables[-1].values[..., 1]
-        np.multiply(pair[:, None, :, :, None], acc[None, :, :, None, :], out=plane)
-    # Back from the Walsh domain: parity 0 is s + d, parity 1 is s - d.
-    sums += diffs
-    diffs *= -2
-    diffs += sums
+    walsh = np.array([[1.0, 1.0], [1.0, -1.0]])
+    # The largest source j (the last of equals) enters one batched matmul, so
+    # rest[X, y, s, A], the others' Walsh terms s times the inverse
+    # transform's 1/2, stays small; later sources take higher bits.
+    j = max(range(len(tables)), key=lambda k: (branches[k], k))
+    rest = np.full((1, n_y, 2, 1), 0.5)
+    for t in tables[:j] + tables[j + 1 :]:
+        pair = (t.values @ walsh).transpose(0, 1, 3, 2)
+        d = len(pair) * len(rest)
+        rest = (pair[:, None, :, :, :, None] * rest[None, :, :, :, None, :]).reshape(d, n_y, 2, d)
+    # j's bits split the others' into high and low ones: out[X, x, Z, y, A, a, (C, b)]
+    # = sum_t p_j[x, y, a, t] sum_s walsh[t, s] rest[X, Z, y, s, A, C] walsh[s, b],
+    # so j's own pair is folded into the small factor too.
+    dim, d_j, d_lo = 1 << sum(branches), len(tables[j].values), 1 << sum(branches[:j])
+    d_hi = len(rest) // d_lo
+    rest = rest.reshape(d_hi, d_lo, n_y, 2, d_hi, d_lo).transpose(0, 1, 2, 4, 3, 5)
+    factor = walsh @ (rest[..., None] * walsh[:, None, :]).reshape(d_hi, 1, d_lo, n_y, d_hi, 2, -1)
+    out = np.empty((d_hi, d_j, d_lo, n_y, d_hi, d_j, 2 * d_lo))
+    np.matmul(tables[j].values[None, :, None, :, None], factor, out=out)
     return CorrelationTable(NetworkConfig(len(tables), branches), out.reshape(dim, n_y, dim, 2))
 
 

@@ -178,6 +178,29 @@ def _parity(word):
     return -1.0 if bin(word).count("1") & 1 else 1.0
 
 
+def pairwise_composition(tables):
+    """XOR convolution of per-source (x, y, a, b) tables, written out
+    pairwise with one einsum per parity term; later tables take the
+    higher setting and outcome bits."""
+    acc = tables[0]
+    for tv in tables[1:]:
+        new_dim = acc.shape[0] * tv.shape[0]
+        parts = []
+        for b in (0, 1):
+            term = np.einsum("XyA,xya->xXyaA", acc[..., 0], tv[..., b])
+            term += np.einsum("XyA,xya->xXyaA", acc[..., 1], tv[..., b ^ 1])
+            parts.append(term.reshape(new_dim, acc.shape[1], new_dim))
+        acc = np.stack(parts, axis=-1)
+    return acc
+
+
+def einsum_correlators(values):
+    """Full correlators of an (x, y, a, b) table: one einsum over the
+    outcome signs (-1)**(weight(a) + b)."""
+    signs = np.array([_parity(a) for a in range(values.shape[2])])
+    return np.einsum("xyab,a,b->xy", values, signs, np.array([1.0, -1.0]))
+
+
 def direct_spectrum(values, branches, setting_map):
     """Subset spectrum of an (x, y, a, b) table, one subset mask and one
     setting word at a time."""

@@ -149,6 +149,23 @@ def test_violate_deterministic_output():
     a = run_cli("violate", "--n", "2", "--L", "2").stdout
     b = run_cli("violate", "--n", "2", "--L", "2").stdout
     assert a == b
+    # The largest table checks run through BLAS, which may split its work
+    # over threads; the report must not depend on how many.
+    for argv in (
+        ("violate", "--n", "2", "--L", "5"),
+        ("swap", "--n", "2", "--L", "5", "--scheme", "rotated"),
+    ):
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bellnet", *argv],
+                capture_output=True,
+                text=True,
+                env={**_ENV, "OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], argv
 
 
 def test_sweep_diagonal():
@@ -251,6 +268,27 @@ def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
     assert report["bisection_visibility"] == 2.0**-6
     assert report["checks"] == {"bisection_matches_scheme_crossing": True}
     assert report["skipped_checks"] == {"bracket_certified": SEPARABLE_CAP.format(26)}
+
+
+@pytest.mark.parametrize("n", [65536, 600])
+def test_noise_compares_tiny_crossings_in_log2(capsys, n):
+    # 2**-65536 underflows to 0.0 and 2**-600 lies far below any absolute
+    # tolerance, so only the log2 crossings tell a right kernel from a wrong one
+    report = _computed(capsys, ["noise", "--n", str(n), "--L", "2"])
+    assert report["log2_bisection_visibility"] == pytest.approx(-n, rel=1e-9)
+    assert report["scheme_attains_closed_form"] is True
+    assert report["checks"] == {"bisection_matches_scheme_crossing": True}
+
+
+@pytest.mark.parametrize("n", [65536, 600])
+def test_noise_wrong_kernel_exits_2(monkeypatch, capsys, n):
+    # a kernel 1% high moves n log2(bound/top) by n log2(1.01), past the tolerance
+    factors = inequality.source_factors
+    monkeypatch.setattr(inequality, "source_factors", lambda *args: 1.01 * factors(*args))
+    assert cli.main(["noise", "--n", str(n), "--L", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert json.loads(captured.out)["checks"] == {"bisection_matches_scheme_crossing": False}
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the subset-correlator inequality machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from bellnet.inequality import (
     table_correlators,
     truncated_spectrum,
 )
+from bellnet.classical import saturating_table
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
 from bellnet import inequality
 from bellnet.quantum import (
@@ -42,6 +44,7 @@ from bellnet.quantum import (
 from oracles import (
     direct_spectrum,
     direct_sweep_value,
+    einsum_correlators,
     expansion_coefficients,
     harmonic_sweep_value,
     simulated_bisection,
@@ -120,6 +123,49 @@ def test_table_correlators_uniform_and_ghz():
     assert corr[0, 0] == pytest.approx(1.0, abs=1e-12)
     # one observer moved to Y: correlator vanishes
     assert corr[1, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+# Each correlator sums 2**(T+1) signed probabilities whose absolute values
+# add up to one, so each route rounds it by at most 2**(T+1) eps and the
+# two differ by at most twice that.
+def _correlator_tol(config):
+    return 2.0 ** (config.total + 2) * np.finfo(np.float64).eps
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    branches=st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda b: sum(b) <= 7),
+    n_settings=st.sampled_from([1, 2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_correlators_match_einsum(branches, n_settings, seed):
+    cfg = NetworkConfig(len(branches), tuple(branches))
+    table = _random_table(cfg, n_settings, seed)
+    gap = np.abs(table_correlators(table) - einsum_correlators(table.values)).max()
+    assert gap <= _correlator_tol(cfg)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(1, 3), size=st.integers(1, 3), p=st.floats(0.0, 1.0))
+def test_table_correlators_of_a_broadcast_view_match_einsum(n, size, p):
+    cfg = NetworkConfig.homogeneous(n, size)
+    table = saturating_table(p, cfg)
+    assert table.values.strides[1] == 0  # one setting repeated, not copied
+    gap = np.abs(table_correlators(table) - einsum_correlators(table.values)).max()
+    assert gap <= _correlator_tol(cfg)
+
+
+def test_table_correlators_copy_no_broadcast_view():
+    table = saturating_table(0.375, NetworkConfig.homogeneous(3, 3))
+    assert table.values.nbytes == 8 << 20  # a (512, 2, 512, 2) copy
+    tracemalloc.start()
+    try:
+        table_correlators(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # below even one setting's 4 MiB slice
+    assert peak < table.values[:, 0].nbytes
 
 
 def test_spectrum_of_uniform_table_is_zero():
@@ -396,6 +442,12 @@ def test_kernel_bell_value_where_the_product_underflows(n, size, value):
     else:
         # 2**-200 lies below a table's floor of eps * 2**440
         assert bell_value(SubsetSpectrum(cfg, spectrum.entries)) == 0.0
+
+
+def test_table_bell_value_past_the_float_exponent_range():
+    # a table spectrum's floor eps * 2**(T + n) would be 2**2148 here
+    cfg = NetworkConfig.homogeneous(1100, 1)
+    assert bell_value(SubsetSpectrum(cfg, np.array([1.0, -0.5]))) == 0.0
 
 
 def test_kernel_refuses_an_array_past_the_budget():

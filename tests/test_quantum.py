@@ -32,6 +32,7 @@ from oracles import (
     bell_basis_two_qubits,
     brute_force_network_table,
     brute_force_swap_table,
+    pairwise_composition,
     projector,
     uniform_table,
 )
@@ -155,32 +156,35 @@ def test_compose_matches_closed_form():
         assert np.abs(composed.values - closed.values).max() < 1e-12
 
 
-def test_compose_matches_pairwise_einsum():
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda s: sum(s) <= 8),
+    n_y=st.sampled_from([1, 2, 4, 8]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_compose_matches_pairwise_einsum(sizes, n_y, seed):
+    rng = np.random.default_rng(seed)
     tables = [
-        single_source_table(size, RNG.uniform(-math.pi, math.pi, (size, 2)), (0.0, 1.1), vis)
-        for size, vis in ((1, 0.9), (2, 0.6), (1, 1.0))
+        single_source_table(
+            size,
+            rng.uniform(-math.pi, math.pi, (size, 2)),
+            rng.uniform(-math.pi, math.pi, n_y),
+            rng.uniform(0.0, 1.0),
+        )
+        for size in sizes
     ]
-    # The XOR convolution written out pairwise, one einsum per parity term.
-    acc = tables[0].values
-    for t in tables[1:]:
-        tv = t.values
-        new_dim = acc.shape[0] * tv.shape[0]
-        parts = []
-        for b in (0, 1):
-            term = np.einsum("XyA,xya->xXyaA", acc[..., 0], tv[..., b])
-            term += np.einsum("XyA,xya->xXyaA", acc[..., 1], tv[..., b ^ 1])
-            parts.append(term.reshape(new_dim, 2, new_dim))
-        acc = np.stack(parts, axis=-1)
+    want = pairwise_composition([t.values for t in tables])
     got = compose_network(tables)
-    assert got.config == NetworkConfig(3, (1, 2, 1))
-    # compose_network multiplies Walsh pairs (p0 + p1, p0 - p1) and inverts
-    # once, which rounds differently.  Per source each route adds about two
-    # roundings of at most eps/2 to sums no larger than twice the largest
-    # entry, so 4 n eps of the largest entry bounds the gap (200 random
-    # noisy networks of 2-4 sources gave at most 1.8 (n - 1) eps).
-    n = len(tables)
-    tol = 4 * n * np.finfo(np.float64).eps * np.abs(acc).max()
-    assert np.abs(got.values - acc).max() <= tol
+    assert got.config == NetworkConfig(len(sizes), tuple(sizes))
+    # compose_network multiplies the Walsh pairs (p0 + p1, p0 - p1) of all
+    # sources but the largest, folds both transforms of that one into the
+    # product and sums two products per entry; the oracle adds two products
+    # per source.  Each route rounds every Walsh term and product by at most
+    # eps/2 on sums no larger than twice the largest entry, so 4 n eps of
+    # the largest entry bounds the gap (1,346 random networks gave at most
+    # 0.75 n eps).
+    tol = 4 * len(sizes) * np.finfo(np.float64).eps * np.abs(want).max()
+    assert np.abs(got.values - want).max() <= tol
 
 
 def test_compose_of_uniform_is_uniform():
