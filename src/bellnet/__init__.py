@@ -12,4 +12,4 @@ from .version import __version__
 
 from .network import NetworkConfig
 from .quantum import network_table, scheme_setting_map, xy_scheme
-from .inequality import bell_value, classical_bound, subset_spectrum
+from .inequality import bell_value, classical_bound, truncated_spectrum

@@ -8,15 +8,15 @@ enumeration of deterministic strategies for single-source networks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkConfig, fwht, parity_signs, subsets_of, xy_setting_map
+from .network import NetworkConfig, fwht, over_budget, parity_signs, subsets_of, xy_setting_map
 from .quantum import CorrelationTable, bob_setting_count, compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
-MAX_ENUMERATION_BRANCHES = 4
 
 # Sampled models come from a counter-based stream (Salmon et al., SC 2011) on
 # the SplitMix64 finalizer (Steele, Lea and Flood, OOPSLA 2014); reports name it.
@@ -113,12 +113,9 @@ def _model_entries(config: NetworkConfig, lattice: int) -> int:
     if lattice ** config.n > MAX_HIDDEN_COMBINATIONS:
         raise ValueError("hidden-variable combination count too large")
     per_mask = max(lattice ** config.n, config.n * lattice)
-    # Compared without forming per_mask << max_branch, which can run to hundreds of digits.
-    if per_mask > SAMPLE_BLOCK_ENTRIES >> config.max_branch:
-        raise ValueError(
-            f"one sampled model holds {per_mask} * 2^{config.max_branch} entries, "
-            f"over 2^{SAMPLE_BLOCK_ENTRIES.bit_length() - 1}"
-        )
+    bits = math.log2(per_mask) + config.max_branch
+    if refusal := over_budget("one sampled model", bits, SAMPLE_BLOCK_ENTRIES.bit_length() - 1):
+        raise ValueError(refusal)
     return per_mask << config.max_branch
 
 
@@ -257,8 +254,8 @@ def deterministic_maximum(config: NetworkConfig):
     if config.n != 1:
         raise ValueError("enumeration certifies the bound only for one source")
     size = config.max_branch
-    if size > MAX_ENUMERATION_BRANCHES:
-        raise ValueError(f"enumeration limited to {MAX_ENUMERATION_BRANCHES} branches")
+    if refusal := over_budget("the enumeration", 3 * size):  # entries[x, code]
+        raise ValueError(refusal)
     # answers[k, s, code]: bit 2k + s of the response code.
     codes = np.arange(1 << (2 * size))
     answers = (codes >> np.arange(2 * size)[:, None]).reshape(size, 2, -1) & 1

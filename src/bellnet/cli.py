@@ -38,13 +38,13 @@ from .inequality import (
     classical_bound,
     critical_visibility,
     find_critical_visibility,
+    kernel_cap,
     predicted_quantum_value,
     separable_spectrum,
-    subset_spectrum,
     sweep_value,
     truncated_spectrum,
 )
-from .network import NetworkConfig, xy_setting_map
+from .network import NetworkConfig, over_budget, xy_setting_map
 from .quantum import (
     custom_scheme,
     network_table,
@@ -66,11 +66,9 @@ MAX_SOURCES = 1 << 16
 # so the branch cap leaves a wide margin.  One call evaluates every grid
 # point at once, so the point count bounds its memory (a peak of about
 # 130 MB at the cap, mostly the emitted rows).  region's grid**2 points
-# obey the same cap.
+# obey the same cap, and so does the saturating grid (about 30 us a point).
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
-# Bounds sample work: about 3 s per million trials at n=3, L=2, lattice 3.
-MAX_SAMPLE_TRIALS = 1 << 24
 
 VALUE_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
@@ -234,12 +232,20 @@ def _resolve_config(args, file_cfg: dict, parser: _Parser) -> NetworkConfig:
     return NetworkConfig.homogeneous(1 if n is None else n, size)
 
 
-def _resolve_scheme(args, file_cfg: dict, config: NetworkConfig, parser: _Parser):
-    kind = getattr(args, "scheme", None) or file_cfg.get("scheme")
-    if kind is None:
-        kind = "xy" if config.is_homogeneous() else "rotated"
-    scheme = xy_scheme(config) if kind == "xy" else rotated_scheme(config)
-    return kind, scheme, scheme_setting_map(scheme)
+def _network(args, parser: _Parser):
+    """The network that the flags and config file name; for commands that
+    take ``--scheme``, also the scheme, once the exact kernel fits."""
+    file_cfg = _load_file_config(args, parser)
+    config = _resolve_config(args, file_cfg, parser)
+    if "scheme" not in vars(args):
+        return config, None
+    if refusal := kernel_cap(config):
+        parser.error(refusal)
+    even = config.is_homogeneous()
+    kind = args.scheme or file_cfg.get("scheme") or ("xy" if even else "rotated")
+    if kind == "xy" and not even:
+        parser.error("the xy scheme requires a homogeneous network")
+    return config, xy_scheme(config) if kind == "xy" else rotated_scheme(config)
 
 
 def _run_spec(command: str, config: NetworkConfig | None, seed=None, **extra) -> dict:
@@ -260,14 +266,12 @@ def _fits(report: dict, check: str, cap: str | None) -> bool:
 
 
 def cmd_violate(args, parser: _Parser) -> int:
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
-    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
-    predicted = predicted_quantum_value(config, kind)
+    config, scheme = _network(args, parser)
+    predicted = predicted_quantum_value(config, scheme.kind)
     bound = classical_bound(config)
     kernel = bell_value(separable_spectrum(scheme))
     report = {
-        "run": _run_spec("violate", config, scheme=kind),
+        "run": _run_spec("violate", config, scheme=scheme.kind),
         "predicted_value": predicted,
         "classical_bound": bound,
         "violated": kernel > bound + VALUE_TOL,
@@ -275,7 +279,8 @@ def cmd_violate(args, parser: _Parser) -> int:
     }
     checks = {"kernel_matches_closed_form": abs(kernel - predicted) <= VALUE_TOL}
     if _fits(report, "simulation_matches_closed_form", separable_table_cap(config)):
-        simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+        table = network_table(scheme)
+        simulated = bell_value(truncated_spectrum(table, scheme_setting_map(scheme)))
         report["simulated_value"] = simulated
         checks["simulation_matches_closed_form"] = abs(simulated - predicted) <= VALUE_TOL
     report["checks"] = checks
@@ -312,7 +317,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
         for idx in probes:
             t0, t1, value = rows[idx]
             table = network_table(custom_scheme(config, t0, t1))
-            simulated = bell_value(subset_spectrum(table, xy_setting_map(size)))
+            simulated = bell_value(truncated_spectrum(table, xy_setting_map(size)))
             ok = ok and abs(simulated - value) <= VALUE_TOL
         checked = "ok" if ok else "FAILED"
         check_line = f"simulation check at {len(probes)} probes: {checked}"
@@ -338,19 +343,17 @@ def cmd_sweep(args, parser: _Parser) -> int:
 
 
 def cmd_noise(args, parser: _Parser) -> int:
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
-    kind, scheme, _ = _resolve_scheme(args, file_cfg, config, parser)
-    predicted = predicted_quantum_value(config, kind)
+    config, scheme = _network(args, parser)
+    predicted = predicted_quantum_value(config, scheme.kind)
     bound = classical_bound(config)
     report = {
-        "run": _run_spec("noise", config, scheme=kind),
+        "run": _run_spec("noise", config, scheme=scheme.kind),
         "closed_form_visibility": critical_visibility(config),
     }
     # find_critical_visibility certifies the kernel's crossing on tables that fit
     _fits(report, "bracket_certified", separable_table_cap(config))
     try:
-        found = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
+        found, top = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
         # The simulated tables contradict the white-noise scaling law.
         report["error"] = str(exc)
@@ -359,14 +362,10 @@ def cmd_noise(args, parser: _Parser) -> int:
     if found is None:
         report["no_violation"] = True
     else:
-        # Crossings compare in log2, where none underflows; where the found
-        # one does, the kernel's top gives n log2(bound/top).  A violation
+        # Crossings compare in log2, where none underflows.  A violation
         # puts each n/2 or more from zero, and top carries a relative
         # rounding of about (n + 2**Lmax) eps, far inside VALUE_TOL.
-        if found >= sys.float_info.min:
-            log2_found = math.log2(found)
-        else:
-            log2_found = config.n * math.log2(bound / bell_value(separable_spectrum(scheme)))
+        log2_found = config.n * math.log2(bound / top)
         log2_expected = config.n * math.log2(bound / predicted)
         close = functools.partial(math.isclose, rel_tol=VALUE_TOL)
         report["bisection_visibility"] = found
@@ -378,8 +377,7 @@ def cmd_noise(args, parser: _Parser) -> int:
 
 
 def cmd_classical(args, parser: _Parser) -> int:
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
+    config, _ = _network(args, parser)
     bound = classical_bound(config)
     seed = 0 if args.seed is None else args.seed
     report = {
@@ -390,6 +388,11 @@ def cmd_classical(args, parser: _Parser) -> int:
     if args.mode == "saturating":
         if not config.is_homogeneous():
             parser.error("the saturating family needs an even network")
+        if args.grid > MAX_SWEEP_POINTS:
+            parser.error(f"--grid {args.grid} gives more than {MAX_SWEEP_POINTS} points")
+        bits = math.log2(args.grid) + config.max_branch
+        if refusal := over_budget("the saturating grid", bits):
+            parser.error(refusal)
         n = config.n
         best = 0.0
         for p in np.linspace(0.0, 1.0, args.grid):
@@ -400,11 +403,12 @@ def cmd_classical(args, parser: _Parser) -> int:
         checks["grid_maximum_saturates_bound"] = abs(best - 1.0) <= 1e-12
         if _fits(report, "table_route_saturates_bound", separable_table_cap(config)):
             table = saturating_table(0.375, config)
-            via_table = bell_value(subset_spectrum(table, xy_setting_map(config.max_branch)))
+            via_table = bell_value(truncated_spectrum(table, xy_setting_map(config.max_branch)))
             checks["table_route_saturates_bound"] = abs(via_table - 1.0) <= 1e-12
     elif args.mode == "sample":
-        if args.trials > MAX_SAMPLE_TRIALS:
-            parser.error(f"--trials {args.trials} is more than {MAX_SAMPLE_TRIALS}")
+        # about 3 s per million trials at n=3, L=2, lattice 3
+        if refusal := over_budget(f"--trials {args.trials}", math.log2(args.trials)):
+            parser.error(refusal)
         last = MAX_SAMPLE_SEED + 1 - args.trials
         if not 0 <= seed <= last:
             parser.error(f"--seed must lie in 0..{last} for {args.trials} trials, got {seed}")
@@ -443,8 +447,7 @@ def cmd_region(args, parser: _Parser) -> int:
         parser.error(
             f"--grid {args.grid} gives {args.grid**2} points, more than {MAX_SWEEP_POINTS}"
         )
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
+    config, _ = _network(args, parser)
     names, rows = region_slice(config, args.fixed_value, args.grid, args.fixed_mask, args.tol)
     tol = args.tol if args.tol is not None else config.n / (args.grid - 1)
     run = _run_spec(
@@ -469,9 +472,8 @@ def cmd_region(args, parser: _Parser) -> int:
 
 
 def cmd_swap(args, parser: _Parser) -> int:
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
-    kind, scheme, setting_map = _resolve_scheme(args, file_cfg, config, parser)
+    config, scheme = _network(args, parser)
+    setting_map = scheme_setting_map(scheme)
     custom = args.conditioning is not None
     try:
         if custom:
@@ -484,9 +486,10 @@ def cmd_swap(args, parser: _Parser) -> int:
     spectrum = swap_spectrum(config, scheme.branch_angles, conditioning)
     swap_bell = bell_value(spectrum)
     separable_bell = bell_value(separable_spectrum(scheme))
-    run = _run_spec("swap", config, scheme=kind, conditioning="custom" if custom else "default")
     report = {
-        "run": run,
+        "run": _run_spec(
+            "swap", config, scheme=scheme.kind, conditioning="custom" if custom else "default"
+        ),
         "swap_value": swap_bell,
         "separable_value": separable_bell,
         "classical_bound": classical_bound(config),
@@ -497,10 +500,9 @@ def cmd_swap(args, parser: _Parser) -> int:
     if _fits(report, "separable_matches_table", separable_table_cap(config)):
         simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
         checks["separable_matches_table"] = abs(simulated - separable_bell) <= VALUE_TOL
-    joint_bits = 2 * config.total + config.n  # log2 of 4**T * 2**n entries
     cap_bits = JOINT_CHECK_ELEMENTS.bit_length() - 1
-    joint_cap = f"the joint table would hold 2^{joint_bits} entries, over 2^{cap_bits}"
-    if _fits(report, "kernel_matches_joint_table", joint_cap if joint_bits > cap_bits else None):
+    joint_cap = over_budget("the joint table", 2 * config.total + config.n, cap_bits)
+    if _fits(report, "kernel_matches_joint_table", joint_cap):
         dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries
         # per entry, the noise floor of a sum over 2**(T+n) outcome words, as in bell_value
         tol = np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)
@@ -511,8 +513,7 @@ def cmd_swap(args, parser: _Parser) -> int:
 
 
 def cmd_bound(args, parser: _Parser) -> int:
-    file_cfg = _load_file_config(args, parser)
-    config = _resolve_config(args, file_cfg, parser)
+    config, _ = _network(args, parser)
     report = {
         "run": _run_spec("bound", config),
         "classical_bound": classical_bound(config),

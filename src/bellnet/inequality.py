@@ -26,8 +26,8 @@ from math import comb
 
 import numpy as np
 
-from .network import NetworkConfig, fwht, parity_signs, subset_setting_mask, subsets_of
-from .quantum import SIM_BUDGET_BITS, CorrelationTable, MeasurementScheme, network_table
+from .network import NetworkConfig, fwht, over_budget, parity_signs, subset_setting_mask
+from .quantum import CorrelationTable, MeasurementScheme, network_table
 from .quantum import scheme_setting_map, separable_table_cap
 
 _ENTRY_TOL = 1e-9
@@ -73,9 +73,14 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
         raise ValueError("need one center setting per subset mask")
     if setting_map.min() < 0 or setting_map.max() >= table.n_bob_settings:
         raise ValueError("setting map refers to a missing center setting")
-    words = subset_setting_mask(np.array(subsets_of(config.max_branch)), config)
+    words = subset_setting_mask(np.arange(1 << config.max_branch), config)
     spectrum = fwht(table_correlators(table)) / (1 << config.total)
     return SubsetSpectrum(config, spectrum[words, setting_map])
+
+
+def kernel_cap(config: NetworkConfig) -> str | None:
+    """The refusal of the exact kernel's ``(T, 2**max_branch)`` array, or None."""
+    return over_budget("the exact kernel", math.log2(config.total) + config.max_branch)
 
 
 def source_factors(config: NetworkConfig, branch_angles, turns) -> np.ndarray:
@@ -87,17 +92,14 @@ def source_factors(config: NetworkConfig, branch_angles, turns) -> np.ndarray:
     whose real part is a pure GHZ source's full correlator; ``i^turns`` is
     the center's phase.  A real part within ``L_j eps |P_j(X)|``, the
     rounding of ``L_j`` factors, counts as zero.  O(T 2**max_branch) work
-    and memory for T observers, refused past ``2**SIM_BUDGET_BITS``.
+    and memory for T observers, refused past :func:`kernel_cap`.
     """
     phases = np.exp(1j * np.asarray(branch_angles, dtype=np.float64))
     if phases.shape != (config.total, 2):
         raise ValueError("branch_angles must have shape (total observers, 2)")
-    masks = np.arange(len(subsets_of(config.max_branch)))
-    bits = math.log2(config.total) + config.max_branch  # of T * 2**Lmax entries
-    if bits > SIM_BUDGET_BITS:
-        raise ValueError(
-            f"the exact kernel would hold 2^{bits:.1f} entries, over 2^{SIM_BUDGET_BITS}"
-        )
+    if refusal := kernel_cap(config):
+        raise ValueError(refusal)
+    masks = np.arange(1 << config.max_branch)
     # Observer t, the k-th of its source, takes d_t where bit k of X is set.
     k = np.arange(config.total) - np.repeat(config.offsets, config.branches)
     first, second = phases[:, :1], phases[:, 1:]
@@ -123,13 +125,6 @@ def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSp
     if visibilities is not None:
         factors *= np.reshape(visibilities, (config.n, 1))  # noise only scales
     return SubsetSpectrum(config, factors.prod(axis=0), factors)
-
-
-def subset_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
-    """Spectrum for an even network (every source the same branch count)."""
-    if not table.config.is_homogeneous():
-        raise ValueError("uneven network: use truncated_spectrum")
-    return truncated_spectrum(table, setting_map)
 
 
 def bell_value(spectrum: SubsetSpectrum) -> float:
@@ -182,7 +177,8 @@ def find_critical_visibility(
     config: NetworkConfig, scheme: MeasurementScheme, tol: float = 1e-6
 ):
     """The total visibility at which the scheme stops violating, certified
-    on simulated tables when :func:`separable_table_cap` lets them fit.
+    on simulated tables when :func:`separable_table_cap` lets them fit, and
+    the noiseless value ``top`` it is read from.
 
     The total visibility V is split evenly as V**(1/n) per source.  White
     noise has no full correlator, so every spectrum entry is V times its
@@ -190,9 +186,10 @@ def find_critical_visibility(
     noiseless value ``top`` from :func:`separable_spectrum`.  The crossing
     is therefore V* = (bound/top)**n, and two noisy simulations certify it:
     value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
-    [0, 1].  Returns None when ``top`` does not exceed the bound, once one
-    noiseless simulation agrees; raises ArithmeticError when the simulated
-    tables contradict the kernel.
+    [0, 1].  The crossing is None when ``top`` does not exceed the bound,
+    once one noiseless simulation agrees, and it underflows to 0.0 where
+    ``n log2(bound/top)`` does not; raises ArithmeticError when the
+    simulated tables contradict the kernel.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -207,14 +204,14 @@ def find_critical_visibility(
     top = bell_value(separable_spectrum(scheme))
     crossing = (bound / top) ** config.n if top > bound + 1e-9 else None
     if separable_table_cap(config) is not None:
-        return crossing  # the certificate tables would not fit
+        return crossing, top  # the certificate tables would not fit
     if crossing is None:
         noiseless = value_at(1.0)
         if noiseless > bound + 1e-9:
             raise ArithmeticError(
                 f"simulated noiseless value {noiseless!r} exceeds the bound {bound!r}"
             )
-        return None
+        return None, top
     lo, hi = max(crossing - tol / 2, 0.0), min(crossing + tol / 2, 1.0)
     low, high = value_at(lo), value_at(hi)
     if not low <= bound < high:
@@ -222,7 +219,7 @@ def find_critical_visibility(
             f"simulated values {low!r} at {lo!r} and {high!r} at {hi!r} "
             f"do not bracket the bound {bound!r}"
         )
-    return crossing
+    return crossing, top
 
 
 def contribution_count(size: int, residue: int) -> int:

@@ -20,14 +20,26 @@ Every parity rule over such words reads one Walsh–Hadamard core,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-# Subset enumeration is dense over 2**L masks; cap L so callers cannot ask
-# for an array that will not fit in memory.
-MAX_SUBSET_BITS = 20
+# Every size guard states its step's largest array as 2**bits entries and
+# holds it to this budget (128 MiB of float64) through over_budget.
+BUDGET_BITS = 24
+
+
+def over_budget(what: str, bits, budget: int = BUDGET_BITS) -> str | None:
+    """None when ``what``, holding ``2**bits`` entries, fits ``2**budget``;
+    else the refusal, with ``bits`` rounded up to a tenth so that it never
+    prints as the budget itself."""
+    if bits <= budget:
+        return None
+    tenths = math.ceil(bits * 10)
+    shown = f"{tenths // 10}" if tenths % 10 == 0 else f"{tenths // 10}.{tenths % 10}"
+    return f"{what} would hold 2^{shown} entries, over 2^{budget}"
 
 
 @dataclass(frozen=True)
@@ -100,8 +112,10 @@ class NetworkConfig:
 
 def subsets_of(size: int) -> range:
     """All subsets of ``{1..size}`` as bitmasks, in ascending-mask order."""
-    if not 1 <= size <= MAX_SUBSET_BITS:
-        raise ValueError(f"subset universe size must be in 1..{MAX_SUBSET_BITS}")
+    if size < 1:
+        raise ValueError("a subset universe needs at least one position")
+    if refusal := over_budget("the subset universe", size):
+        raise ValueError(refusal)
     return range(1 << size)
 
 

@@ -41,25 +41,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import NetworkConfig, parity_signs, rotated_setting_map, xy_setting_map
+from .network import NetworkConfig, over_budget, parity_signs, rotated_setting_map, xy_setting_map
 
 HALF_PI = math.pi / 2
-
-# A joint (swap) table holds 4**T * 2**n probabilities (64 MiB at T + n = 12);
-# one source over its setting words 4**L * n_settings * 2 and 2 * 4**L amplitudes.
-MAX_STATE_QUBITS = 12
-MAX_SOURCE_BRANCHES = 10
-# Largest separable table (elements) a check builds; also bounds the kernel's array.
-SIM_BUDGET_BITS = 24
-SIM_BUDGET_ELEMENTS = 1 << SIM_BUDGET_BITS
 
 _NORM_TOL = 1e-12
 
 
 def ghz_state(m: int) -> np.ndarray:
     """GHZ state of ``m`` qubits: equal superposition of all-0 and all-1."""
-    if not 1 <= m <= MAX_STATE_QUBITS:
-        raise ValueError(f"qubit count must be in 1..{MAX_STATE_QUBITS}")
+    if m < 1:
+        raise ValueError("a GHZ state needs at least one qubit")
+    if refusal := over_budget("the GHZ state", m):
+        raise ValueError(refusal)
     psi = np.zeros(1 << m, dtype=np.complex128)
     psi[0] = psi[-1] = 1 / math.sqrt(2)
     return psi
@@ -141,8 +135,10 @@ def single_source_table(
     white noise of weight ``1 - visibility`` is then mixed into the
     squared amplitudes linearly, which is exact for any measurement plane.
     """
-    if not 1 <= size <= MAX_SOURCE_BRANCHES:
-        raise ValueError(f"branch count must be in 1..{MAX_SOURCE_BRANCHES}")
+    # values[x, y, a, b]: 4**size * 2 entries per center setting
+    bits = 2 * size + math.log2(len(bob_angles)) + 1
+    if refusal := over_budget("one source's table", bits):
+        raise ValueError(refusal)
     angles = np.asarray(branch_angles, dtype=np.float64)
     if angles.shape != (size, 2):
         raise ValueError(f"branch_angles must have shape ({size}, 2)")
@@ -319,13 +315,8 @@ def bob_setting_count(config: NetworkConfig) -> int:
 
 
 def separable_table_cap(config: NetworkConfig) -> str | None:
-    """None when :func:`network_table` fits ``config``, else the cap it passes."""
-    bits = 2 * config.total + len(config.block_sizes) + 1  # log2 of the elements
-    if bits > SIM_BUDGET_BITS:
-        return f"the separable table would hold 2^{bits} entries, over 2^{SIM_BUDGET_BITS}"
-    if config.max_branch > MAX_SOURCE_BRANCHES:
-        return f"one source has {config.max_branch} branches, over {MAX_SOURCE_BRANCHES}"
-    return None
+    """The refusal of :func:`network_table`'s array, or None; each source's is smaller."""
+    return over_budget("the separable table", 2 * config.total + len(config.block_sizes) + 1)
 
 
 def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTable:
@@ -370,9 +361,8 @@ def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     products is the last source's amplitudes times those of the rest,
     formed into one reused buffer.
     """
-    m = config.total + config.n
-    if m > MAX_STATE_QUBITS:
-        raise ValueError(f"total qubit count {m} exceeds {MAX_STATE_QUBITS}")
+    if refusal := over_budget("the joint table", 2 * config.total + config.n):
+        raise ValueError(refusal)
     angles = np.asarray(branch_angles, dtype=np.float64)
     if angles.shape != (config.total, 2):
         raise ValueError("branch_angles must have shape (total observers, 2)")

@@ -26,7 +26,6 @@ from bellnet.inequality import (
     find_critical_visibility,
     predicted_quantum_value,
     single_experiment_value,
-    subset_spectrum,
     sweep_value,
     table_correlators,
     truncated_spectrum,
@@ -65,7 +64,7 @@ def test_criterion_01_violation_table():
                 (rotated_scheme(cfg), 2.0 ** (size / 2.0)),
             ):
                 table = network_table(scheme)
-                spec = subset_spectrum(table, scheme_setting_map(scheme))
+                spec = truncated_spectrum(table, scheme_setting_map(scheme))
                 worst = max(worst, abs(bell_value(spec) - expected))
     elapsed = time.monotonic() - start
     ok = worst < 1e-9 and elapsed < 60.0
@@ -132,7 +131,7 @@ def test_criterion_05_critical_visibility():
     worst = 0.0
     for cfg, kind in cases:
         scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
-        found = find_critical_visibility(cfg, scheme, tol=1e-6)
+        found, _ = find_critical_visibility(cfg, scheme, tol=1e-6)
         worst = max(worst, abs(found - critical_visibility(cfg)))
     verdict(5, f"bisection reproduces 2^(-sum(L)/2) (worst {worst:.2e})", worst < 1e-6)
 

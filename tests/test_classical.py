@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from bellnet import classical
 from bellnet.classical import (
-    MAX_ENUMERATION_BRANCHES,
     deterministic_maximum,
     geometric_mean_inequality_sides,
     model_table,
@@ -26,7 +25,6 @@ from bellnet.classical import (
 from bellnet.inequality import (
     bell_value,
     classical_bound,
-    subset_spectrum,
     truncated_spectrum,
 )
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
@@ -83,7 +81,7 @@ def test_saturating_table_matches_formula(n, size):
     for _ in range(10):
         p = RNG.uniform(0.0, 1.0, (n, size))
         table = saturating_table(p, cfg)
-        spec = subset_spectrum(table, smap)
+        spec = truncated_spectrum(table, smap)
         assert np.abs(spec.entries - saturating_entries(p, cfg)).max() < 1e-12
 
 
@@ -91,7 +89,7 @@ def test_saturating_table_odd_branch_count():
     cfg = NetworkConfig.homogeneous(2, 1)
     smap = xy_setting_map(1)
     p = np.array([[0.25], [0.8]])
-    spec = subset_spectrum(saturating_table(p, cfg), smap)
+    spec = truncated_spectrum(saturating_table(p, cfg), smap)
     assert np.abs(spec.entries - saturating_entries(p, cfg)).max() < 1e-12
 
 
@@ -238,7 +236,7 @@ def test_single_point_lattice_is_deterministic():
     smap = xy_setting_map(2)
     for seed in range(20):
         model = sample_model(seed, cfg, lattice=1)
-        spec = subset_spectrum(model_table(model), smap)
+        spec = truncated_spectrum(model_table(model), smap)
         assert np.all(np.isin(spec.entries, [-1.0, 0.0, 1.0]))
 
 
@@ -279,11 +277,11 @@ def test_model_mixture_spectrum_is_convex_combination():
     smap = xy_setting_map(2)
     t1 = model_table(sample_model(1, cfg))
     t2 = model_table(sample_model(2, cfg))
-    s1 = subset_spectrum(t1, smap).entries
-    s2 = subset_spectrum(t2, smap).entries
+    s1 = truncated_spectrum(t1, smap).entries
+    s2 = truncated_spectrum(t2, smap).entries
     for lam in (0.2, 0.5, 0.8):
         mixed = CorrelationTable(cfg, lam * t1.values + (1 - lam) * t2.values)
-        got = subset_spectrum(mixed, smap).entries
+        got = truncated_spectrum(mixed, smap).entries
         assert np.abs(got - (lam * s1 + (1 - lam) * s2)).max() < 1e-12
 
 
@@ -322,17 +320,16 @@ def test_deterministic_maximum_matches_enumeration():
 def test_deterministic_maximum_contains_certain_strategy():
     # answering the source bit and never flipping is one maximizer
     cfg = NetworkConfig.homogeneous(1, 2)
-    spec = subset_spectrum(saturating_table(1.0, cfg), xy_setting_map(2))
+    spec = truncated_spectrum(saturating_table(1.0, cfg), xy_setting_map(2))
     assert bell_value(spec) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_deterministic_maximum_guards():
     with pytest.raises(ValueError):
         deterministic_maximum(NetworkConfig.homogeneous(2, 2))
-    with pytest.raises(ValueError):
-        deterministic_maximum(
-            NetworkConfig.homogeneous(1, MAX_ENUMERATION_BRANCHES + 1)
-        )
+    # entries[x, code] holds 2**L * 4**L values
+    with pytest.raises(ValueError, match=r"^the enumeration would hold 2\^27 entries, over 2\^24$"):
+        deterministic_maximum(NetworkConfig.homogeneous(1, 9))
 
 
 def test_region_slice_nonempty():

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,8 @@ import pytest
 
 from bellnet import cli
 from bellnet import inequality
+from bellnet import network
+from bellnet import quantum
 from bellnet import swap as swap_module
 from bellnet.inequality import sweep_value
 
@@ -53,7 +56,6 @@ def _computed(capsys, argv):
 
 SEPARABLE_CAP = "the separable table would hold 2^{} entries, over 2^24"
 JOINT_CAP = "the joint table would hold 2^{} entries, over 2^16"
-BRANCH_CAP = "one source has 11 branches, over 10"
 
 
 def test_version():
@@ -105,7 +107,8 @@ def test_violate_oversized_network_skips_simulation(monkeypatch, capsys):
 
 
 def test_violate_largest_single_source_is_simulated():
-    report = run_json("violate", "--n", "1", "--L", "10", timeout=60)
+    # 4**11 * 2 * 2 entries: the table budget exactly
+    report = run_json("violate", "--n", "1", "--L", "11", timeout=60)
     assert report["simulated_value"] == 32.0
     assert report["checks"]["simulation_matches_closed_form"] is True
     assert "skipped_checks" not in report
@@ -118,13 +121,13 @@ def test_violate_largest_single_source_is_simulated():
     ids=["violate-network_table", "noise-find_critical_visibility"],
 )
 def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, check):
-    # 4**11 * 2 * 2 elements fit the table budget, but one source of 11
-    # branches exceeds the single-source simulator's cap: the kernel alone
-    # gives the value, and the report says which check the cap skipped.
+    # one source of 12 branches: 4**12 * 2 * 2 entries are past the table
+    # budget, so the kernel alone gives the value, and the report says
+    # which check the budget skipped.
     monkeypatch.setattr(cli, "network_table", _no_simulation)
     monkeypatch.setattr(inequality, "network_table", _no_simulation)
-    report = _computed(capsys, [command, "--n", "1", "--L", "11"])
-    assert report["skipped_checks"] == {check: BRANCH_CAP}
+    report = _computed(capsys, [command, "--n", "1", "--L", "12"])
+    assert report["skipped_checks"] == {check: SEPARABLE_CAP.format(26)}
     assert all(report["checks"].values())
 
 
@@ -280,6 +283,22 @@ def test_noise_compares_tiny_crossings_in_log2(capsys, n):
     assert report["checks"] == {"bisection_matches_scheme_crossing": True}
 
 
+def test_noise_runs_the_kernel_once_where_the_crossing_underflows(monkeypatch, capsys):
+    # 2**-1100 underflows: the log2 crossing comes from the kernel's one top
+    kernel, calls = inequality.separable_spectrum, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(inequality, "separable_spectrum", counted)
+    monkeypatch.setattr(cli, "separable_spectrum", counted)
+    report = _computed(capsys, ["noise", "--n", "1100", "--L", "2"])
+    assert report["bisection_visibility"] == 0.0
+    assert report["log2_bisection_visibility"] == pytest.approx(-1100, rel=1e-9)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("n", [65536, 600])
 def test_noise_wrong_kernel_exits_2(monkeypatch, capsys, n):
     # a kernel 1% high moves n log2(bound/top) by n log2(1.01), past the tolerance
@@ -367,7 +386,7 @@ def test_classical_sample():
         (2**64 - 2, 1000, "--seed"),
         (2**63 - 1, 2, "--seed"),
         (2**63 - 1000, 1001, "--seed"),
-        (0, cli.MAX_SAMPLE_TRIALS + 1, "--trials"),
+        (0, 2**24 + 1, "--trials"),
     ],
 )
 def test_sample_seeds_and_trials_beyond_limits_are_usage_errors(
@@ -568,17 +587,17 @@ def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
 
 
 def test_swap_beyond_separable_cap_is_refused(monkeypatch, capsys, tmp_path):
-    # one source of 11 branches passes the separable simulator's branch cap
-    # and the joint check's: the custom value is computed and unchecked
+    # one source of 12 branches passes the separable table's budget and the
+    # joint check's: the custom value is computed and unchecked
     path = tmp_path / "cond.json"
-    path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 11)}))
+    path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 12)}))
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     monkeypatch.setattr(cli, "network_table", _no_simulation)
-    report = _computed(capsys, ["swap", "--n", "1", "--L", "11", "--conditioning", str(path)])
+    report = _computed(capsys, ["swap", "--n", "1", "--L", "12", "--conditioning", str(path)])
     assert "checks" not in report
     assert report["skipped_checks"] == {
-        "separable_matches_table": BRANCH_CAP,
-        "kernel_matches_joint_table": JOINT_CAP.format(23),
+        "separable_matches_table": SEPARABLE_CAP.format(26),
+        "kernel_matches_joint_table": JOINT_CAP.format(25),
     }
 
 
@@ -678,8 +697,8 @@ def test_bound_beyond_1024_branches(capsys):
     "argv, message",
     [
         (["bound", "--L", "2100"], "too large for a float"),
-        (["classical", "--mode", "sample", "--L", "1100"], "one sampled model holds"),
-        (["classical", "--mode", "enumerate", "--L", "1100"], "enumeration limited"),
+        (["classical", "--mode", "sample", "--L", "1100"], "one sampled model would hold 2^1101"),
+        (["classical", "--mode", "enumerate", "--L", "1100"], "the enumeration would hold 2^3300"),
     ],
 )
 def test_huge_branch_counts_are_usage_errors(capsys, argv, message):
@@ -700,9 +719,75 @@ def test_huge_sampled_model_refusal_is_one_short_line(capsys, argv):
         cli.main(["classical", "--mode", "sample", *argv])
     assert exit_info.value.code == 1
     last = capsys.readouterr().err.splitlines()[-1]
-    assert last.startswith("bellnet classical: error: one sampled model holds ")
-    assert last.endswith(f" * 2^{argv[-1]} entries, over 2^22")
+    assert re.fullmatch(
+        r"bellnet classical: error: one sampled model would hold 2\^\d+ entries, over 2\^22", last
+    )
     assert len(last) < 100
+
+
+SEVENTEEN_SOURCES = ",".join(["16"] * 16 + ["1"])
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["violate", "--n", "1", "--L", "21"], "the exact kernel would hold 2^25.4 entries, over 2^24"),
+        (["violate", "--n", "4", "--L", "20"], "the exact kernel would hold 2^26.4 entries, over 2^24"),
+        (["violate", "--n", "1", "--L", "25"], "the exact kernel would hold 2^29.7 entries, over 2^24"),
+        # 257 observers: 2^24.006 entries, rounded up, never print as the budget
+        (["violate", "--branches", SEVENTEEN_SOURCES], "the exact kernel would hold 2^24.1 entries, over 2^24"),
+        (["classical", "--mode", "enumerate", "--L", "9"], "the enumeration would hold 2^27 entries, over 2^24"),
+        (
+            ["classical", "--n", "2", "--L", "16", "--lattice", "256", "--mode", "sample"],
+            "one sampled model would hold 2^32 entries, over 2^22",
+        ),
+        (
+            ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", str(2**24 + 1)],
+            "--trials 16777217 would hold 2^24.1 entries, over 2^24",
+        ),
+        (["classical", "--L", "18"], "the saturating grid would hold 2^24.7 entries, over 2^24"),
+    ],
+)
+def test_every_size_refusal_states_its_entries_against_the_budget(capsys, argv, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"bellnet {argv[0]}: error: {message}"
+
+
+@pytest.mark.parametrize("scheme", ["xy", "rotated"])
+def test_oversized_kernel_is_refused_before_any_setting_map(monkeypatch, capsys, scheme):
+    def no_map(*args, **kwargs):
+        raise AssertionError("built a setting map for a network the kernel refuses")
+
+    for module in (network, quantum, cli):
+        for name in ("xy_setting_map", "rotated_setting_map"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_map)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["violate", "--n", "1", "--L", "22", "--scheme", scheme])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.endswith("entries, over 2^24\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--L", "18"], "the saturating grid"),
+        (["--L", "1", "--grid", str(cli.MAX_SWEEP_POINTS + 1)], "--grid"),
+    ],
+)
+def test_saturating_grid_past_its_caps_is_refused_before_any_point(monkeypatch, capsys, argv, flag):
+    def no_entries(*args, **kwargs):
+        raise AssertionError("evaluated a saturating grid it should refuse")
+
+    monkeypatch.setattr(cli, "saturating_entries", no_entries)
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["classical", "--mode", "saturating", *argv])
+    assert exit_info.value.code == 1
+    assert f"error: {flag}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-1E+3"])

@@ -154,10 +154,10 @@ CLOSED_FORM = st.one_of(
         lambda nl: ["--n", str(nl[0]), "--L", str(nl[1])]
     ),
 )
-# Networks past a table cap: one source of 11..40 branches, or two
+# Networks past a table cap: one source of 12..40 branches, or two
 # sources whose separable or joint table is too large.
 OVERSIZED = st.one_of(
-    st.integers(11, 40).map(lambda L: ["--L", str(L)]),
+    st.integers(12, 40).map(lambda L: ["--L", str(L)]),
     st.integers(6, 12).map(lambda L: ["--n", "2", "--L", str(L)]),
 )
 SCHEME = _maybe("--scheme", st.sampled_from(["xy", "rotated"]))
@@ -241,10 +241,10 @@ def _no_table(*args, **kwargs):
     raise AssertionError("built a table for a network past its cap")
 
 
-# The usage errors left past the table caps: the subset universe, the
-# kernel's own array and the entangled center's odd source count.
+# The usage errors left past the table caps: the kernel's own array, in
+# the one form every size refusal takes, and the entangled center's odd
+# source count.
 KERNEL_LIMITS = (
-    "subset universe size must be in 1..20",
     "entries, over 2^24",
     "no default conditioning for an odd source count",
 )

@@ -23,16 +23,14 @@ from bellnet.inequality import (
     predicted_quantum_value,
     separable_spectrum,
     single_experiment_value,
-    subset_spectrum,
     sweep_value,
     table_correlators,
     truncated_spectrum,
 )
 from bellnet.classical import saturating_table
-from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
+from bellnet.network import BUDGET_BITS, NetworkConfig, rotated_setting_map, xy_setting_map
 from bellnet import inequality
 from bellnet.quantum import (
-    SIM_BUDGET_ELEMENTS,
     CorrelationTable,
     MeasurementScheme,
     network_table,
@@ -170,23 +168,16 @@ def test_table_correlators_copy_no_broadcast_view():
 
 def test_spectrum_of_uniform_table_is_zero():
     cfg = NetworkConfig.homogeneous(2, 2)
-    spec = subset_spectrum(CorrelationTable(cfg, uniform_table(cfg)), xy_setting_map(2))
+    spec = truncated_spectrum(CorrelationTable(cfg, uniform_table(cfg)), xy_setting_map(2))
     assert np.abs(spec.entries).max() < 1e-15
     assert bell_value(spec) == pytest.approx(0.0)
 
 
 def test_spectrum_two_sources_two_branches():
     cfg = NetworkConfig.homogeneous(2, 2)
-    spec = subset_spectrum(network_table(xy_scheme(cfg)), xy_setting_map(2))
+    spec = truncated_spectrum(network_table(xy_scheme(cfg)), xy_setting_map(2))
     assert np.abs(np.abs(spec.entries) - 0.25).max() < 1e-12
     assert bell_value(spec) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_spectrum_requires_homogeneous():
-    cfg = NetworkConfig(2, (1, 2))
-    table = network_table(rotated_scheme(cfg))
-    with pytest.raises(ValueError):
-        subset_spectrum(table, rotated_setting_map(cfg))
 
 
 def test_truncated_spectrum_heterogeneous():
@@ -204,19 +195,19 @@ def test_truncated_reduces_to_plain_on_homogeneous():
     table = network_table(xy_scheme(cfg))
     smap = xy_setting_map(2)
     a = truncated_spectrum(table, smap).entries
-    b = subset_spectrum(table, smap).entries
-    assert np.array_equal(a, b)
+    b = direct_spectrum(table.values, cfg.branches, smap)
+    assert np.abs(a - b).max() < 1e-12
 
 
 def test_spectrum_setting_map_validation():
     cfg = NetworkConfig.homogeneous(1, 2)
     table = network_table(xy_scheme(cfg))
     with pytest.raises(ValueError):
-        subset_spectrum(table, np.zeros(3, dtype=int))
+        truncated_spectrum(table, np.zeros(3, dtype=int))
     with pytest.raises(ValueError):
-        subset_spectrum(table, np.full(4, 5))
+        truncated_spectrum(table, np.full(4, 5))
     with pytest.raises(ValueError):
-        subset_spectrum(table, np.arange(4))  # table has 2 settings
+        truncated_spectrum(table, np.arange(4))  # table has 2 settings
 
 
 def test_spectrum_linearity_under_table_mixing():
@@ -226,9 +217,9 @@ def test_spectrum_linearity_under_table_mixing():
     t2 = _random_table(cfg, seed=2)
     for lam in (0.25, 0.5, 0.9):
         mixed = CorrelationTable(cfg, lam * t1.values + (1 - lam) * t2.values)
-        got = subset_spectrum(mixed, smap).entries
-        want = lam * subset_spectrum(t1, smap).entries
-        want += (1 - lam) * subset_spectrum(t2, smap).entries
+        got = truncated_spectrum(mixed, smap).entries
+        want = lam * truncated_spectrum(t1, smap).entries
+        want += (1 - lam) * truncated_spectrum(t2, smap).entries
         assert np.abs(got - want).max() < 1e-12
 
 
@@ -236,10 +227,10 @@ def test_spectrum_scales_linearly_with_visibility():
     cfg = NetworkConfig.homogeneous(2, 2)
     scheme = xy_scheme(cfg)
     smap = xy_setting_map(2)
-    full = subset_spectrum(network_table(scheme), smap).entries
+    full = truncated_spectrum(network_table(scheme), smap).entries
     for vis in RNG.uniform(0.0, 1.0, 10):
         noisy = network_table(scheme, (vis, 1.0))
-        got = subset_spectrum(noisy, smap).entries
+        got = truncated_spectrum(noisy, smap).entries
         assert np.abs(got - vis * full).max() < 1e-12
 
 
@@ -292,13 +283,14 @@ def test_critical_visibility_values():
 
 def test_find_critical_visibility_bisection():
     cfg = NetworkConfig.homogeneous(2, 2)
-    got = find_critical_visibility(cfg, xy_scheme(cfg))
+    got, top = find_critical_visibility(cfg, xy_scheme(cfg))
     assert got == pytest.approx(0.25, abs=1e-6)
+    assert top == pytest.approx(2.0, abs=1e-12)
 
     # CHSH: the xy angles do not violate, the rotated ones do
     chsh = NetworkConfig.homogeneous(1, 1)
-    assert find_critical_visibility(chsh, xy_scheme(chsh)) is None
-    got = find_critical_visibility(chsh, rotated_scheme(chsh))
+    assert find_critical_visibility(chsh, xy_scheme(chsh))[0] is None
+    got, _ = find_critical_visibility(chsh, rotated_scheme(chsh))
     assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
@@ -355,7 +347,7 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
         return network_table(*args, **kwargs)
 
     monkeypatch.setattr(inequality, "network_table", counted)
-    found = find_critical_visibility(cfg, scheme, tol=1e-6)
+    found, _ = find_critical_visibility(cfg, scheme, tol=1e-6)
     # top comes from the exact kernel; the tables certify both ends of the
     # bracket, or that the noiseless network does not violate
     assert len(calls) == (1 if expected is None else 2)
@@ -418,7 +410,7 @@ def test_separable_kernel_at_full_visibility(branches):
 SCALE_NETWORKS = st.one_of(
     st.tuples(st.integers(1, 64), st.integers(1, 10)).map(lambda nl: (nl[1],) * nl[0]),
     st.lists(st.integers(1, 10), min_size=2, max_size=64),
-).filter(lambda b: sum(b) << max(b) <= SIM_BUDGET_ELEMENTS)
+).filter(lambda b: sum(b) << max(b) <= 1 << BUDGET_BITS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,7 +444,7 @@ def test_table_bell_value_past_the_float_exponent_range():
 
 def test_kernel_refuses_an_array_past_the_budget():
     cfg = NetworkConfig.homogeneous(4, 20)
-    with pytest.raises(ValueError, match=r"the exact kernel would hold 2\^26.3 entries, over 2\^24"):
+    with pytest.raises(ValueError, match=r"the exact kernel would hold 2\^26.4 entries, over 2\^24"):
         separable_spectrum(rotated_scheme(cfg))
 
 

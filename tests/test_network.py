@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellnet.network import (
-    MAX_SUBSET_BITS,
+    BUDGET_BITS,
     NetworkConfig,
+    over_budget,
     rotated_setting_map,
     subset_setting_mask,
     subsets_of,
@@ -66,11 +67,27 @@ def test_config_json_round_trip():
 
 def test_subsets_of():
     assert list(subsets_of(2)) == [0, 1, 2, 3]
-    assert len(subsets_of(MAX_SUBSET_BITS)) == 1 << MAX_SUBSET_BITS
+    assert len(subsets_of(BUDGET_BITS)) == 1 << BUDGET_BITS
     with pytest.raises(ValueError):
         subsets_of(0)
-    with pytest.raises(ValueError):
-        subsets_of(MAX_SUBSET_BITS + 1)
+    with pytest.raises(ValueError, match=r"^the subset universe would hold 2\^25 entries, over 2\^24$"):
+        subsets_of(BUDGET_BITS + 1)
+
+
+@pytest.mark.parametrize(
+    "bits, budget, message",
+    [
+        (24, 24, None),
+        (16.5, 16, "x would hold 2^16.5 entries, over 2^16"),
+        (26, 24, "x would hold 2^26 entries, over 2^24"),
+        # rounded up, so a step just past the budget never prints as the budget
+        (24.006, 24, "x would hold 2^24.1 entries, over 2^24"),
+        (26.32, 24, "x would hold 2^26.4 entries, over 2^24"),
+        (3 * 10**400, 24, f"x would hold 2^{3 * 10**400} entries, over 2^24"),
+    ],
+)
+def test_over_budget(bits, budget, message):
+    assert over_budget("x", bits, budget) == message
 
 
 def test_subset_setting_mask_examples():

@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellnet.network import NetworkConfig
+from bellnet.network import BUDGET_BITS, NetworkConfig
 from bellnet.quantum import (
     HALF_PI,
-    MAX_SOURCE_BRANCHES,
-    MAX_STATE_QUBITS,
     CorrelationTable,
     MeasurementScheme,
     compose_network,
@@ -44,9 +42,9 @@ def test_ghz_state_small():
     s = 1.0 / math.sqrt(2.0)
     assert np.allclose(ghz_state(1), [s, s])
     assert np.allclose(ghz_state(2), [s, 0.0, 0.0, s])
-    assert abs(np.linalg.norm(ghz_state(MAX_STATE_QUBITS)) - 1.0) < 1e-12
-    with pytest.raises(ValueError):
-        ghz_state(MAX_STATE_QUBITS + 1)
+    assert abs(np.linalg.norm(ghz_state(12)) - 1.0) < 1e-12
+    with pytest.raises(ValueError, match=r"^the GHZ state would hold 2\^25 entries, over 2\^24$"):
+        ghz_state(BUDGET_BITS + 1)
     with pytest.raises(ValueError):
         ghz_state(0)
 
@@ -122,8 +120,9 @@ def test_single_source_visibility_linearity():
 
 
 def test_single_source_guards():
-    with pytest.raises(ValueError):
-        single_source_table(MAX_SOURCE_BRANCHES + 1, np.zeros((11, 2)))
+    # 4**12 * 2 settings * 2 parity bits: past the budget
+    with pytest.raises(ValueError, match=r"^one source's table would hold 2\^26 entries, over 2\^24$"):
+        single_source_table(12, np.zeros((12, 2)))
     with pytest.raises(ValueError):
         single_source_table(2, np.zeros((3, 2)))
     for vis in (1.5, -0.1):
@@ -341,7 +340,7 @@ def test_swap_joint_table_matches_oracle(data, branches):
 
 
 def test_swap_joint_table_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the joint table would hold 2\^26 entries, over 2\^24$"):
         swap_joint_table(NetworkConfig.homogeneous(2, 6), np.zeros((12, 2)))
     with pytest.raises(ValueError):
         swap_joint_table(NetworkConfig.homogeneous(2, 1), np.zeros((3, 2)))
