@@ -31,12 +31,11 @@ def _check_probabilities(p: np.ndarray) -> None:
 
 
 def saturating_probabilities(p, config: NetworkConfig) -> np.ndarray:
-    """Broadcast ``p`` to one response probability per (source, branch)."""
+    """Broadcast ``p`` to one response probability per (source, branch), after its leading axes."""
     if not config.is_homogeneous():
         raise ValueError("the saturating family is defined on even networks")
-    arr = np.broadcast_to(
-        np.asarray(p, dtype=np.float64), (config.n, config.max_branch)
-    ).copy()
+    p = np.asarray(p, dtype=np.float64)
+    arr = np.broadcast_to(p, np.broadcast_shapes(p.shape, (config.n, config.max_branch))).copy()
     _check_probabilities(arr)
     return arr
 
@@ -48,12 +47,14 @@ def saturating_entries(p, config: NetworkConfig) -> np.ndarray:
     Source-symmetric p makes the entries a product distribution over branch
     positions, so the Bell value hits the classical bound exactly: the
     Kronecker product over positions k of (prod_j p_j^k, prod_j (1-p_j^k)).
+    Leading axes of ``p``, such as a ``(G, 1, 1)`` grid, lead the entries too.
     """
     arr = saturating_probabilities(p, config)
     subsets_of(config.max_branch)  # bounds the 2**max_branch entries
-    entries = np.ones(1)
-    for outside, inside in zip(arr.prod(axis=0), (1.0 - arr).prod(axis=0)):
-        entries = np.multiply.outer([outside, inside], entries).ravel()
+    pairs = np.stack([arr.prod(axis=-2), (1.0 - arr).prod(axis=-2)], axis=-1)  # (..., L, 2)
+    entries = np.ones(arr.shape[:-2] + (1,))
+    for k in range(config.max_branch):
+        entries = (pairs[..., k, :, None] * entries[..., None, :]).reshape(*arr.shape[:-2], -1)
     return entries
 
 
@@ -68,6 +69,8 @@ def saturating_table(p, config: NetworkConfig) -> CorrelationTable:
     The table's values are a read-only view that repeats one setting.
     """
     arr = saturating_probabilities(p, config)
+    if arr.ndim != 2:
+        raise ValueError("the saturating table takes one probability per observer, not a grid")
     tables = []
     for probs in arr:
         # given[x, a]: probability of outcome word a at setting word x when
@@ -184,8 +187,8 @@ def model_table(model: SampledModel) -> CorrelationTable:
     return CorrelationTable(config, values)
 
 
-def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
-    """Spectrum entries for many seeded models at once.
+def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
+    """Spectrum entries on the xy setting map for many seeded models at once.
 
     Works on the factorized response algebra instead of building each
     model's table, and draws blocks of at most SAMPLE_BLOCK_ENTRIES entries
@@ -193,9 +196,7 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2, setting_map=
     is a range, list or array in ``0..2**63 - 1``; row ``i`` is the model
     of ``seeds[i]``, whatever the blocks, and columns ascend by subset mask.
     """
-    smap = xy_setting_map(config.max_branch) if setting_map is None else np.asarray(setting_map)
-    if smap.shape != (1 << config.max_branch,):
-        raise ValueError("need one center setting per subset mask")
+    smap = xy_setting_map(config.max_branch)
     step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
     masks = np.arange(1 << config.max_branch)
     out = np.empty((len(seeds), masks.size))
@@ -231,12 +232,12 @@ def _outcome_words(answers: np.ndarray) -> np.ndarray:
     return words
 
 
-def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2, setting_map=None):
+def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2):
     """Bell value of each seeded model, batch-evaluated block by block."""
     step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
     out = np.empty(len(seeds))
     for lo in range(0, len(seeds), step):
-        entries = sampled_spectra(seeds[lo : lo + step], config, lattice, setting_map)
+        entries = sampled_spectra(seeds[lo : lo + step], config, lattice)
         out[lo : lo + step] = (np.abs(entries) ** (1.0 / config.n)).sum(axis=1)
     return out
 

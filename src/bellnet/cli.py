@@ -47,6 +47,7 @@ from .inequality import (
 from .network import NetworkConfig, over_budget, xy_setting_map
 from .quantum import (
     custom_scheme,
+    joint_table_cap,
     network_table,
     rotated_scheme,
     scheme_setting_map,
@@ -57,8 +58,6 @@ from .swap import conditioning_from_json, default_conditioning
 from .swap import joint_table_spectrum, swap_spectrum
 from .version import __version__
 
-# swap checks its kernel against dense joint tables this large (under 1 ms).
-JOINT_CHECK_ELEMENTS = 1 << 16
 # run.config echoes every branch count; bound takes 0.2 s at this cap.
 MAX_SOURCES = 1 << 16
 
@@ -66,7 +65,7 @@ MAX_SOURCES = 1 << 16
 # so the branch cap leaves a wide margin.  One call evaluates every grid
 # point at once, so the point count bounds its memory (a peak of about
 # 130 MB at the cap, mostly the emitted rows).  region's grid**2 points
-# obey the same cap, and so does the saturating grid (about 30 us a point).
+# obey the same cap, as does the saturating grid, also evaluated in one call.
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
@@ -351,7 +350,7 @@ def cmd_noise(args, parser: _Parser) -> int:
         "closed_form_visibility": critical_visibility(config),
     }
     # find_critical_visibility certifies the kernel's crossing on tables that fit
-    _fits(report, "bracket_certified", separable_table_cap(config))
+    certified = _fits(report, "bracket_certified", separable_table_cap(config))
     try:
         found, top = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
@@ -359,6 +358,7 @@ def cmd_noise(args, parser: _Parser) -> int:
         report["error"] = str(exc)
         report["checks"] = {"bracket_certified": False}
         return _emit_report(args, report)
+    checks = {"bracket_certified": True} if certified else {}
     if found is None:
         report["no_violation"] = True
     else:
@@ -372,7 +372,9 @@ def cmd_noise(args, parser: _Parser) -> int:
         report["log2_bisection_visibility"] = log2_found
         report["scheme_crossing"] = (bound / predicted) ** config.n
         report["scheme_attains_closed_form"] = close(log2_expected, -sum(config.branches) / 2)
-        report["checks"] = {"bisection_matches_scheme_crossing": close(log2_found, log2_expected)}
+        checks["bisection_matches_scheme_crossing"] = close(log2_found, log2_expected)
+    if checks:
+        report["checks"] = checks
     return _emit_report(args, report)
 
 
@@ -393,11 +395,10 @@ def cmd_classical(args, parser: _Parser) -> int:
         bits = math.log2(args.grid) + config.max_branch
         if refusal := over_budget("the saturating grid", bits):
             parser.error(refusal)
-        n = config.n
-        best = 0.0
-        for p in np.linspace(0.0, 1.0, args.grid):
-            entries = saturating_entries(p, config)
-            best = max(best, float((np.abs(entries) ** (1.0 / n)).sum()))
+        grid = np.linspace(0.0, 1.0, args.grid)[:, None, None]
+        values = np.abs(saturating_entries(grid, config))  # (grid, 2**L)
+        values **= 1.0 / config.n
+        best = float(values.sum(axis=1).max())
         report["grid"] = args.grid
         report["max_value"] = best
         checks["grid_maximum_saturates_bound"] = abs(best - 1.0) <= 1e-12
@@ -500,9 +501,7 @@ def cmd_swap(args, parser: _Parser) -> int:
     if _fits(report, "separable_matches_table", separable_table_cap(config)):
         simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
         checks["separable_matches_table"] = abs(simulated - separable_bell) <= VALUE_TOL
-    cap_bits = JOINT_CHECK_ELEMENTS.bit_length() - 1
-    joint_cap = over_budget("the joint table", 2 * config.total + config.n, cap_bits)
-    if _fits(report, "kernel_matches_joint_table", joint_cap):
+    if _fits(report, "kernel_matches_joint_table", joint_table_cap(config)):
         dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries
         # per entry, the noise floor of a sum over 2**(T+n) outcome words, as in bell_value
         tol = np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)

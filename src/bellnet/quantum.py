@@ -31,7 +31,7 @@ matmul in the Walsh–Hadamard domain of the center's parity bit.
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
 tables are only their cross-check, built where :func:`separable_table_cap`
-lets them fit.
+and :func:`joint_table_cap` let them fit.
 """
 
 from __future__ import annotations
@@ -350,48 +350,36 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
     return compose_network(tables)
 
 
+def joint_table_cap(config: NetworkConfig) -> str | None:
+    """The refusal of :func:`swap_joint_table`'s array, or None; only a check reads it."""
+    return over_budget("the joint table", 2 * config.total + config.n, 16)
+
+
 def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
     """Simulate the network with the center observer measuring jointly.
 
+    Sources are independent, so the amplitude of branch outcome word ``a``
+    and center word ``w`` at setting word ``x`` is the product of each
+    source's branch amplitudes at its bits of ``x``, ``w`` and ``a``.
     Outcome ``v`` is the GHZ state with Z on his qubit 0 when bit 0 of
     ``v`` is set and X on his qubit ``q >= 1`` when bit ``q`` is: 1/sqrt(2)
-    at word ``w = v & ~1`` and at its complement, signed by bit 0.  Sources
-    are independent, so the amplitude of center word ``w`` is the product
-    of each source's branch amplitudes at its bit of ``w``; each of the two
-    products is the last source's amplitudes times those of the rest,
-    formed into one reused buffer.
+    at word ``w = v & ~1`` and at its complement, signed by bit 0.
     """
-    if refusal := over_budget("the joint table", 2 * config.total + config.n):
+    if refusal := joint_table_cap(config):
         raise ValueError(refusal)
     angles = np.asarray(branch_angles, dtype=np.float64)
     if angles.shape != (config.total, 2):
         raise ValueError("branch_angles must have shape (total observers, 2)")
-
-    amps = [
-        _branch_amplitudes(angles[off : off + size])
-        for off, size in zip(config.offsets, config.branches)
-    ]
-    # rest[u, x, a]: the product over every source but the last, u packing
-    # their center qubits; each later source's bits sit above the earlier.
-    rest = np.ones((1, 1, 1), dtype=np.complex128)
-    for amp in amps[:-1]:
-        d = amp.shape[0] * rest.shape[1]
-        rest = np.einsum("xca,uXA->cuxXaA", amp, rest).reshape(2 * len(rest), d, d)
-    # The two nonzero words of a basis state differ in every bit, so the
-    # last source's center qubit is 0 in one term and 1 in the other:
-    # buf[x, a] = sum_c last[x_last, c, a_last] * terms[x_rest, c, a_rest].
-    last = amps[-1].transpose(0, 2, 1)[:, None]
-    d_last, d_rest = last.shape[0], rest.shape[1]
-    terms = np.empty((d_rest, 2, d_rest), dtype=np.complex128)
-    buf = np.empty((d_last, d_rest, d_last, d_rest), dtype=np.complex128)
-    top, all_bits, s = config.n - 1, (1 << config.n) - 1, 1 / math.sqrt(2)
-    dim = 1 << config.total
-    values = np.empty((dim, dim, 1 << config.n))
-    for v in range(1 << config.n):
-        w = v & ~1
-        for word, coeff in ((w, s), (w ^ all_bits, -s if v & 1 else s)):
-            np.multiply(coeff, rest[word & ~(1 << top)], out=terms[:, word >> top])
-        np.matmul(last, terms[None], out=buf)
-        np.abs(buf.reshape(dim, dim), out=values[..., v])
+    # joint[x, a, w]: the amplitude product at setting word x, branch outcome
+    # word a and center word w; each later source's bits sit above the earlier.
+    joint = np.ones((1, 1, 1), dtype=np.complex128)
+    for off, size in zip(config.offsets, config.branches):
+        amp = _branch_amplitudes(angles[off : off + size])
+        d = len(amp) * len(joint)
+        joint = np.einsum("xca,XAW->xXaAcW", amp, joint).reshape(d, d, -1)
+    v = np.arange(1 << config.n)
+    w, sign = v & ~1, 1 - 2 * (v & 1)
+    amp = (joint[..., w] + sign * joint[..., w ^ v[-1]]) / math.sqrt(2)
+    values = np.abs(amp)
     values *= values
     return SwapJointTable(config, values)

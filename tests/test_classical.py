@@ -27,7 +27,7 @@ from bellnet.inequality import (
     classical_bound,
     truncated_spectrum,
 )
-from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
+from bellnet.network import NetworkConfig, xy_setting_map
 from bellnet.quantum import CorrelationTable
 
 RNG = np.random.default_rng(31)
@@ -59,6 +59,17 @@ def test_saturating_entries_examples():
     # 2**30 entries would need 8 GiB; the subset-universe cap refuses first
     with pytest.raises(ValueError):
         saturating_entries(0.5, NetworkConfig.homogeneous(1, 30))
+
+
+def test_saturating_entries_broadcast_a_grid_of_points():
+    cfg = NetworkConfig.homogeneous(2, 3)
+    grid = np.linspace(0.0, 1.0, 7)
+    entries = saturating_entries(grid[:, None, None], cfg)
+    assert entries.shape == (7, 8)
+    for row, p in zip(entries, grid):
+        assert np.array_equal(row, saturating_entries(p, cfg))
+    with pytest.raises(ValueError, match="not a grid"):
+        saturating_table(grid[:, None, None], cfg)
 
 
 def test_saturating_family_attains_the_bound():
@@ -241,22 +252,19 @@ def test_single_point_lattice_is_deterministic():
 
 
 def test_batched_spectra_match_table_route():
-    smap2 = xy_setting_map(2)
     cases = [
-        (NetworkConfig.homogeneous(2, 2), smap2, 2),
-        (NetworkConfig.homogeneous(2, 2), smap2, 3),
-        (NetworkConfig(2, (1, 2)), rotated_setting_map(NetworkConfig(2, (1, 2))), 2),
-        (NetworkConfig(3, (1, 2, 3)), rotated_setting_map(NetworkConfig(3, (1, 2, 3))), 3),
+        (NetworkConfig.homogeneous(2, 2), 2),
+        (NetworkConfig.homogeneous(2, 2), 3),
+        (NetworkConfig(2, (1, 2)), 2),
+        (NetworkConfig(3, (1, 2, 3)), 3),
     ]
-    for cfg, smap, lattice in cases:
+    for cfg, lattice in cases:
         seeds = list(range(20))
-        batched = sampled_spectra(seeds, cfg, lattice=lattice, setting_map=smap)
+        batched = sampled_spectra(seeds, cfg, lattice=lattice)
         for i, seed in enumerate(seeds):
             table = model_table(sample_model(seed, cfg, lattice=lattice))
-            direct = truncated_spectrum(table, smap)
+            direct = truncated_spectrum(table, xy_setting_map(cfg.max_branch))
             assert np.abs(batched[i] - direct.entries).max() < 1e-12
-    with pytest.raises(ValueError):
-        sampled_spectra([0], NetworkConfig.homogeneous(2, 2), setting_map=np.zeros(3, int))
 
 
 def test_sampled_bell_values_respect_bound():
@@ -266,10 +274,7 @@ def test_sampled_bell_values_respect_bound():
         assert values.max() <= classical_bound(cfg) + 1e-9
 
     het = NetworkConfig(2, (1, 2))
-    values = sampled_bell_values(
-        range(500), het, setting_map=rotated_setting_map(het)
-    )
-    assert values.max() <= classical_bound(het) + 1e-9
+    assert sampled_bell_values(range(500), het).max() <= classical_bound(het) + 1e-9
 
 
 def test_model_mixture_spectrum_is_convex_combination():

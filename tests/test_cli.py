@@ -250,18 +250,24 @@ def test_noise_two_sources_two_branches():
     assert report["closed_form_visibility"] == 0.25
     assert report["bisection_visibility"] == pytest.approx(0.25, abs=2e-6)
     assert report["scheme_attains_closed_form"] is True
-    assert report["checks"]["bisection_matches_scheme_crossing"] is True
+    assert report["checks"] == {
+        "bracket_certified": True,
+        "bisection_matches_scheme_crossing": True,
+    }
 
 
 def test_noise_single_pair_xy_has_no_violation():
+    # one noiseless table certifies that no visibility violates
     report = run_json("noise", "--n", "1", "--L", "1", "--scheme", "xy")
     assert report["no_violation"] is True
+    assert report["checks"] == {"bracket_certified": True}
 
 
 def test_noise_heterogeneous():
     report = run_json("noise", "--branches", "1,2,3")
     assert report["closed_form_visibility"] == 0.125
     assert report["bisection_visibility"] == pytest.approx(0.125, abs=2e-6)
+    assert report["checks"]["bracket_certified"] is True
 
 
 def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
@@ -551,7 +557,17 @@ def test_swap_checks_kernel_on_joint_tables_up_to_the_cap(monkeypatch, capsys):
         assert ("kernel_matches_joint_table" in checks) is checked
         assert checks["swap_matches_separable"] is True
     assert len(calls) == 1
-    assert cli.JOINT_CHECK_ELEMENTS == 1 << 16
+    # the one budget: 2^16 entries fit, as at (3, 4) with two outcome bits
+    assert quantum.joint_table_cap(network.NetworkConfig(2, (3, 4))) is None
+    assert quantum.joint_table_cap(network.NetworkConfig(1, (8,))) == JOINT_CAP.format(17)
+
+
+def test_joint_table_refuses_in_the_words_swap_prints(capsys):
+    report = _computed(capsys, ["swap", "--n", "2", "--L", "4"])
+    skipped = report["skipped_checks"]["kernel_matches_joint_table"]
+    with pytest.raises(ValueError) as refusal:
+        quantum.swap_joint_table(network.NetworkConfig.homogeneous(2, 4), np.zeros((8, 2)))
+    assert str(refusal.value) == skipped == JOINT_CAP.format(18)
 
 
 def test_swap_bad_conditioning_is_usage_error(tmp_path):
@@ -788,6 +804,18 @@ def test_saturating_grid_past_its_caps_is_refused_before_any_point(monkeypatch, 
         cli.main(["classical", "--mode", "saturating", *argv])
     assert exit_info.value.code == 1
     assert f"error: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, size, grid", [(1, 1, 101), (2, 3, 1), (3, 2, 7)])
+def test_saturating_grid_is_one_call(monkeypatch, capsys, n, size, grid):
+    entries, calls = cli.saturating_entries, []
+    monkeypatch.setattr(
+        cli, "saturating_entries", lambda p, config: calls.append(p) or entries(p, config)
+    )
+    argv = ["classical", "--mode", "saturating", "--n", str(n), "--L", str(size)]
+    report = _computed(capsys, [*argv, "--grid", str(grid)])
+    assert report["checks"]["grid_maximum_saturates_bound"] is True
+    assert [p.shape for p in calls] == [(grid, 1, 1)]
 
 
 @pytest.mark.parametrize("value", ["-1e-05", "-1E+3"])
