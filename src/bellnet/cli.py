@@ -46,12 +46,12 @@ from .inequality import (
 )
 from .network import NetworkConfig, over_budget, xy_setting_map
 from .quantum import (
-    custom_scheme,
     joint_table_cap,
     network_table,
     rotated_scheme,
     scheme_setting_map,
     separable_table_cap,
+    single_source_table,
     xy_scheme,
 )
 from .swap import conditioning_from_json, default_conditioning
@@ -310,12 +310,11 @@ def cmd_sweep(args, parser: _Parser) -> int:
     checked = "skipped (branch count beyond the simulation budget)"
     check_line = f"simulation check: {checked}"
     if size <= 8:
-        config = NetworkConfig.homogeneous(1, size)
         probes = sorted({0, len(rows) // 2, len(rows) - 1})
         ok = True
         for idx in probes:
             t0, t1, value = rows[idx]
-            table = network_table(custom_scheme(config, t0, t1))
+            table = single_source_table(size, np.tile([t0, t1], (size, 1)))
             simulated = bell_value(truncated_spectrum(table, xy_setting_map(size)))
             ok = ok and abs(simulated - value) <= VALUE_TOL
         checked = "ok" if ok else "FAILED"

@@ -21,12 +21,14 @@ Within one source the qubit order is branch observers first, the center
 observer's qubit last.
 
 Both center measurements start from each source's pure GHZ amplitudes
-with the branch qubits rotated, batched over every setting word.  White
-noise enters the separable route linearly: a unitary basis change maps
-the maximally mixed state to itself, so a source of visibility ``V`` has
-outcome probabilities ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the
-same as its density operator gives.  One-source tables join by one batched
-matmul in the Walsh–Hadamard domain of the center's parity bit.
+in product form: the state is a sum of two product states, so each
+amplitude is ``1/sqrt(2)`` times one overlap per observer, batched over
+every setting word.  White noise enters the separable route linearly: a
+unitary basis change maps the maximally mixed state to itself, so a
+source of visibility ``V`` has outcome probabilities
+``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the same as its density
+operator gives.  One-source tables join by one batched matmul in the
+Walsh–Hadamard domain of the center's parity bit.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -46,17 +48,6 @@ from .network import NetworkConfig, over_budget, parity_signs, rotated_setting_m
 HALF_PI = math.pi / 2
 
 _NORM_TOL = 1e-12
-
-
-def ghz_state(m: int) -> np.ndarray:
-    """GHZ state of ``m`` qubits: equal superposition of all-0 and all-1."""
-    if m < 1:
-        raise ValueError("a GHZ state needs at least one qubit")
-    if refusal := over_budget("the GHZ state", m):
-        raise ValueError(refusal)
-    psi = np.zeros(1 << m, dtype=np.complex128)
-    psi[0] = psi[-1] = 1 / math.sqrt(2)
-    return psi
 
 
 def measurement_basis(theta) -> np.ndarray:
@@ -148,7 +139,8 @@ def single_source_table(
     amp = np.einsum(
         "yod,xda->xyao", _basis_adjoints(bob_angles), _branch_amplitudes(angles)
     )
-    values = amp.real**2 + amp.imag**2
+    values = np.square(amp.real)
+    values += np.square(amp.imag, out=amp.imag)
     values *= visibility
     values += (1.0 - visibility) / 2 ** (size + 1)
     return CorrelationTable(NetworkConfig(1, (size,)), values)
@@ -158,20 +150,16 @@ def _branch_amplitudes(angles: np.ndarray) -> np.ndarray:
     """``amp[x, c, a]`` of one pure GHZ source: setting word ``x``, center
     qubit ``c`` (computational basis) and branch outcome word ``a``, with
     branch observer ``k`` at angles ``angles[k]`` in bit ``k`` of ``x``
-    and ``a``.  Each qubit's rotation adds its setting bit as a new
-    leading axis, so all setting words are batched.
+    and ``a``.  The GHZ state is the sum of two product states, one per
+    value of ``c``, so each entry is ``1/sqrt(2)`` times one overlap per
+    observer; each observer adds its setting and outcome bits above the
+    earlier ones, so all setting words are batched.
     """
-    size = len(angles)
-    # amp[x, i]: amplitude of outcome word i (qubit q in bit q) after the
-    # branch qubits seen so far were rotated for setting word x.  Qubit k
-    # splits i into (higher bits, bit k, lower bits).
-    amp = ghz_state(size + 1)[None, :]
-    for k in range(size):
-        parts = amp.reshape(amp.shape[0], 1 << (size - k), 2, 1 << k)
-        amp = np.einsum("sod,xhdl->sxhol", _basis_adjoints(angles[k]), parts)
-        amp = amp.reshape(2 * parts.shape[0], -1)
-    # The center qubit is the top bit of i.
-    return amp.reshape(1 << size, 2, 1 << size)
+    amp = np.full((1, 2, 1), 1 / math.sqrt(2), dtype=np.complex128)
+    for theta in angles:
+        amp = np.einsum("soc,xca->sxcoa", _basis_adjoints(theta), amp)
+        amp = amp.reshape(2 * amp.shape[1], 2, -1)
+    return amp
 
 
 def _basis_adjoints(thetas) -> np.ndarray:
@@ -182,16 +170,6 @@ def _basis_adjoints(thetas) -> np.ndarray:
 def _quarter_cos(m) -> np.ndarray:
     """cos(pi/2 * m) for integer m, evaluated exactly."""
     return np.asarray([1.0, 0.0, -1.0, 0.0])[np.asarray(m) % 4]
-
-
-def single_source_closed_form_table(size: int) -> CorrelationTable:
-    """Closed-form table of one noiseless GHZ source measured along the
-    coordinate axes of the equatorial plane (setting 0 -> X, 1 -> Y).
-
-    Each entry is ``2**-(size+1) * (1 + sign * c)`` where ``sign`` is the
-    parity of all outcomes and ``c = cos(pi/2 * (weight(x) + y))``.
-    """
-    return network_closed_form_table(NetworkConfig(1, (size,)))
 
 
 def network_closed_form_table(config: NetworkConfig) -> CorrelationTable:
@@ -286,18 +264,6 @@ def rotated_scheme(config: NetworkConfig) -> MeasurementScheme:
     """
     angles = np.tile(np.array([math.pi / 4, -math.pi / 4]), (config.total, 1))
     return MeasurementScheme(config, angles, "rotated")
-
-
-def custom_scheme(config: NetworkConfig, theta0: float, theta1: float) -> MeasurementScheme:
-    """Every branch observer measuring at angles (theta0, theta1).
-
-    Only defined for homogeneous networks, where the two-setting center
-    convention applies unchanged.
-    """
-    if not config.is_homogeneous():
-        raise ValueError("custom angle schemes require a homogeneous network")
-    angles = np.tile(np.array([float(theta0), float(theta1)]), (config.total, 1))
-    return MeasurementScheme(config, angles, "custom")
 
 
 def scheme_setting_map(scheme: MeasurementScheme) -> np.ndarray:

@@ -37,7 +37,6 @@ from bellnet.quantum import (
     network_table,
     rotated_scheme,
     scheme_setting_map,
-    single_source_closed_form_table,
     single_source_table,
     xy_scheme,
 )

@@ -25,6 +25,7 @@ TABLE_ROUTES = (
     (cli, "network_table"),
     (cli, "saturating_table"),
     (cli, "model_table"),
+    (cli, "single_source_table"),
     (inequality, "network_table"),
 )
 
@@ -82,7 +83,7 @@ def _shows_a_failure(text: str) -> bool:
             "model_table",
             "batch_matches_table_route",
         ),
-        (["sweep", "--L", "2", "--grid", "3"], "network_table", None),
+        (["sweep", "--L", "2", "--grid", "3"], "single_source_table", None),
     ],
     ids=["violate", "swap", "saturating", "sample", "sweep"],
 )

@@ -1,26 +1,24 @@
-"""Tests for states, measurements, and simulated outcome tables."""
+"""Tests for measurements and simulated outcome tables."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellnet.network import BUDGET_BITS, NetworkConfig
+from bellnet.network import NetworkConfig
 from bellnet.quantum import (
     HALF_PI,
     CorrelationTable,
     MeasurementScheme,
     compose_network,
-    custom_scheme,
-    ghz_state,
     measurement_basis,
     network_closed_form_table,
     network_table,
     rotated_scheme,
     scheme_setting_map,
-    single_source_closed_form_table,
     single_source_table,
     swap_joint_table,
     xy_scheme,
@@ -36,17 +34,6 @@ from oracles import (
 )
 
 RNG = np.random.default_rng(2024)
-
-
-def test_ghz_state_small():
-    s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(ghz_state(1), [s, s])
-    assert np.allclose(ghz_state(2), [s, 0.0, 0.0, s])
-    assert abs(np.linalg.norm(ghz_state(12)) - 1.0) < 1e-12
-    with pytest.raises(ValueError, match=r"^the GHZ state would hold 2\^25 entries, over 2\^24$"):
-        ghz_state(BUDGET_BITS + 1)
-    with pytest.raises(ValueError):
-        ghz_state(0)
 
 
 def test_measurement_basis_diagonalizes():
@@ -91,12 +78,12 @@ def test_network_table_matches_oracle(data, branches):
 def test_single_source_matches_closed_form(size):
     angles = np.tile([0.0, HALF_PI], (size, 1))
     table = single_source_table(size, angles)
-    closed = single_source_closed_form_table(size)
+    closed = network_closed_form_table(NetworkConfig(1, (size,)))
     assert np.abs(table.values - closed.values).max() < 1e-12
 
 
 def test_single_source_closed_form_examples():
-    values = single_source_closed_form_table(2).values
+    values = network_closed_form_table(NetworkConfig(1, (2,))).values
     # two branches, all settings and outcomes zero
     assert values[0, 0, 0, 0] == pytest.approx(0.25)
     # one axis flipped to the other coordinate: correlator vanishes
@@ -130,6 +117,20 @@ def test_single_source_guards():
             single_source_table(2, np.zeros((2, 2)), visibility=vis)
 
 
+def test_single_source_table_peak_memory():
+    # The complex amplitudes (twice the table's bytes) and the table are
+    # all that is held at once: the imaginary parts are squared in place,
+    # not into a second real temporary.
+    angles = np.random.default_rng(8).uniform(-math.pi, math.pi, (8, 2))
+    tracemalloc.start()
+    try:
+        table = single_source_table(8, angles)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * table.values.nbytes
+
+
 def test_network_closed_form_examples():
     cfg = NetworkConfig.homogeneous(2, 2)
     table = network_closed_form_table(cfg)
@@ -141,7 +142,7 @@ def test_network_closed_form_examples():
 
 
 def test_compose_single_table_is_identity():
-    table = single_source_closed_form_table(2)
+    table = network_closed_form_table(NetworkConfig(1, (2,)))
     again = compose_network([table])
     assert np.abs(again.values - table.values).max() == 0.0
 
@@ -149,7 +150,7 @@ def test_compose_single_table_is_identity():
 def test_compose_matches_closed_form():
     for n, size in [(2, 1), (2, 2), (3, 1)]:
         cfg = NetworkConfig.homogeneous(n, size)
-        composed = compose_network([single_source_closed_form_table(size)] * n)
+        composed = compose_network([network_closed_form_table(NetworkConfig(1, (size,)))] * n)
         assert composed.config == cfg
         closed = network_closed_form_table(cfg)
         assert np.abs(composed.values - closed.values).max() < 1e-12
@@ -248,8 +249,6 @@ def test_scheme_construction():
     cfg = NetworkConfig.homogeneous(2, 2)
     assert xy_scheme(cfg).branch_angles.shape == (4, 2)
     assert np.allclose(rotated_scheme(cfg).branch_angles[:, 0], math.pi / 4)
-    with pytest.raises(ValueError):
-        custom_scheme(NetworkConfig(2, (1, 2)), 0.0, 1.0)
     with pytest.raises(ValueError):
         MeasurementScheme(cfg, np.zeros((3, 2)), "xy")
 
