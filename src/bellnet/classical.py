@@ -23,6 +23,10 @@ MAX_HIDDEN_COMBINATIONS = 1 << 16
 SAMPLE_STREAM = "splitmix64-v1"
 MAX_SAMPLE_SEED = (1 << 63) - 1
 SAMPLE_BLOCK_ENTRIES = 1 << 22  # entries a sampling block holds (32 MiB per float64 array)
+# Entries one block of model_table's scatter holds: its int64 indices and
+# float64 weights are 2 MiB each, so a probe stays near its table's memory
+# (at n=2, L=5, lattice 256, blocks of 2^22 doubled the peak RSS).
+_SCATTER_ENTRIES = 1 << 18
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -166,24 +170,37 @@ def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledM
 
 
 def model_table(model: SampledModel) -> CorrelationTable:
-    """Exact correlation table induced by a sampled model."""
+    """Exact correlation table induced by a sampled model.
+
+    One scatter of the model's hidden words in combo order, a block of
+    words at a time: each entry sums its weights in the order a loop over
+    the words would, so the table equals that loop's to the last bit.
+    """
     config = model.config
     dim = 1 << config.total
     n_y = model.n_center_settings
     values = np.zeros((dim, n_y, dim, 2))
     words = np.arange(dim)
-    # Per source: outcome word for each (setting word, hidden value).
-    local = [_outcome_words(answers) for answers in model.responses]
-    for combo in range(model.lattice ** config.n):
-        digits = [(combo // model.lattice ** j) % model.lattice for j in range(config.n)]
-        weight = 1.0
-        outcome = np.zeros(dim, dtype=np.int64)
+    # Per source: outcome word in place, for each (hidden value, setting word).
+    local = [
+        _outcome_words(answers).T[:, (words >> offset) & ((1 << size) - 1)] << offset
+        for answers, offset, size in zip(model.responses, config.offsets, config.branches)
+    ]
+    cells = (words[:, None] * n_y + np.arange(n_y)) * dim  # (x, y) row starts
+    combos = model.lattice ** config.n
+    step = max(1, _SCATTER_ENTRIES // (dim * n_y))
+    for lo in range(0, combos, step):
+        combo = np.arange(lo, min(lo + step, combos))
+        weight = np.ones(combo.size)
+        outcome = np.zeros((combo.size, dim), dtype=np.int64)
         for j in range(config.n):
-            weight *= model.weights[j, digits[j]]
-            sub = (words >> config.offsets[j]) & ((1 << config.branches[j]) - 1)
-            outcome |= local[j][sub, digits[j]] << config.offsets[j]
-        for y in range(n_y):
-            values[words, y, outcome, model.center_bits[combo, y]] += weight
+            digit = (combo // model.lattice**j) % model.lattice
+            weight *= model.weights[j, digit]
+            outcome |= local[j][digit]
+        flat = cells + outcome[:, :, None]  # (combo, x, y)
+        flat *= 2
+        flat += model.center_bits[lo : lo + combo.size, None, :]
+        np.add.at(values.reshape(-1), flat.reshape(-1), np.repeat(weight, dim * n_y))
     return CorrelationTable(config, values)
 
 
@@ -202,7 +219,7 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
     out = np.empty((len(seeds), masks.size))
     for lo in range(0, len(seeds), step):
         weights, responses, center = _draw(seeds[lo : lo + step], config, lattice)
-        entries = (1.0 - 2.0 * center)[:, :, smap]  # (B, hidden word, mask)
+        entries = np.array([1.0, -1.0])[center[:, :, smap]]  # (B, hidden word, mask)
         for j, size in enumerate(config.branches):
             # Subset factors: the Walsh–Hadamard transform of the response
             # sign over local setting words, read at each subset mask

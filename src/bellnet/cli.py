@@ -101,6 +101,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _finite_float(text: str) -> float:
+    """argparse type: a finite number (other input reads as for ``type=float``)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _positive_float(text: str) -> float:
     """argparse type: a finite number above zero."""
     try:
@@ -406,7 +417,7 @@ def cmd_classical(args, parser: _Parser) -> int:
             via_table = bell_value(truncated_spectrum(table, xy_setting_map(config.max_branch)))
             checks["table_route_saturates_bound"] = abs(via_table - 1.0) <= 1e-12
     elif args.mode == "sample":
-        # about 3 s per million trials at n=3, L=2, lattice 3
+        # about 3.5 s per million trials at n=3, L=2, lattice 3
         if refusal := over_budget(f"--trials {args.trials}", math.log2(args.trials)):
             parser.error(refusal)
         last = MAX_SAMPLE_SEED + 1 - args.trials
@@ -568,7 +579,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_classical, parser=p)
 
     p = sub.add_parser("region", parents=[network], help="classical-region slice CSV")
-    p.add_argument("--fixed-value", type=float, required=True)
+    p.add_argument("--fixed-value", type=_finite_float, required=True)
     p.add_argument("--fixed-mask", type=int, default=3, help="subset mask held fixed")
     p.add_argument("--grid", type=_int_at_least(2), default=101)
     p.add_argument(

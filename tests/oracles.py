@@ -4,9 +4,10 @@ Everything here is written the slow, obvious way (explicit Kronecker
 products, operator traces, direct enumeration) and deliberately shares no
 code with ``bellnet`` beyond the network layout dataclass.  Keep it that
 way: these routines are the second opinion the tests compare against.
-The one exception is :func:`simulated_bisection`, a second opinion on a
-search rather than on a simulation: it probes the package's own noisy
-tables at every bisection step.
+The two exceptions are second opinions on a search or a summation rather
+than on a simulation: :func:`simulated_bisection` probes the package's own
+noisy tables at every bisection step, and :func:`loop_model_table` reads a
+sampled model's outcome words with the package's own helper.
 """
 
 from __future__ import annotations
@@ -343,3 +344,29 @@ def simulated_bisection(config, scheme, tol):
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def loop_model_table(model):
+    """Correlation table of a sampled model, one hidden word at a time in
+    combo order, with one fancy-indexed ``+=`` per center setting."""
+    from bellnet.classical import _outcome_words
+    from bellnet.quantum import CorrelationTable
+
+    config = model.config
+    dim = 1 << config.total
+    n_y = model.n_center_settings
+    values = np.zeros((dim, n_y, dim, 2))
+    words = np.arange(dim)
+    # Per source: outcome word for each (setting word, hidden value).
+    local = [_outcome_words(answers) for answers in model.responses]
+    for combo in range(model.lattice ** config.n):
+        digits = [(combo // model.lattice ** j) % model.lattice for j in range(config.n)]
+        weight = 1.0
+        outcome = np.zeros(dim, dtype=np.int64)
+        for j in range(config.n):
+            weight *= model.weights[j, digits[j]]
+            sub = (words >> config.offsets[j]) & ((1 << config.branches[j]) - 1)
+            outcome |= local[j][sub, digits[j]] << config.offsets[j]
+        for y in range(n_y):
+            values[words, y, outcome, model.center_bits[combo, y]] += weight
+    return CorrelationTable(config, values)

@@ -1,6 +1,7 @@
 """Tests for classical strategy families, sampling, and the region tools."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from bellnet.inequality import (
 )
 from bellnet.network import NetworkConfig, xy_setting_map
 from bellnet.quantum import CorrelationTable
+from oracles import loop_model_table
 
 RNG = np.random.default_rng(31)
 
@@ -249,6 +251,37 @@ def test_single_point_lattice_is_deterministic():
         model = sample_model(seed, cfg, lattice=1)
         spec = truncated_spectrum(model_table(model), smap)
         assert np.all(np.isin(spec.entries, [-1.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "branches, lattice, seeds",
+    [
+        ((1,), 1, range(3)),
+        ((1,), 2, range(3)),
+        ((2, 2), 3, range(3)),
+        ((1, 2, 3), 3, range(3)),
+        ((2, 3), 4, range(3)),
+        ((1, 1, 1, 1), 2, range(3)),
+        ((3, 3), 64, [5]),  # 4096 hidden words in two scatter blocks
+    ],
+)
+def test_model_table_equals_the_loop_bit_for_bit(branches, lattice, seeds):
+    cfg = NetworkConfig(len(branches), branches)
+    for seed in seeds:
+        model = sample_model(seed, cfg, lattice=lattice)
+        assert np.array_equal(model_table(model).values, loop_model_table(model).values)
+
+
+def test_model_table_peak_memory():
+    model = sample_model(7, NetworkConfig(2, (4, 4)), 64)
+    tracemalloc.start()
+    try:
+        table = model_table(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the scatter works in blocks, not on all 4096 hidden words at once
+    assert peak <= table.values.nbytes + (8 << 20)
 
 
 def test_batched_spectra_match_table_route():

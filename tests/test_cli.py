@@ -360,6 +360,9 @@ def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
         (("classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "0"), "--trials"),
         (("classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "-5"), "--trials"),
         (("region", "--n", "2", "--L", "2", "--fixed-value", "0.2", "--tol", "-1"), "--tol"),
+        (("region", "--n", "1", "--L", "2", "--fixed-value", "nan"), "--fixed-value"),
+        (("region", "--n", "1", "--L", "2", "--fixed-value", "inf"), "--fixed-value"),
+        (("region", "--n", "1", "--L", "2", "--fixed-value=-inf"), "--fixed-value"),
     ],
 )
 def test_numeric_flags_out_of_range_are_usage_errors(argv, flag):
