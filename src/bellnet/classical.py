@@ -307,18 +307,19 @@ def region_slice(
     if tol is None:
         tol = config.n / (grid - 1)
     ps = np.linspace(0.0, 1.0, grid)
-    p1, p2 = np.meshgrid(ps, ps, indexing="ij")
     n = config.n
-    entries = [
-        (p1 * p2) ** n,
-        ((1 - p1) * p2) ** n,
-        (p1 * (1 - p2)) ** n,
-        ((1 - p1) * (1 - p2)) ** n,
-    ]
-    keep = np.abs(entries[fixed_mask] - fixed_value) < tol
+
+    def entry(mask, p1, p2):
+        # K_mask of the family at (p1, p2): bit 0 of mask flips p1, bit 1 flips p2
+        return ((1 - p1 if mask & 1 else p1) * (1 - p2 if mask & 2 else p2)) ** n
+
+    # Cut on the fixed entry over the grid first, then evaluate the free
+    # entries only at the kept points, in the row-major order of the grid.
+    keep = np.abs(entry(fixed_mask, ps[:, None], ps[None, :]) - fixed_value) < tol
+    i, j = np.nonzero(keep)
     free = [m for m in range(4) if m != fixed_mask]
     names = {0: "K_empty", 1: "K_1", 2: "K_2", 3: "K_12"}
-    rows = np.stack([entries[m][keep] for m in free], axis=1)
+    rows = np.stack([entry(m, ps[i], ps[j]) for m in free], axis=1)
     return [names[m] for m in free], rows
 
 

@@ -63,9 +63,12 @@ MAX_SOURCES = 1 << 16
 
 # sweep: values reach 2**(L/2), which overflows a float from L = 2048 on,
 # so the branch cap leaves a wide margin.  One call evaluates every grid
-# point at once, so the point count bounds its memory (a peak of about
-# 130 MB at the cap, mostly the emitted rows).  region's grid**2 points
-# obey the same cap, as does the saturating grid, also evaluated in one call.
+# point at once, so the point count bounds its memory; rows are written in
+# blocks, so at the cap tracemalloc peaks at 19 MB as CSV and 19 MB as JSON
+# (sweep --L 10 --grid 512 --full, written to a file), mostly the
+# evaluation.  region's grid**2 points obey the same cap (17 MB as CSV or
+# JSON for a slice that keeps nearly all of them), as does the saturating
+# grid, also evaluated in one call.
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
@@ -78,8 +81,11 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # argparse's own pattern has no exponent: "-1e-05" would read as a flag.
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # argparse's own pattern has no exponent and no inf or nan: "-1e-05"
+        # or "-inf" would read as a flag, not reach the option's type check.
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.IGNORECASE
+        )
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -144,22 +150,23 @@ def _plain(obj):
     return obj
 
 
-def _write(args, text: str) -> None:
+def _write(args, chunks) -> None:
+    """Write the strings of ``chunks`` in turn to ``--out`` or stdout."""
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             args.parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_report(args, report: dict) -> int:
     """Write the report; the exit status is 2 if any of its checks failed."""
     report = _plain(report)
     if (args.format or "json") == "json":
-        _write(args, json.dumps(report, indent=2) + "\n")
+        _write(args, [json.dumps(report, indent=2) + "\n"])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -172,20 +179,49 @@ def _emit_report(args, report: dict) -> int:
             else:
                 cell = value
             writer.writerow([key, cell])
-        _write(args, buf.getvalue())
+        _write(args, [buf.getvalue()])
     return 0 if all(report.get("checks", {}).values()) else 2
 
 
-def _emit_rows(args, run: dict, columns, rows, comments=()) -> None:
-    if (args.format or "csv") == "json":
-        payload = {"run": run, "columns": list(columns), "rows": rows}
-        _write(args, json.dumps(_plain(payload), indent=2) + "\n")
+# Rows per format pass of _emit_rows: a block's text and values stay near
+# 1 MB, and each block is written before the next is formatted.
+_EMIT_BLOCK_ROWS = 1 << 12
+
+
+def _row_blocks(rows: np.ndarray, template: str, sep: str = ""):
+    """Per block of ``rows``: ``template`` once per row, joined by ``sep``,
+    and the block's values flat, ready for one ``%`` pass."""
+    for start in range(0, len(rows), _EMIT_BLOCK_ROWS):
+        block = rows[start : start + _EMIT_BLOCK_ROWS]
+        yield sep.join([template] * len(block)), tuple(block.ravel().tolist())
+
+
+def _row_chunks(fmt: str, run: dict, columns, rows: np.ndarray, comments):
+    """The artifact in pieces, one per block of rows.  ``%.12g`` is the C
+    formatter of ``_fmt``, and ``%r`` the repr ``json`` writes for a finite float."""
+    if fmt != "json":
+        yield "".join(f"# {c}\n" for c in comments) + ",".join(columns) + "\n"
+        for template, flat in _row_blocks(rows, ",".join(["%.12g"] * len(columns)) + "\n"):
+            yield template % flat
         return
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    _write(args, "\n".join(lines) + "\n")
+    head = json.dumps({"run": _plain(run), "columns": list(columns), "rows": []}, indent=2)
+    if not len(rows):
+        yield head + "\n"
+        return
+    # the rows in json.dumps(indent=2)'s layout, spliced into head's '"rows": []\n}'
+    yield head[:-3] + "\n"
+    row = "    [\n" + ",\n".join(["      %r"] * len(columns)) + "\n    ]"
+    for i, (template, flat) in enumerate(_row_blocks(rows, row, ",\n")):
+        if i:
+            yield ",\n"
+        rounded = map(float, (("%.12g " * len(flat)) % flat).split())  # as _plain rounds
+        yield template % tuple(rounded)
+    yield "\n  ]\n}\n"
+
+
+def _emit_rows(args, run: dict, columns, rows: np.ndarray, comments=()) -> None:
+    """Write the finite ``(N, len(columns))`` float array ``rows`` as CSV or JSON."""
+    _write(args, _row_chunks(args.format or "csv", run, columns, rows, comments))
 
 
 # Config-file keys and the JSON values each accepts (null means unset).
@@ -316,7 +352,7 @@ def cmd_sweep(args, parser: _Parser) -> int:
     else:
         theta0, theta1 = thetas, math.pi / 2 - thetas
     values = sweep_value(theta0, theta1, size)
-    rows = list(zip(theta0.tolist(), theta1.tolist(), values.tolist()))
+    rows = np.column_stack([theta0, theta1, values])
 
     checked = "skipped (branch count beyond the simulation budget)"
     check_line = f"simulation check: {checked}"
@@ -473,7 +509,7 @@ def cmd_region(args, parser: _Parser) -> int:
         args,
         run,
         names,
-        [tuple(float(v) for v in row) for row in rows],
+        rows,
         comments=[
             f"region n={config.n} L={config.max_branch} fixed_mask={args.fixed_mask} "
             f"fixed_value={_fmt(args.fixed_value)} grid={args.grid} tol={_fmt(tol)}"

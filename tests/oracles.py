@@ -4,10 +4,11 @@ Everything here is written the slow, obvious way (explicit Kronecker
 products, operator traces, direct enumeration) and deliberately shares no
 code with ``bellnet`` beyond the network layout dataclass.  Keep it that
 way: these routines are the second opinion the tests compare against.
-The two exceptions are second opinions on a search or a summation rather
-than on a simulation: :func:`simulated_bisection` probes the package's own
-noisy tables at every bisection step, and :func:`loop_model_table` reads a
-sampled model's outcome words with the package's own helper.
+Three exceptions are second opinions on a search, a summation or a
+layout rather than on a simulation: :func:`simulated_bisection` probes the
+package's own noisy tables at every bisection step, :func:`loop_model_table`
+reads a sampled model's outcome words with the package's own helper, and
+:func:`loop_emit_rows` rounds with the package's own ``_fmt`` and ``_plain``.
 """
 
 from __future__ import annotations
@@ -370,3 +371,42 @@ def loop_model_table(model):
         for y in range(n_y):
             values[words, y, outcome, model.center_bits[combo, y]] += weight
     return CorrelationTable(config, values)
+
+
+def loop_emit_rows(fmt, run, columns, rows, comments=()):
+    """The text of a sweep or region artifact, one value at a time: each
+    row a tuple of floats, rounded by the package's ``_fmt`` and, for JSON,
+    written by ``json.dumps(indent=2)`` after the package's ``_plain``."""
+    import json
+
+    from bellnet.cli import _fmt, _plain
+
+    if (fmt or "csv") == "json":
+        payload = {"run": run, "columns": list(columns), "rows": rows}
+        return json.dumps(_plain(payload), indent=2) + "\n"
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def grid_region_slice(config, fixed_value, grid, fixed_mask=3, tol=None):
+    """A classical-region slice with all four entries evaluated on the full
+    ``meshgrid`` of the saturating family, then cut by boolean indexing."""
+    if tol is None:
+        tol = config.n / (grid - 1)
+    ps = np.linspace(0.0, 1.0, grid)
+    p1, p2 = np.meshgrid(ps, ps, indexing="ij")
+    n = config.n
+    entries = [
+        (p1 * p2) ** n,
+        ((1 - p1) * p2) ** n,
+        (p1 * (1 - p2)) ** n,
+        ((1 - p1) * (1 - p2)) ** n,
+    ]
+    keep = np.abs(entries[fixed_mask] - fixed_value) < tol
+    free = [m for m in range(4) if m != fixed_mask]
+    names = {0: "K_empty", 1: "K_1", 2: "K_2", 3: "K_12"}
+    rows = np.stack([entries[m][keep] for m in free], axis=1)
+    return [names[m] for m in free], rows

@@ -30,7 +30,7 @@ from bellnet.inequality import (
 )
 from bellnet.network import NetworkConfig, xy_setting_map
 from bellnet.quantum import CorrelationTable
-from oracles import loop_model_table
+from oracles import grid_region_slice, loop_model_table
 
 RNG = np.random.default_rng(31)
 
@@ -402,6 +402,21 @@ def test_region_slice_empty_at_unreachable_value():
     cfg = NetworkConfig.homogeneous(2, 2)
     names, rows = region_slice(cfg, 2.0, grid=11, tol=1e-3)
     assert len(rows) == 0
+
+
+@pytest.mark.parametrize("grid", [2, 11, 301, 512])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_region_slice_equals_the_full_grid_cut_bit_for_bit(n, grid):
+    cfg = NetworkConfig.homogeneous(n, 2)
+    # 2.0 lies above every entry of the family, so its slice is empty
+    for mask in range(4):
+        for fixed in (0.0, 0.0625, 0.3, 2.0):
+            for tol in (None, 1e-3):
+                names, rows = region_slice(cfg, fixed, grid, mask, tol)
+                want_names, want = grid_region_slice(cfg, fixed, grid, mask, tol)
+                assert names == want_names
+                assert rows.shape == want.shape
+                assert rows.tobytes() == want.tobytes(), (mask, fixed, tol)
 
 
 def test_region_slice_guards():

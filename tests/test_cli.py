@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface via subprocess."""
 
+import argparse
 import json
 import math
 import os
@@ -17,6 +18,7 @@ from bellnet import network
 from bellnet import quantum
 from bellnet import swap as swap_module
 from bellnet.inequality import sweep_value
+from oracles import loop_emit_rows
 
 # The subprocess imports the same package as this process, installed or not.
 _SRC = str(Path(cli.__file__).resolve().parents[1])
@@ -219,6 +221,91 @@ def test_sweep_rows_equal_per_point_values(capsys):
         for t1 in thetas
     ]
     assert lines[1:] == want
+
+
+def _assert_same_text(got, want):
+    """Compare two artifacts line by line: pytest's diff of two whole
+    megabyte strings would take minutes."""
+    got_lines, want_lines = got.splitlines(True), want.splitlines(True)
+    for got_line, want_line in zip(got_lines, want_lines):
+        assert got_line == want_line
+    assert len(got_lines) == len(want_lines)
+
+
+def _loop_emit(args, run, columns, rows, comments=()):
+    """``cli._emit_rows`` as the old per-value loop wrote it."""
+    rows = [tuple(float(v) for v in row) for row in rows]
+    cli._write(args, [loop_emit_rows(args.format, run, columns, rows, comments)])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--L", "3", "--grid", "101"],
+        ["sweep", "--L", "12", "--grid", "31", "--full"],
+        ["sweep", "--L", "1000", "--grid", "9"],
+        ["region", "--n", "2", "--L", "2", "--fixed-value", "0.1", "--grid", "301"],
+        ["region", "--n", "2", "--L", "2", "--fixed-value", "2.0", "--grid", "11",
+         "--tol", "1e-3"],
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_rows_equal_the_per_value_loop_byte_for_byte(
+    monkeypatch, capsys, tmp_path, argv, fmt
+):
+    outputs = []
+    for emit in (cli._emit_rows, _loop_emit):
+        monkeypatch.setattr(cli, "_emit_rows", emit)
+        out = tmp_path / f"{len(outputs)}.{fmt}"
+        assert cli.main([*argv, "--format", fmt]) == 0
+        assert cli.main([*argv, "--format", fmt, "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        _assert_same_text(out.read_text(encoding="utf-8"), stdout)
+        outputs.append(stdout)
+    _assert_same_text(*outputs)
+    if fmt == "json":
+        values = np.array(json.loads(outputs[0])["rows"], dtype=float)
+        assert np.isfinite(values).all()
+        if argv[:3] == ["sweep", "--L", "1000"]:
+            assert values[:, 2].max() == pytest.approx(2.0**500, rel=1e-11)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._EMIT_BLOCK_ROWS + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emitted_rows_at_block_boundaries_and_signed_zero(capsys, fmt, extra):
+    count = cli._EMIT_BLOCK_ROWS + extra
+    rows = np.linspace(-1.0, 1.0, 2 * count).reshape(count, 2) ** 7 * 1e5
+    rows[0] = [-0.0, 0.0]
+    rows[-1, 0] = -0.0
+    args = argparse.Namespace(format=fmt, out=None)
+    run = {"command": "rows", "tol": 0.1 + 0.2}
+    cli._emit_rows(args, run, ("a", "b"), rows, comments=["blocks"])
+    got = capsys.readouterr().out
+    want = loop_emit_rows(fmt, run, ("a", "b"), [tuple(r) for r in rows.tolist()], ["blocks"])
+    _assert_same_text(got, want)
+    if fmt == "json":
+        assert len(json.loads(got)["rows"]) == count
+    else:
+        assert got.count("\n-0,") == 2  # the first and last rows
+
+
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        (["--fixed-value", "-inf"], "--fixed-value: must be a finite number, got -inf"),
+        (["--fixed-value=-inf"], "--fixed-value: must be a finite number, got -inf"),
+        (["--fixed-value", "-Infinity"], "--fixed-value: must be a finite number, got -Infinity"),
+        (["--fixed-value", "-NaN"], "--fixed-value: must be a finite number, got -NaN"),
+        (["--fixed-value", "0.1", "--tol", "-nan"], "--tol: must be a positive number, got -nan"),
+    ],
+)
+def test_negative_non_finite_values_reach_their_type_check(capsys, option, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["region", "--n", "1", "--L", "2", *option])
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bellnet region: error: argument {message}\n" in captured.err
 
 
 @pytest.mark.parametrize(
