@@ -51,12 +51,10 @@ class SubsetSpectrum:
 
 
 def table_correlators(table: CorrelationTable) -> np.ndarray:
-    """Full correlators (outcome-parity expectations), one per (x, y): per
-    ``y``, ``values[:, y]`` (a view, also of a broadcast table) times the
-    sign ``(-1)^(|a| + b)`` of each outcome word ``2a + b``."""
-    dim, signs = 1 << table.config.total, parity_signs(table.config.total + 1)
-    per_y = [table.values[:, y].reshape(dim, 2 * dim) @ signs for y in range(table.n_bob_settings)]
-    return np.stack(per_y, axis=1)
+    """Full correlators (outcome-parity expectations), one per (x, y): the
+    read-only array that the table's construction computed in the pass
+    that checks it."""
+    return table.correlators
 
 
 def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:

@@ -102,10 +102,6 @@ class NetworkConfig:
         """Index of the setting-bit block that ``source`` belongs to."""
         return self.block_sizes.index(self.branches[source])
 
-    def source_bits(self, word: int, source: int) -> int:
-        """Extract one source's bits from a packed setting or outcome word."""
-        return (word >> self.offsets[source]) & ((1 << self.branches[source]) - 1)
-
     def to_json(self) -> dict:
         return {"n": self.n, "branches": list(self.branches)}
 

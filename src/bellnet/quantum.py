@@ -27,8 +27,16 @@ every setting word.  White noise enters the separable route linearly: a
 unitary basis change maps the maximally mixed state to itself, so a
 source of visibility ``V`` has outcome probabilities
 ``V * |amplitude|**2 + (1 - V) / 2**(L+1)``, the same as its density
-operator gives.  One-source tables join by one batched matmul in the
+operator gives.  One-source tables join by batched matmuls in the
 Walsh–Hadamard domain of the center's parity bit.
+
+Every correlation table is checked and signed in one blocked pass of
+about ``_BLOCK_ENTRIES`` entries per block: each block must hold no
+negative entry, and one product with the ``(2 * 2**T, 2)`` matrix
+``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one once
+the pass ends, and its full correlators, which the table keeps.
+:func:`compose_network` runs that pass on each block of the network table
+right after writing it, so the table is written once and not read again.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -39,7 +47,8 @@ and :func:`joint_table_cap` let them fit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -48,6 +57,10 @@ from .network import NetworkConfig, over_budget, parity_signs, rotated_setting_m
 HALF_PI = math.pi / 2
 
 _NORM_TOL = 1e-12
+
+# Entries per checked block: 1 MiB of float64, so a block just written is
+# checked and signed while it is still in cache.
+_BLOCK_ENTRIES = 1 << 17
 
 
 def measurement_basis(theta) -> np.ndarray:
@@ -72,20 +85,68 @@ def _check_distributions(values: np.ndarray, outcome_axes) -> None:
         raise ValueError("per-setting probabilities do not sum to one")
 
 
+@lru_cache(maxsize=None)
+def _sum_and_sign(total: int) -> np.ndarray:
+    """``[1, (-1)^(|a| + b)]`` for each outcome word ``2a + b`` of ``total``
+    branch observers: one row per word, read-only."""
+    matrix = np.stack((np.ones(2 << total), parity_signs(total + 1)), axis=1)
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _signed_rows(rows: np.ndarray, total: int) -> np.ndarray:
+    """``(sum, correlator)`` of each row of outcome probabilities, once the
+    rows hold no negative entry."""
+    if rows.min() < -_NORM_TOL:
+        raise ValueError("negative probability entry")
+    return rows @ _sum_and_sign(total)
+
+
+def _signed_table(values: np.ndarray, total: int) -> np.ndarray:
+    """:func:`_signed_rows` of every ``(x, y)`` row, about ``_BLOCK_ENTRIES``
+    entries at a time.  A broadcast view that repeats one center setting
+    is signed once and never copied."""
+    dim, n_y = values.shape[:2]
+    if n_y > 1 and values.strides[1] == 0:
+        return np.broadcast_to(_signed_table(values[:, :1], total), (dim, n_y, 2))
+    signed = np.empty((dim, n_y, 2))
+    step = max(1, _BLOCK_ENTRIES // (n_y * 2 * dim))
+    for lo in range(0, dim, step):
+        block = values[lo : lo + step].reshape(-1, 2 * dim)
+        signed[lo : lo + step] = _signed_rows(block, total).reshape(-1, n_y, 2)
+    return signed
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
-    """Joint conditional distribution of all outcomes given all settings."""
+    """Joint conditional distribution of all outcomes given all settings.
+
+    ``correlators[x, y]`` is the full correlator, the expectation of
+    ``(-1)^(|a| + b)`` at settings ``(x, y)``; the pass that checks the
+    table computes it.  ``_signed`` is private: the ``(x, y, (sum,
+    correlator))`` array of :func:`_signed_rows`, passed only by a caller
+    that ran that check on every block of ``values``.
+    """
 
     config: NetworkConfig
     values: np.ndarray  # (2**total, n_settings, 2**total, 2)
+    correlators: np.ndarray = field(init=False, repr=False)  # (2**total, n_settings)
+    _signed: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, _signed):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
-        dim = 1 << self.config.total
+        total = self.config.total
+        dim = 1 << total
         if v.ndim != 4 or v.shape[0] != dim or v.shape[2] != dim or v.shape[3] != 2:
             raise ValueError(f"table shape {v.shape} does not match config")
-        _check_distributions(v, (2, 3))
+        if _signed is None:
+            _signed = _signed_table(v, total)
+        if np.abs(_signed[..., 0] - 1.0).max() > _NORM_TOL:
+            raise ValueError("per-setting probabilities do not sum to one")
+        correlators = _signed[..., 1]
+        correlators.setflags(write=False)
+        object.__setattr__(self, "correlators", correlators)
 
     @property
     def n_bob_settings(self) -> int:
@@ -167,34 +228,19 @@ def _basis_adjoints(thetas) -> np.ndarray:
     return measurement_basis(thetas).conj().swapaxes(-1, -2)
 
 
-def _quarter_cos(m) -> np.ndarray:
-    """cos(pi/2 * m) for integer m, evaluated exactly."""
-    return np.asarray([1.0, 0.0, -1.0, 0.0])[np.asarray(m) % 4]
-
-
-def network_closed_form_table(config: NetworkConfig) -> CorrelationTable:
-    """Closed-form table of a noiseless homogeneous network with every
-    observer on the coordinate axes of the equatorial plane."""
-    dim = 1 << config.total
-    prod = np.ones((dim, 2))
-    xs = np.arange(dim)
-    for j in range(config.n):
-        xw = np.array([config.source_bits(int(x), j).bit_count() for x in xs])
-        prod *= _quarter_cos(xw[:, None] + np.arange(2)[None, :])
-    sign = np.outer(parity_signs(config.total), [1.0, -1.0])
-    values = (1.0 + prod[:, :, None, None] * sign[None, None, :, :]) / (2 * dim)
-    return CorrelationTable(config, values)
-
-
 def compose_network(tables) -> CorrelationTable:
     """Join independent single-source tables into one network table.
 
     The center observer announces the XOR of his per-source parity bits, so
     composition is an XOR convolution over those bits: a product of each
-    source's Walsh pair ``(p0 + p1, p0 - p1)``.  One batched matmul takes
-    the largest source's table into the product of the others, which carries
-    its transform and the inverse one.  Sources are packed in list order:
-    the first table owns the least significant setting and outcome bits.
+    source's Walsh pair ``(p0 + p1, p0 - p1)``.  The largest source's table
+    is multiplied into the product of the others, which carries its
+    transform and the inverse one.  The network table is written about
+    ``_BLOCK_ENTRIES`` entries at a time, one batched matmul per block of
+    rows, and each block is checked and signed as soon as it is written;
+    a table that fits one block is one matmul.  Sources are packed in list
+    order: the first table owns the least significant setting and outcome
+    bits.  One table is returned as it is.
     """
     tables = list(tables)
     if not tables:
@@ -204,9 +250,11 @@ def compose_network(tables) -> CorrelationTable:
     n_y = tables[0].n_bob_settings
     if any(t.n_bob_settings != n_y for t in tables):
         raise ValueError("all per-source tables must share the setting count")
+    if len(tables) == 1:
+        return tables[0]
     branches = tuple(t.config.branches[0] for t in tables)
     walsh = np.array([[1.0, 1.0], [1.0, -1.0]])
-    # The largest source j (the last of equals) enters one batched matmul, so
+    # The largest source j (the last of equals) enters the batched matmuls, so
     # rest[X, y, s, A], the others' Walsh terms s times the inverse
     # transform's 1/2, stays small; later sources take higher bits.
     j = max(range(len(tables)), key=lambda k: (branches[k], k))
@@ -218,13 +266,30 @@ def compose_network(tables) -> CorrelationTable:
     # j's bits split the others' into high and low ones: out[X, x, Z, y, A, a, (C, b)]
     # = sum_t p_j[x, y, a, t] sum_s walsh[t, s] rest[X, Z, y, s, A, C] walsh[s, b],
     # so j's own pair is folded into the small factor too.
-    dim, d_j, d_lo = 1 << sum(branches), len(tables[j].values), 1 << sum(branches[:j])
+    total = sum(branches)
+    dim, d_j, d_lo = 1 << total, len(tables[j].values), 1 << sum(branches[:j])
     d_hi = len(rest) // d_lo
     rest = rest.reshape(d_hi, d_lo, n_y, 2, d_hi, d_lo).transpose(0, 1, 2, 4, 3, 5)
     factor = walsh @ (rest[..., None] * walsh[:, None, :]).reshape(d_hi, 1, d_lo, n_y, d_hi, 2, -1)
+    p_j = tables[j].values[None, :, None, :, None]
     out = np.empty((d_hi, d_j, d_lo, n_y, d_hi, d_j, 2 * d_lo))
-    np.matmul(tables[j].values[None, :, None, :, None], factor, out=out)
-    return CorrelationTable(NetworkConfig(len(tables), branches), out.reshape(dim, n_y, dim, 2))
+    table = out.reshape(dim, n_y, dim, 2)
+    signed = np.empty((dim, n_y, 2))
+    # Rows x = (X, x_j, Z) of the network table, a power of two per block,
+    # so each block is one slice of X, of x_j or of Z.
+    step = max(1, _BLOCK_ENTRIES // (n_y * 2 * dim))
+    n_z, n_x, n_hi = min(step, d_lo), min(max(step // d_lo, 1), d_j), max(step // (d_lo * d_j), 1)
+    for lo in range(0, dim, step):
+        hi, z = divmod(lo, d_lo)
+        hi, x = divmod(hi, d_j)
+        np.matmul(
+            p_j[:, x : x + n_x],
+            factor[hi : hi + n_hi, :, z : z + n_z],
+            out=out[hi : hi + n_hi, x : x + n_x, z : z + n_z],
+        )
+        block = table[lo : lo + step].reshape(-1, 2 * dim)
+        signed[lo : lo + step] = _signed_rows(block, total).reshape(-1, n_y, 2)
+    return CorrelationTable(NetworkConfig(len(tables), branches), table, signed)
 
 
 @dataclass(frozen=True, eq=False)

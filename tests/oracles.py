@@ -9,6 +9,9 @@ layout rather than on a simulation: :func:`simulated_bisection` probes the
 package's own noisy tables at every bisection step, :func:`loop_model_table`
 reads a sampled model's outcome words with the package's own helper, and
 :func:`loop_emit_rows` rounds with the package's own ``_fmt`` and ``_plain``.
+:func:`network_closed_form_table` and :func:`loop_model_table` hand their
+values to the package's ``CorrelationTable``, which only checks and holds
+them.
 """
 
 from __future__ import annotations
@@ -194,6 +197,56 @@ def pairwise_composition(tables):
             parts.append(term.reshape(new_dim, acc.shape[1], new_dim))
         acc = np.stack(parts, axis=-1)
     return acc
+
+
+def single_matmul_composition(tables):
+    """Network table of per-source (x, y, a, b) tables as one batched
+    matmul: the largest source's table (the last of equals) times one
+    factor holding the others' Walsh pairs ``(p0 + p1, p0 - p1)``, both
+    transforms and the inverse's 1/2.  ``compose_network`` writes the
+    same products a block of rows at a time, so it must match this bit
+    for bit."""
+    branches = [len(t).bit_length() - 1 for t in tables]
+    n_y = tables[0].shape[1]
+    walsh = np.array([[1.0, 1.0], [1.0, -1.0]])
+    j = max(range(len(tables)), key=lambda k: (branches[k], k))
+    rest = np.full((1, n_y, 2, 1), 0.5)
+    for t in tables[:j] + tables[j + 1:]:
+        pair = (t @ walsh).transpose(0, 1, 3, 2)
+        d = len(pair) * len(rest)
+        rest = (pair[:, None, :, :, :, None] * rest[None, :, :, :, None, :]).reshape(d, n_y, 2, d)
+    dim, d_j, d_lo = 1 << sum(branches), len(tables[j]), 1 << sum(branches[:j])
+    d_hi = len(rest) // d_lo
+    rest = rest.reshape(d_hi, d_lo, n_y, 2, d_hi, d_lo).transpose(0, 1, 2, 4, 3, 5)
+    factor = walsh @ (rest[..., None] * walsh[:, None, :]).reshape(d_hi, 1, d_lo, n_y, d_hi, 2, -1)
+    out = np.empty((d_hi, d_j, d_lo, n_y, d_hi, d_j, 2 * d_lo))
+    np.matmul(tables[j][None, :, None, :, None], factor, out=out)
+    return out.reshape(dim, n_y, dim, 2)
+
+
+def _quarter_cos(m):
+    """cos(pi/2 * m) for integer m, evaluated exactly."""
+    return np.asarray([1.0, 0.0, -1.0, 0.0])[np.asarray(m) % 4]
+
+
+def source_bits(config, word, source):
+    """One source's bits of a packed setting or outcome word."""
+    return (word >> config.offsets[source]) & ((1 << config.branches[source]) - 1)
+
+
+def network_closed_form_table(config):
+    """Closed-form table of a noiseless homogeneous network with every
+    observer on the coordinate axes of the equatorial plane."""
+    from bellnet.quantum import CorrelationTable
+
+    dim = 1 << config.total
+    prod = np.ones((dim, 2))
+    for j in range(config.n):
+        xw = np.array([bin(source_bits(config, x, j)).count("1") for x in range(dim)])
+        prod *= _quarter_cos(xw[:, None] + np.arange(2)[None, :])
+    sign = np.outer([_parity(a) for a in range(dim)], [1.0, -1.0])
+    values = (1.0 + prod[:, :, None, None] * sign[None, None, :, :]) / (2 * dim)
+    return CorrelationTable(config, values)
 
 
 def einsum_correlators(values):

@@ -33,7 +33,6 @@ from bellnet.inequality import (
 from bellnet.network import NetworkConfig, rotated_setting_map, xy_setting_map
 from bellnet.quantum import (
     compose_network,
-    network_closed_form_table,
     network_table,
     rotated_scheme,
     scheme_setting_map,
@@ -42,7 +41,7 @@ from bellnet.quantum import (
 )
 from bellnet.swap import default_conditioning, swap_spectrum
 
-from oracles import expansion_coefficients, subset_count
+from oracles import expansion_coefficients, network_closed_form_table, subset_count
 
 
 def verdict(number: int, label: str, ok: bool) -> None:

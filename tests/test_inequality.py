@@ -154,16 +154,29 @@ def test_table_correlators_of_a_broadcast_view_match_einsum(n, size, p):
 
 
 def test_table_correlators_copy_no_broadcast_view():
+    # The constructor computes the correlators, so it is the one to bound.
     table = saturating_table(0.375, NetworkConfig.homogeneous(3, 3))
     assert table.values.nbytes == 8 << 20  # a (512, 2, 512, 2) copy
     tracemalloc.start()
     try:
-        table_correlators(table)
+        again = CorrelationTable(table.config, table.values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert again.values.strides[1] == 0
     # below even one setting's 4 MiB slice
     assert peak < table.values[:, 0].nbytes
+
+
+@pytest.mark.parametrize(
+    "branches,scheme", [((5, 5), xy_scheme), ((2, 5, 2), rotated_scheme)]
+)
+def test_composed_table_correlators_match_einsum(branches, scheme):
+    # Tables of several blocks, signed a block at a time as they are written.
+    cfg = NetworkConfig(len(branches), branches)
+    table = network_table(scheme(cfg))
+    gap = np.abs(table_correlators(table) - einsum_correlators(table.values)).max()
+    assert gap <= _correlator_tol(cfg)
 
 
 def test_spectrum_of_uniform_table_is_zero():

@@ -17,7 +17,7 @@ from bellnet.network import (
     xy_setting_map,
 )
 
-from oracles import direct_rotated_setting_map, direct_xy_setting_map
+from oracles import direct_rotated_setting_map, direct_xy_setting_map, source_bits
 
 
 def test_config_validation():
@@ -56,8 +56,8 @@ def test_block_structure():
 def test_source_bits():
     cfg = NetworkConfig(2, (1, 2))
     word = 0b110
-    assert cfg.source_bits(word, 0) == 0
-    assert cfg.source_bits(word, 1) == 0b11
+    assert source_bits(cfg, word, 0) == 0
+    assert source_bits(cfg, word, 1) == 0b11
 
 
 def test_config_json_round_trip():

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellnet import quantum
 from bellnet.network import NetworkConfig
 from bellnet.quantum import (
     HALF_PI,
@@ -15,7 +16,6 @@ from bellnet.quantum import (
     MeasurementScheme,
     compose_network,
     measurement_basis,
-    network_closed_form_table,
     network_table,
     rotated_scheme,
     scheme_setting_map,
@@ -28,8 +28,10 @@ from oracles import (
     bell_basis_two_qubits,
     brute_force_network_table,
     brute_force_swap_table,
+    network_closed_form_table,
     pairwise_composition,
     projector,
+    single_matmul_composition,
     uniform_table,
 )
 
@@ -143,8 +145,7 @@ def test_network_closed_form_examples():
 
 def test_compose_single_table_is_identity():
     table = network_closed_form_table(NetworkConfig(1, (2,)))
-    again = compose_network([table])
-    assert np.abs(again.values - table.values).max() == 0.0
+    assert compose_network([table]) is table
 
 
 def test_compose_matches_closed_form():
@@ -185,6 +186,124 @@ def test_compose_matches_pairwise_einsum(sizes, n_y, seed):
     # 0.75 n eps).
     tol = 4 * len(sizes) * np.finfo(np.float64).eps * np.abs(want).max()
     assert np.abs(got.values - want).max() <= tol
+
+
+@pytest.mark.parametrize(
+    "branches,scheme",
+    [((5, 5), xy_scheme), ((2, 5, 2), rotated_scheme), ((1, 2, 1), rotated_scheme)],
+)
+def test_blocked_compose_equals_one_matmul(branches, scheme):
+    # (2, 5, 2): the largest source sits in the middle, so its rows split
+    # the others' bits into high and low ones.
+    cfg = NetworkConfig(len(branches), branches)
+    s = scheme(cfg)
+    n_y = 1 << len(cfg.block_sizes)
+    tables = []
+    for j, size in enumerate(branches):
+        off, block = cfg.offsets[j], cfg.block_index(j)
+        bob = tuple(HALF_PI * ((y >> block) & 1) for y in range(n_y))
+        tables.append(single_source_table(size, s.branch_angles[off : off + size], bob))
+    got = compose_network(tables)
+    assert np.array_equal(got.values, single_matmul_composition([t.values for t in tables]))
+    assert np.array_equal(got.values, network_table(s).values)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda s: sum(s) <= 7),
+    n_y=st.sampled_from([1, 2, 4]),
+    block_bits=st.integers(0, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Rows of 128 entries: a block of 1 low row of 4, of 2 largest-source words
+# of 8, and of 2 high words of 4.
+@example(sizes=[2, 3, 1], n_y=1, block_bits=7, seed=1)
+@example(sizes=[1, 3, 1, 1], n_y=1, block_bits=9, seed=2)
+@example(sizes=[1, 3, 1, 1], n_y=1, block_bits=12, seed=3)
+def test_compose_blocks_of_any_size_equal_one_matmul(sizes, n_y, block_bits, seed):
+    # Small blocks split the rows within one slice of the low bits, of the
+    # largest source's bits or of the high bits; every split writes the
+    # same products.  Each correlator sums 2**(T+1) signed probabilities
+    # whose absolute values add up to one, so any block size rounds it by
+    # at most 2**(T+1) eps.
+    rng = np.random.default_rng(seed)
+    tables = [
+        single_source_table(
+            size,
+            rng.uniform(-math.pi, math.pi, (size, 2)),
+            rng.uniform(-math.pi, math.pi, n_y),
+            rng.uniform(0.0, 1.0),
+        )
+        for size in sizes
+    ]
+    whole = compose_network(tables)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantum, "_BLOCK_ENTRIES", 1 << block_bits)
+        blocked = compose_network(tables)
+    assert np.array_equal(blocked.values, single_matmul_composition([t.values for t in tables]))
+    gap = np.abs(blocked.correlators - whole.correlators).max()
+    assert gap <= 2.0 ** (sum(sizes) + 2) * np.finfo(np.float64).eps
+
+
+def _large_uniform(cfg, n_y):
+    values = uniform_table(cfg, n_bob_settings=n_y)
+    assert values.size >= 4 * quantum._BLOCK_ENTRIES  # a middle and a last block
+    return values
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_blocked_check_finds_a_negative_entry(where):
+    cfg = NetworkConfig(2, (4, 4))
+    values = _large_uniform(cfg, 4)
+    x = len(values) // 2 + 3 if where == "middle" else len(values) - 1
+    values[x, 2, 5, 0] -= 0.5
+    values[x, 2, 5, 1] += 0.5  # the row still sums to one
+    with pytest.raises(ValueError, match="^negative probability entry$"):
+        CorrelationTable(cfg, values)
+
+
+@pytest.mark.parametrize("where", ["middle", "last"])
+def test_blocked_check_finds_a_row_off_one(where):
+    cfg = NetworkConfig(2, (4, 4))
+    values = _large_uniform(cfg, 4)
+    x = len(values) // 2 + 3 if where == "middle" else len(values) - 1
+    values[x, 3] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="^per-setting probabilities do not sum to one$"):
+        CorrelationTable(cfg, values)
+
+
+def _parity_zero_table(size, n_y):
+    # The center always announces 0 for this source, so composing with it
+    # spreads the other sources' entries without mixing their parity bits:
+    # a negative entry stays negative.
+    values = np.zeros((1 << size, n_y, 1 << size, 2))
+    values[..., 0] = 1.0 / (1 << size)
+    return CorrelationTable(NetworkConfig(1, (size,)), values)
+
+
+@pytest.mark.parametrize("defect", ["negative", "off_one"])
+def test_compose_checks_each_block_it_writes(defect):
+    # The largest source's table carries a defect past its own check (its
+    # signed rows are handed in from a clean copy), so only the pass over
+    # the composed blocks can find it.  Its last setting word sits in a
+    # middle block and in the last block of the (2, 5, 2) table.
+    n_y = 4
+    clean = uniform_table(NetworkConfig(1, (5,)), n_bob_settings=n_y)
+    bad = clean.copy()
+    if defect == "negative":
+        bad[-1, 1, 7, 0] -= 0.5
+        bad[-1, 1, 7, 1] += 0.5
+        message = "^negative probability entry$"
+    else:
+        bad[-1, 1] *= 1.0 + 1e-9
+        message = "^per-setting probabilities do not sum to one$"
+    signed = quantum._signed_table(clean, 5)
+    middle = CorrelationTable(NetworkConfig(1, (5,)), bad, signed)
+    edge = _parity_zero_table(2, n_y)
+    dim = 1 << 9
+    assert dim * n_y * dim * 2 >= 4 * quantum._BLOCK_ENTRIES
+    with pytest.raises(ValueError, match=message):
+        compose_network([edge, middle, edge])
 
 
 def test_compose_of_uniform_is_uniform():
