@@ -113,8 +113,12 @@ class SampledModel:
 
 
 def _model_entries(config: NetworkConfig, lattice: int) -> int:
-    """Entries one sampled model holds in a block: its center signs, or its
-    per-source factors if more, at every subset mask."""
+    """One sampled model's share of a sampling block: its hidden words (or
+    its per-source hidden values, if more) times its subset masks.
+
+    The batch kernel holds a few arrays over a model's hidden words and one
+    row of mask cells, well inside this share; the share still fixes how
+    many models a block draws and which models are refused."""
     if lattice < 1:
         raise ValueError("lattice must hold at least one hidden value")
     if lattice ** config.n > MAX_HIDDEN_COMBINATIONS:
@@ -207,30 +211,64 @@ def model_table(model: SampledModel) -> CorrelationTable:
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
     """Spectrum entries on the xy setting map for many seeded models at once.
 
-    Works on the factorized response algebra instead of building each
-    model's table, and draws blocks of at most SAMPLE_BLOCK_ENTRIES entries
-    from the stream :data:`SAMPLE_STREAM` in a few array passes.  ``seeds``
-    is a range, list or array in ``0..2**63 - 1``; row ``i`` is the model
-    of ``seeds[i]``, whatever the blocks, and columns ascend by subset mask.
+    Deterministic responses factor per observer (Fine, PRL 48, 291 (1982)),
+    so source ``j`` at hidden value ``v`` has one nonzero subset factor: the
+    sign ``(-1)^(XOR_k a_k(0))`` at the mask of the observers whose answers
+    differ between their settings.  A hidden word therefore lands on one
+    mask, that of its widest source (the union of its sources' masks), if
+    the sources agree on the positions they share, and nowhere otherwise.
+    Each block of models sums its words' signed weights over every digit
+    but the widest source's, then adds those into ``(model, mask)`` cells
+    with one ``bincount``.  Blocks draw at most SAMPLE_BLOCK_ENTRIES
+    entries' worth of models from the stream :data:`SAMPLE_STREAM`.
+    ``seeds`` is a range, list or array in ``0..2**63 - 1``; row ``i`` is
+    the model of ``seeds[i]``, whatever the blocks, and columns ascend by
+    subset mask.
     """
     smap = xy_setting_map(config.max_branch)
     step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
-    masks = np.arange(1 << config.max_branch)
-    out = np.empty((len(seeds), masks.size))
+    out = np.empty((len(seeds), smap.size))
+    mask_type = np.min_scalar_type(smap.size - 1)
     for lo in range(0, len(seeds), step):
         weights, responses, center = _draw(seeds[lo : lo + step], config, lattice)
-        entries = np.array([1.0, -1.0])[center[:, :, smap]]  # (B, hidden word, mask)
+        batch = len(weights)
+        # The batch is the last axis from here on, so that every array pass
+        # runs along it rather than along axes of two or three values.
+        weights = np.ascontiguousarray(weights.transpose(1, 2, 0))
+        # Per hidden word so far (source 0 in the lowest digit): the union
+        # of its sources' masks, whether they agree, and its signed weight.
+        masks = np.zeros((1, batch), dtype=mask_type)
+        kept = np.ones((1, batch), dtype=bool)
+        values = np.ones((1, batch))
+        width = 0
         for j, size in enumerate(config.branches):
-            # Subset factors: the Walsh–Hadamard transform of the response
-            # sign over local setting words, read at each subset mask
-            # truncated to the source's branch count, times the weights.
-            signs = parity_signs(size)[_outcome_words(responses[j].transpose(1, 2, 0, 3))]
-            f = fwht(signs) / (1 << size)  # (local mask, B, lattice)
-            factor = f[masks & ((1 << size) - 1)].transpose(1, 2, 0) * weights[:, j, :, None]
-            # Sum out source j's digit, the lowest left in the hidden word.
-            entries = entries.reshape(len(factor), -1, lattice, masks.size)
-            entries = np.einsum("brdm,bdm->brm", entries, factor)
-        out[lo : lo + step] = entries[:, 0]
+            answers = np.ascontiguousarray(responses[j].transpose(1, 2, 3, 0))  # (k, x, v, batch)
+            # The one mask of each hidden value: the observers whose answers differ.
+            flips = (answers[:, 0] ^ answers[:, 1]).astype(mask_type)
+            flips <<= np.arange(size, dtype=mask_type)[:, None, None]
+            star = flips.sum(axis=0, dtype=mask_type)
+            signed = weights[j] * (1.0 - 2.0 * np.bitwise_xor.reduce(answers[:, 0], axis=0))
+            if size >= width:
+                widest, wide_star = j, star
+            common = (1 << min(size, width)) - 1
+            agree = (star & common)[:, None] == (masks & common)[None]
+            kept = (agree & kept[None]).reshape(-1, batch)
+            masks = (star[:, None] | masks[None]).reshape(-1, batch)
+            values = (signed[:, None] * values[None]).reshape(-1, batch)
+            width = max(width, size)
+        # Axes: higher digits, the widest source's digit, lower digits, batch.
+        values = values.reshape(-1, lattice, lattice**widest, batch)
+        # Each word's center bit at its mask's setting, picked by arithmetic
+        # from the bits of the first two settings.
+        bits = np.ascontiguousarray(center[:, :, :2].transpose(1, 2, 0))
+        bits = bits.reshape(values.shape[:3] + (2, batch))
+        setting = smap[wide_star].astype(np.uint8).reshape(lattice, 1, batch)
+        bits = bits[..., 0, :] ^ (setting & (bits[..., 0, :] ^ bits[..., 1, :]))
+        values *= kept.reshape(values.shape) * (1 - 2 * bits.view(np.int8))
+        cells = wide_star + (np.arange(batch) << config.max_branch)
+        per_value = values.sum(axis=(0, 2))
+        sums = np.bincount(cells.ravel(), per_value.ravel(), minlength=batch << config.max_branch)
+        out[lo : lo + step] = sums.reshape(batch, -1)
     return out
 
 
@@ -322,20 +360,3 @@ def region_slice(
     rows = np.stack([entry(m, ps[i], ps[j]) for m in free], axis=1)
     return [names[m] for m in free], rows
 
-
-def geometric_mean_inequality_sides(c) -> tuple[float, float]:
-    """Both sides of the mixed-power bound used by the classical proof.
-
-    For a nonnegative matrix c with one row per source: the sum over
-    columns of the geometric means never exceeds the geometric mean of the
-    row sums.
-    """
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 2:
-        raise ValueError("need a 2-d array (sources by terms)")
-    if c.min() < 0:
-        raise ValueError("entries must be nonnegative")
-    n = c.shape[0]
-    lhs = float((np.prod(c, axis=0) ** (1.0 / n)).sum())
-    rhs = float(np.prod(c.sum(axis=1) ** (1.0 / n)))
-    return lhs, rhs

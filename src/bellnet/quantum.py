@@ -77,11 +77,18 @@ def measurement_basis(theta) -> np.ndarray:
     return basis / math.sqrt(2)
 
 
-def _check_distributions(values: np.ndarray, outcome_axes) -> None:
-    """Entries must be nonnegative and sum to one over ``outcome_axes``."""
-    if values.min() < -_NORM_TOL:
-        raise ValueError("negative probability entry")
-    if np.abs(values.sum(axis=outcome_axes) - 1.0).max() > _NORM_TOL:
+def _check_least(least) -> None:
+    """Refuse a table whose least entry is negative or NaN.  ``min``
+    carries a NaN through and every comparison with one is false, so the
+    test is written to pass only on a number at or above the tolerance."""
+    if not least >= -_NORM_TOL:
+        what = "NaN" if np.isnan(least) else "negative"
+        raise ValueError(f"{what} probability entry")
+
+
+def _check_sums(sums: np.ndarray) -> None:
+    """Refuse row sums off one, NaN included (see :func:`_check_least`)."""
+    if not np.abs(sums - 1.0).max() <= _NORM_TOL:
         raise ValueError("per-setting probabilities do not sum to one")
 
 
@@ -96,9 +103,8 @@ def _sum_and_sign(total: int) -> np.ndarray:
 
 def _signed_rows(rows: np.ndarray, total: int) -> np.ndarray:
     """``(sum, correlator)`` of each row of outcome probabilities, once the
-    rows hold no negative entry."""
-    if rows.min() < -_NORM_TOL:
-        raise ValueError("negative probability entry")
+    rows hold no negative or NaN entry."""
+    _check_least(rows.min())
     return rows @ _sum_and_sign(total)
 
 
@@ -142,8 +148,7 @@ class CorrelationTable:
             raise ValueError(f"table shape {v.shape} does not match config")
         if _signed is None:
             _signed = _signed_table(v, total)
-        if np.abs(_signed[..., 0] - 1.0).max() > _NORM_TOL:
-            raise ValueError("per-setting probabilities do not sum to one")
+        _check_sums(_signed[..., 0])
         correlators = _signed[..., 1]
         correlators.setflags(write=False)
         object.__setattr__(self, "correlators", correlators)
@@ -169,7 +174,8 @@ class SwapJointTable:
         dim = 1 << self.config.total
         if v.shape != (dim, dim, 1 << self.config.n):
             raise ValueError(f"table shape {v.shape} does not match config")
-        _check_distributions(v, (1, 2))
+        _check_least(v.min())
+        _check_sums(v.sum(axis=(1, 2)))
 
 
 def single_source_table(

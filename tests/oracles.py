@@ -4,11 +4,12 @@ Everything here is written the slow, obvious way (explicit Kronecker
 products, operator traces, direct enumeration) and deliberately shares no
 code with ``bellnet`` beyond the network layout dataclass.  Keep it that
 way: these routines are the second opinion the tests compare against.
-Three exceptions are second opinions on a search, a summation or a
+Four exceptions are second opinions on a search, a summation or a
 layout rather than on a simulation: :func:`simulated_bisection` probes the
 package's own noisy tables at every bisection step, :func:`loop_model_table`
-reads a sampled model's outcome words with the package's own helper, and
-:func:`loop_emit_rows` rounds with the package's own ``_fmt`` and ``_plain``.
+and :func:`dense_sampled_spectra` read sampled models with the package's
+own stream reader and outcome-word helper, and :func:`loop_emit_rows`
+rounds with the package's own ``_fmt`` and ``_plain``.
 :func:`network_closed_form_table` and :func:`loop_model_table` hand their
 values to the package's ``CorrelationTable``, which only checks and holds
 them.
@@ -426,6 +427,33 @@ def loop_model_table(model):
     return CorrelationTable(config, values)
 
 
+def dense_sampled_spectra(seeds, config, lattice=2):
+    """Spectrum entries of seeded sampled models by the dense per-mask route.
+
+    Each model is read from the stream with the package's own ``_draw``,
+    every seed at once.  Per source, the response sign of each setting word
+    goes through an explicit Walsh matrix; its factor at every subset mask,
+    truncated to the source's branch count, times the weights, is then
+    contracted with the center signs of every (hidden word, mask), the
+    source's digit summed out one source at a time."""
+    from bellnet.classical import _draw, _outcome_words
+
+    smap = direct_xy_setting_map(config.max_branch)
+    masks = np.arange(smap.size)
+    weights, responses, center = _draw(seeds, config, lattice)
+    entries = np.array([1.0, -1.0])[center[:, :, smap]]  # (model, hidden word, mask)
+    for j, size in enumerate(config.branches):
+        dim = 1 << size
+        parity = np.array([_parity(word) for word in range(dim)])
+        walsh = np.array([[_parity(x & y) for y in range(dim)] for x in range(dim)])
+        signs = parity[_outcome_words(responses[j].transpose(1, 2, 0, 3))]
+        f = np.tensordot(walsh, signs, axes=1) / dim  # (local mask, model, hidden value)
+        factor = f[masks & (dim - 1)].transpose(1, 2, 0) * weights[:, j, :, None]
+        entries = entries.reshape(len(factor), -1, lattice, masks.size)
+        entries = np.einsum("brdm,bdm->brm", entries, factor)
+    return entries[:, 0]
+
+
 def loop_emit_rows(fmt, run, columns, rows, comments=()):
     """The text of a sweep or region artifact, one value at a time: each
     row a tuple of floats, rounded by the package's ``_fmt`` and, for JSON,
@@ -463,3 +491,21 @@ def grid_region_slice(config, fixed_value, grid, fixed_mask=3, tol=None):
     names = {0: "K_empty", 1: "K_1", 2: "K_2", 3: "K_12"}
     rows = np.stack([entries[m][keep] for m in free], axis=1)
     return [names[m] for m in free], rows
+
+
+def geometric_mean_inequality_sides(c) -> tuple[float, float]:
+    """Both sides of the mixed-power bound used by the classical proof.
+
+    For a nonnegative matrix c with one row per source: the sum over
+    columns of the geometric means never exceeds the geometric mean of the
+    row sums.
+    """
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 2:
+        raise ValueError("need a 2-d array (sources by terms)")
+    if c.min() < 0:
+        raise ValueError("entries must be nonnegative")
+    n = c.shape[0]
+    lhs = float((np.prod(c, axis=0) ** (1.0 / n)).sum())
+    rhs = float(np.prod(c.sum(axis=1) ** (1.0 / n)))
+    return lhs, rhs

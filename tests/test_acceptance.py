@@ -12,7 +12,6 @@ import pytest
 
 from bellnet.classical import (
     deterministic_maximum,
-    geometric_mean_inequality_sides,
     sampled_bell_values,
     saturating_entries,
 )
@@ -41,7 +40,12 @@ from bellnet.quantum import (
 )
 from bellnet.swap import default_conditioning, swap_spectrum
 
-from oracles import expansion_coefficients, network_closed_form_table, subset_count
+from oracles import (
+    expansion_coefficients,
+    geometric_mean_inequality_sides,
+    network_closed_form_table,
+    subset_count,
+)
 
 
 def verdict(number: int, label: str, ok: bool) -> None:

@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import arrays
 from bellnet import classical
 from bellnet.classical import (
     deterministic_maximum,
-    geometric_mean_inequality_sides,
     model_table,
     region_slice,
     sample_model,
@@ -30,7 +29,12 @@ from bellnet.inequality import (
 )
 from bellnet.network import NetworkConfig, xy_setting_map
 from bellnet.quantum import CorrelationTable
-from oracles import grid_region_slice, loop_model_table
+from oracles import (
+    dense_sampled_spectra,
+    geometric_mean_inequality_sides,
+    grid_region_slice,
+    loop_model_table,
+)
 
 RNG = np.random.default_rng(31)
 
@@ -298,6 +302,24 @@ def test_batched_spectra_match_table_route():
             table = model_table(sample_model(seed, cfg, lattice=lattice))
             direct = truncated_spectrum(table, xy_setting_map(cfg.max_branch))
             assert np.abs(batched[i] - direct.entries).max() < 1e-12
+
+
+@pytest.mark.parametrize("lattice", [1, 2, 3, 5])
+@pytest.mark.parametrize("branches", [(1,), (6,), (2, 2), (1, 3), (1, 2, 3), (1, 1, 1, 1)])
+def test_one_mask_kernel_matches_the_dense_route(branches, lattice):
+    cfg = NetworkConfig(len(branches), branches)
+    got = sampled_spectra(range(40), cfg, lattice=lattice)
+    want = dense_sampled_spectra(range(40), cfg, lattice)
+    if lattice == 1:
+        # one hidden word: every entry is 0 or a product of signs, exactly,
+        # and a deterministic model lands on at most one mask
+        assert np.array_equal(got, want)
+        assert np.count_nonzero(got, axis=1).max() <= 1
+    else:
+        # each entry sums lattice**n signed products of n weights, whose
+        # magnitudes sum to at most one; the routes round in other orders
+        terms = lattice**cfg.n
+        assert np.abs(got - want).max() <= 2 * (terms + cfg.n) * np.finfo(np.float64).eps
 
 
 def test_sampled_bell_values_respect_bound():

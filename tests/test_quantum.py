@@ -14,6 +14,7 @@ from bellnet.quantum import (
     HALF_PI,
     CorrelationTable,
     MeasurementScheme,
+    SwapJointTable,
     compose_network,
     measurement_basis,
     network_table,
@@ -270,6 +271,21 @@ def test_blocked_check_finds_a_row_off_one(where):
     values[x, 3] *= 1.0 + 1e-9
     with pytest.raises(ValueError, match="^per-setting probabilities do not sum to one$"):
         CorrelationTable(cfg, values)
+
+
+def test_a_nan_entry_is_refused():
+    cfg = NetworkConfig(1, (1,))
+    values = uniform_table(cfg)
+    values[1, 0, 1, 0] = np.nan
+    with pytest.raises(ValueError, match="^NaN probability entry$"):
+        CorrelationTable(cfg, values)
+    joint = np.full((2, 2, 2), 0.25)
+    joint[0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="^NaN probability entry$"):
+        SwapJointTable(cfg, joint)
+    # a NaN row sum, which no checked entry can give, is refused too
+    with pytest.raises(ValueError, match="^per-setting probabilities do not sum to one$"):
+        quantum._check_sums(np.array([1.0, np.nan]))
 
 
 def _parity_zero_table(size, n_y):
