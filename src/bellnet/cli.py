@@ -41,13 +41,13 @@ from .inequality import (
     kernel_cap,
     predicted_quantum_value,
     separable_spectrum,
+    simulated_spectrum,
     sweep_value,
     truncated_spectrum,
 )
 from .network import NetworkConfig, over_budget, xy_setting_map
 from .quantum import (
     joint_table_cap,
-    network_table,
     rotated_scheme,
     scheme_setting_map,
     separable_table_cap,
@@ -325,8 +325,7 @@ def cmd_violate(args, parser: _Parser) -> int:
     }
     checks = {"kernel_matches_closed_form": abs(kernel - predicted) <= VALUE_TOL}
     if _fits(report, "simulation_matches_closed_form", separable_table_cap(config)):
-        table = network_table(scheme)
-        simulated = bell_value(truncated_spectrum(table, scheme_setting_map(scheme)))
+        simulated = bell_value(simulated_spectrum(scheme, scheme_setting_map(scheme)))
         report["simulated_value"] = simulated
         checks["simulation_matches_closed_form"] = abs(simulated - predicted) <= VALUE_TOL
     report["checks"] = checks
@@ -545,7 +544,7 @@ def cmd_swap(args, parser: _Parser) -> int:
     if not custom:
         checks["swap_matches_separable"] = abs(swap_bell - separable_bell) <= VALUE_TOL
     if _fits(report, "separable_matches_table", separable_table_cap(config)):
-        simulated = bell_value(truncated_spectrum(network_table(scheme), setting_map))
+        simulated = bell_value(simulated_spectrum(scheme, setting_map))
         checks["separable_matches_table"] = abs(simulated - separable_bell) <= VALUE_TOL
     if _fits(report, "kernel_matches_joint_table", joint_table_cap(config)):
         dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries

@@ -27,7 +27,7 @@ from math import comb
 import numpy as np
 
 from .network import NetworkConfig, fwht, over_budget, parity_signs, subset_setting_mask
-from .quantum import CorrelationTable, MeasurementScheme, network_table
+from .quantum import CorrelationTable, MeasurementScheme, network_correlators
 from .quantum import scheme_setting_map, separable_table_cap
 
 _ENTRY_TOL = 1e-9
@@ -65,14 +65,28 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
     Every entry is read off one Walsh–Hadamard transform of the
     correlators over the setting words.
     """
-    config = table.config
+    return _correlator_spectrum(table.config, table_correlators(table), setting_map)
+
+
+def simulated_spectrum(
+    scheme: MeasurementScheme, setting_map, visibilities=None
+) -> SubsetSpectrum:
+    """``truncated_spectrum(network_table(scheme, visibilities), setting_map)``
+    from :func:`bellnet.quantum.network_correlators`, which checks each
+    block of the network table without storing the table."""
+    correlators = network_correlators(scheme, visibilities)
+    return _correlator_spectrum(scheme.config, correlators, setting_map)
+
+
+def _correlator_spectrum(config: NetworkConfig, correlators, setting_map) -> SubsetSpectrum:
+    """:func:`truncated_spectrum` of a table's ``(2**T, n_settings)`` correlators."""
     setting_map = np.asarray(setting_map)
     if setting_map.shape != (1 << config.max_branch,):
         raise ValueError("need one center setting per subset mask")
-    if setting_map.min() < 0 or setting_map.max() >= table.n_bob_settings:
+    if setting_map.min() < 0 or setting_map.max() >= correlators.shape[1]:
         raise ValueError("setting map refers to a missing center setting")
     words = subset_setting_mask(np.arange(1 << config.max_branch), config)
-    spectrum = fwht(table_correlators(table)) / (1 << config.total)
+    spectrum = fwht(correlators) / (1 << config.total)
     return SubsetSpectrum(config, spectrum[words, setting_map])
 
 
@@ -196,8 +210,7 @@ def find_critical_visibility(
 
     def value_at(total: float) -> float:
         per_source = total ** (1.0 / config.n)
-        table = network_table(scheme, (per_source,) * config.n)
-        return bell_value(truncated_spectrum(table, smap))
+        return bell_value(simulated_spectrum(scheme, smap, (per_source,) * config.n))
 
     top = bell_value(separable_spectrum(scheme))
     crossing = (bound / top) ** config.n if top > bound + 1e-9 else None

@@ -35,8 +35,11 @@ about ``_BLOCK_ENTRIES`` entries per block: each block must hold no
 negative entry, and one product with the ``(2 * 2**T, 2)`` matrix
 ``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one once
 the pass ends, and its full correlators, which the table keeps.
-:func:`compose_network` runs that pass on each block of the network table
-right after writing it, so the table is written once and not read again.
+Composition runs that pass on each block of the network table right
+after writing it.  :func:`compose_network` writes the blocks into the
+table it returns; :func:`network_correlators`, the command line's check,
+writes each into one reused buffer of a block, so only the correlators
+are kept and the table is never stored.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -123,6 +126,15 @@ def _signed_table(values: np.ndarray, total: int) -> np.ndarray:
     return signed
 
 
+def _checked_correlators(signed: np.ndarray) -> np.ndarray:
+    """The read-only correlators of :func:`_signed_rows`' ``(..., (sum,
+    correlator))`` array, once every sum is one."""
+    _check_sums(signed[..., 0])
+    correlators = signed[..., 1]
+    correlators.setflags(write=False)
+    return correlators
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Joint conditional distribution of all outcomes given all settings.
@@ -148,10 +160,7 @@ class CorrelationTable:
             raise ValueError(f"table shape {v.shape} does not match config")
         if _signed is None:
             _signed = _signed_table(v, total)
-        _check_sums(_signed[..., 0])
-        correlators = _signed[..., 1]
-        correlators.setflags(write=False)
-        object.__setattr__(self, "correlators", correlators)
+        object.__setattr__(self, "correlators", _checked_correlators(_signed))
 
     @property
     def n_bob_settings(self) -> int:
@@ -237,16 +246,9 @@ def _basis_adjoints(thetas) -> np.ndarray:
 def compose_network(tables) -> CorrelationTable:
     """Join independent single-source tables into one network table.
 
-    The center observer announces the XOR of his per-source parity bits, so
-    composition is an XOR convolution over those bits: a product of each
-    source's Walsh pair ``(p0 + p1, p0 - p1)``.  The largest source's table
-    is multiplied into the product of the others, which carries its
-    transform and the inverse one.  The network table is written about
-    ``_BLOCK_ENTRIES`` entries at a time, one batched matmul per block of
-    rows, and each block is checked and signed as soon as it is written;
-    a table that fits one block is one matmul.  Sources are packed in list
-    order: the first table owns the least significant setting and outcome
-    bits.  One table is returned as it is.
+    The table is written and checked by :func:`_compose_blocks`.  Sources
+    are packed in list order: the first table owns the least significant
+    setting and outcome bits.  One table is returned as it is.
     """
     tables = list(tables)
     if not tables:
@@ -258,7 +260,30 @@ def compose_network(tables) -> CorrelationTable:
         raise ValueError("all per-source tables must share the setting count")
     if len(tables) == 1:
         return tables[0]
+    config = NetworkConfig(len(tables), tuple(t.config.branches[0] for t in tables))
+    dim = 1 << config.total
+    table = np.empty((dim, n_y, dim, 2))
+    return CorrelationTable(config, table, _compose_blocks(tables, table))
+
+
+def _compose_blocks(tables, table=None) -> np.ndarray:
+    """Write the network table of two or more single-source ``tables`` and
+    check and sign it, returning each row's ``(sum, correlator)``.
+
+    The center observer announces the XOR of his per-source parity bits, so
+    composition is an XOR convolution over those bits: a product of each
+    source's Walsh pair ``(p0 + p1, p0 - p1)``.  The largest source's table
+    is multiplied into the product of the others, which carries its
+    transform and the inverse one.  The network table is written about
+    ``_BLOCK_ENTRIES`` entries at a time, one batched matmul per block of
+    rows, and each block is checked and signed by :func:`_signed_rows` as
+    soon as it is written; a table that fits one block is one matmul.
+    Each block goes to its rows of ``table``, the ``(2**T, n_y, 2**T, 2)``
+    array it fills, or, without one, into one buffer of a block that the
+    next block overwrites.
+    """
     branches = tuple(t.config.branches[0] for t in tables)
+    n_y = tables[0].n_bob_settings
     walsh = np.array([[1.0, 1.0], [1.0, -1.0]])
     # The largest source j (the last of equals) enters the batched matmuls, so
     # rest[X, y, s, A], the others' Walsh terms s times the inverse
@@ -278,24 +303,23 @@ def compose_network(tables) -> CorrelationTable:
     rest = rest.reshape(d_hi, d_lo, n_y, 2, d_hi, d_lo).transpose(0, 1, 2, 4, 3, 5)
     factor = walsh @ (rest[..., None] * walsh[:, None, :]).reshape(d_hi, 1, d_lo, n_y, d_hi, 2, -1)
     p_j = tables[j].values[None, :, None, :, None]
-    out = np.empty((d_hi, d_j, d_lo, n_y, d_hi, d_j, 2 * d_lo))
-    table = out.reshape(dim, n_y, dim, 2)
-    signed = np.empty((dim, n_y, 2))
     # Rows x = (X, x_j, Z) of the network table, a power of two per block,
     # so each block is one slice of X, of x_j or of Z.
-    step = max(1, _BLOCK_ENTRIES // (n_y * 2 * dim))
-    n_z, n_x, n_hi = min(step, d_lo), min(max(step // d_lo, 1), d_j), max(step // (d_lo * d_j), 1)
+    step = min(max(1, _BLOCK_ENTRIES // (n_y * 2 * dim)), dim)
+    n_z, n_x = min(step, d_lo), min(max(step // d_lo, 1), d_j)
+    n_hi = step // (n_z * n_x)
+    block_shape = (n_hi, n_x, n_z, n_y, d_hi, d_j, 2 * d_lo)
+    buffer = np.empty(block_shape) if table is None else None
+    signed = np.empty((dim, n_y, 2))
     for lo in range(0, dim, step):
         hi, z = divmod(lo, d_lo)
         hi, x = divmod(hi, d_j)
-        np.matmul(
-            p_j[:, x : x + n_x],
-            factor[hi : hi + n_hi, :, z : z + n_z],
-            out=out[hi : hi + n_hi, x : x + n_x, z : z + n_z],
-        )
-        block = table[lo : lo + step].reshape(-1, 2 * dim)
-        signed[lo : lo + step] = _signed_rows(block, total).reshape(-1, n_y, 2)
-    return CorrelationTable(NetworkConfig(len(tables), branches), table, signed)
+        # a slice of the table's rows is contiguous, so its reshape is a view
+        block = buffer if table is None else table[lo : lo + step].reshape(block_shape)
+        np.matmul(p_j[:, x : x + n_x], factor[hi : hi + n_hi, :, z : z + n_z], out=block)
+        rows = _signed_rows(block.reshape(-1, 2 * dim), total)
+        signed[lo : lo + step] = rows.reshape(-1, n_y, 2)
+    return signed
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,17 +376,43 @@ def bob_setting_count(config: NetworkConfig) -> int:
 
 
 def separable_table_cap(config: NetworkConfig) -> str | None:
-    """The refusal of :func:`network_table`'s array, or None; each source's is smaller."""
+    """The refusal of :func:`network_table`'s array, or None; each source's is smaller.
+
+    :func:`network_correlators` writes the same entries a block at a time
+    and stores none of them, so for it this bounds the work, not the memory.
+    """
     return over_budget("the separable table", 2 * config.total + len(config.block_sizes) + 1)
 
 
 def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTable:
     """Simulate the full network under a separable center measurement.
 
-    Builds each source's noisy table and composes them.  ``visibilities``
-    holds one GHZ weight per source (default all 1).  The center observer's
-    angle on the qubit from source ``j`` is X or Y according to the setting
-    bit of that source's block.
+    Composes the tables of :func:`_source_tables`.  ``visibilities`` holds
+    one GHZ weight per source (default all 1).
+    """
+    return compose_network(_source_tables(scheme, visibilities))
+
+
+def network_correlators(scheme: MeasurementScheme, visibilities=None) -> np.ndarray:
+    """``network_table(scheme, visibilities).correlators``, bit for bit,
+    without storing the table.
+
+    Each block of the network table is written into one buffer of about
+    ``_BLOCK_ENTRIES`` entries, checked and signed there, and overwritten
+    by the next (see :func:`_compose_blocks`); only the correlators are
+    kept.  One source's correlators are those of its own table.
+    """
+    tables = _source_tables(scheme, visibilities)
+    if len(tables) == 1:
+        return tables[0].correlators
+    return _checked_correlators(_compose_blocks(tables))
+
+
+def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationTable]:
+    """Each source's noisy table under a separable center measurement.
+
+    The center observer's angle on the qubit from source ``j`` is X or Y
+    according to the setting bit of that source's block.
     """
     config = scheme.config
     if visibilities is None:
@@ -384,7 +434,7 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
                 visibilities[j],
             )
         )
-    return compose_network(tables)
+    return tables
 
 
 def joint_table_cap(config: NetworkConfig) -> str | None:

@@ -165,6 +165,16 @@ def test_stream_known_answers():
     ]
 
 
+def test_stream_words_of_a_range_equal_those_of_its_seeds():
+    # a range is built by np.arange, and its ends decide whether it is refused
+    for seeds in (range(1400), range(12345, 13745), range(2**63 - 5, 2**63), range(10, 0, -3)):
+        want = classical._stream_words(np.array(list(seeds), dtype=np.uint64), 3)
+        assert np.array_equal(classical._stream_words(seeds, 3), want)
+    for seeds in (range(-1, 3), range(2**63 - 1, 2**63 + 1)):
+        with pytest.raises(ValueError, match="sample seeds must be integers"):
+            classical._stream_words(seeds, 3)
+
+
 def test_sample_model_golden():
     model = sample_model(12345, NetworkConfig(3, (1, 2, 3)), lattice=3)
     want_weights = [

@@ -95,7 +95,7 @@ def test_violate_heterogeneous_rotated():
 
 
 def test_violate_oversized_network_skips_simulation(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
     # 4**400 entries: the count is printed as a power of two
     for argv, value, bits in ((["--L", "13"], 64.0, 28), (["--n", "40", "--L", "10"], 32.0, 802)):
         report = _computed(capsys, ["violate", *argv])
@@ -126,8 +126,7 @@ def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, check
     # one source of 12 branches: 4**12 * 2 * 2 entries are past the table
     # budget, so the kernel alone gives the value, and the report says
     # which check the budget skipped.
-    monkeypatch.setattr(cli, "network_table", _no_simulation)
-    monkeypatch.setattr(inequality, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
     report = _computed(capsys, [command, "--n", "1", "--L", "12"])
     assert report["skipped_checks"] == {check: SEPARABLE_CAP.format(26)}
     assert all(report["checks"].values())
@@ -359,7 +358,7 @@ def test_noise_heterogeneous():
 
 def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
     # the crossing is read off the kernel; the certificate tables are skipped
-    monkeypatch.setattr(inequality, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
     report = _computed(capsys, ["noise", "--n", "4", "--L", "3", "--scheme", "rotated"])
     assert report["bisection_visibility"] == 2.0**-6
     assert report["checks"] == {"bisection_matches_scheme_crossing": True}
@@ -415,8 +414,7 @@ def test_noise_wrong_kernel_exits_2(monkeypatch, capsys, n):
     ],
 )
 def test_kernel_scale_commands_build_no_table(monkeypatch, capsys, argv, key, value):
-    for module in (cli, inequality):
-        monkeypatch.setattr(module, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     report = _computed(capsys, argv)
     assert report[key] == value
@@ -427,9 +425,9 @@ def test_kernel_scale_commands_build_no_table(monkeypatch, capsys, argv, key, va
 def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
     # Tables that ignore the visibilities contradict the scaling law the
     # bisection steps on, so the simulated bracket cannot be certified.
-    plain_table = inequality.network_table
+    plain = inequality.network_correlators
     monkeypatch.setattr(
-        inequality, "network_table", lambda scheme, visibilities=None: plain_table(scheme)
+        inequality, "network_correlators", lambda scheme, visibilities=None: plain(scheme)
     )
     assert cli.main(["noise", "--n", "2", "--L", "2"]) == 2
     captured = capsys.readouterr()
@@ -675,9 +673,9 @@ def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
     # 10 sources of 1 branch hold 20 qubits but fit the table budget, so
     # the separable table still checks its kernel.
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
-    table = cli.network_table
+    route = inequality.network_correlators
     for n, size, built in ((2, 6, False), (10, 1, True)):
-        monkeypatch.setattr(cli, "network_table", table if built else _no_simulation)
+        monkeypatch.setattr(inequality, "network_correlators", route if built else _no_simulation)
         path = tmp_path / f"cond{n}.json"
         path.write_text(json.dumps({str(m): {"bit": 1} for m in range(1 << size)}))
         argv = ["swap", "--n", str(n), "--L", str(size)]
@@ -698,7 +696,7 @@ def test_swap_beyond_separable_cap_is_refused(monkeypatch, capsys, tmp_path):
     path = tmp_path / "cond.json"
     path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 12)}))
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
-    monkeypatch.setattr(cli, "network_table", _no_simulation)
+    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
     report = _computed(capsys, ["swap", "--n", "1", "--L", "12", "--conditioning", str(path)])
     assert "checks" not in report
     assert report["skipped_checks"] == {

@@ -10,6 +10,7 @@ import csv
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -20,25 +21,29 @@ from bellnet import swap
 from bellnet import quantum
 from bellnet.quantum import CorrelationTable, SwapJointTable
 
-# The routes each command re-derives its headline numbers through.
+# The routes each command re-derives its headline numbers through:
+# violate, noise and swap reach the network's correlators through the one
+# binding in inequality.
 TABLE_ROUTES = (
-    (cli, "network_table"),
+    (inequality, "network_correlators"),
     (cli, "saturating_table"),
     (cli, "model_table"),
     (cli, "single_source_table"),
-    (inequality, "network_table"),
 )
 
 
 def _halved(route):
     """``route`` with every table mixed half and half with uniform outcomes.
 
-    Each full correlator halves, so a value read off such a table
-    disagrees with the same value reached another way.
+    Each full correlator halves, so a value read off such a table (or off
+    correlators returned alone) disagrees with the same value reached
+    another way.
     """
 
     def mixed(*args, **kwargs):
         table = route(*args, **kwargs)
+        if isinstance(table, np.ndarray):  # uniform outcomes have no correlator
+            return 0.5 * table
         return CorrelationTable(table.config, 0.5 * table.values + 0.25 / table.values.shape[2])
 
     return mixed
@@ -71,24 +76,33 @@ def _shows_a_failure(text: str) -> bool:
 @pytest.mark.parametrize(
     "argv, route, check",
     [
-        (["violate", "--n", "2", "--L", "2"], "network_table", "simulation_matches_closed_form"),
-        (["swap", "--n", "2", "--L", "2"], "network_table", "separable_matches_table"),
+        (
+            ["violate", "--n", "2", "--L", "2"],
+            (inequality, "network_correlators"),
+            "simulation_matches_closed_form",
+        ),
+        (
+            ["swap", "--n", "2", "--L", "2"],
+            (inequality, "network_correlators"),
+            "separable_matches_table",
+        ),
         (
             ["classical", "--n", "2", "--L", "2", "--mode", "saturating"],
-            "saturating_table",
+            (cli, "saturating_table"),
             "table_route_saturates_bound",
         ),
         (
             ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "20"],
-            "model_table",
+            (cli, "model_table"),
             "batch_matches_table_route",
         ),
-        (["sweep", "--L", "2", "--grid", "3"], "single_source_table", None),
+        (["sweep", "--L", "2", "--grid", "3"], (cli, "single_source_table"), None),
     ],
     ids=["violate", "swap", "saturating", "sample", "sweep"],
 )
 def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
-    monkeypatch.setattr(cli, route, _halved(getattr(cli, route)))
+    module, name = route
+    monkeypatch.setattr(module, name, _halved(getattr(module, name)))
     code, out, err = _run(argv)
     assert code == 2
     assert "Traceback" not in err

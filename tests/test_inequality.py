@@ -354,12 +354,13 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
     expected = simulated_bisection(cfg, scheme, 1e-6)
 
     calls = []
+    route = inequality.network_correlators
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return network_table(*args, **kwargs)
+        return route(*args, **kwargs)
 
-    monkeypatch.setattr(inequality, "network_table", counted)
+    monkeypatch.setattr(inequality, "network_correlators", counted)
     found, _ = find_critical_visibility(cfg, scheme, tol=1e-6)
     # top comes from the exact kernel; the tables certify both ends of the
     # bracket, or that the noiseless network does not violate
@@ -463,7 +464,7 @@ def test_kernel_refuses_an_array_past_the_budget():
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
 def test_find_critical_visibility_refuses_a_nonpositive_tolerance(monkeypatch, tol):
-    monkeypatch.setattr(inequality, "network_table", _no_table)
+    monkeypatch.setattr(inequality, "network_correlators", _no_table)
     cfg = NetworkConfig.homogeneous(2, 2)
     with pytest.raises(ValueError, match="tol must be positive"):
         find_critical_visibility(cfg, rotated_scheme(cfg), tol=tol)
@@ -476,8 +477,9 @@ def _no_table(*args, **kwargs):
 def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
     # Tables that ignore the visibilities violate at every probe, so the
     # bracket's lower end cannot be certified.
+    route = inequality.network_correlators
     monkeypatch.setattr(
-        inequality, "network_table", lambda scheme, visibilities=None: network_table(scheme)
+        inequality, "network_correlators", lambda scheme, visibilities=None: route(scheme)
     )
     cfg = NetworkConfig.homogeneous(2, 2)
     with pytest.raises(ArithmeticError, match="do not bracket"):

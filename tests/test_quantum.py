@@ -15,8 +15,10 @@ from bellnet.quantum import (
     CorrelationTable,
     MeasurementScheme,
     SwapJointTable,
+    bob_setting_count,
     compose_network,
     measurement_basis,
+    network_correlators,
     network_table,
     rotated_scheme,
     scheme_setting_map,
@@ -297,13 +299,11 @@ def _parity_zero_table(size, n_y):
     return CorrelationTable(NetworkConfig(1, (size,)), values)
 
 
-@pytest.mark.parametrize("defect", ["negative", "off_one"])
-def test_compose_checks_each_block_it_writes(defect):
-    # The largest source's table carries a defect past its own check (its
-    # signed rows are handed in from a clean copy), so only the pass over
-    # the composed blocks can find it.  Its last setting word sits in a
-    # middle block and in the last block of the (2, 5, 2) table.
-    n_y = 4
+def _defective_middle(defect, n_y):
+    """A (5,) table whose defect its own check missed (its signed rows come
+    from a clean copy), and the message of the check that finds it.  In a
+    (2, 5, 2) network its last setting word sits in a middle block and in
+    the last block."""
     clean = uniform_table(NetworkConfig(1, (5,)), n_bob_settings=n_y)
     bad = clean.copy()
     if defect == "negative":
@@ -314,12 +314,102 @@ def test_compose_checks_each_block_it_writes(defect):
         bad[-1, 1] *= 1.0 + 1e-9
         message = "^per-setting probabilities do not sum to one$"
     signed = quantum._signed_table(clean, 5)
-    middle = CorrelationTable(NetworkConfig(1, (5,)), bad, signed)
+    return CorrelationTable(NetworkConfig(1, (5,)), bad, signed), message
+
+
+@pytest.mark.parametrize("defect", ["negative", "off_one"])
+def test_compose_checks_each_block_it_writes(defect):
+    # Only the pass over the composed blocks can find the middle source's defect.
+    n_y = 4
+    middle, message = _defective_middle(defect, n_y)
     edge = _parity_zero_table(2, n_y)
     dim = 1 << 9
     assert dim * n_y * dim * 2 >= 4 * quantum._BLOCK_ENTRIES
     with pytest.raises(ValueError, match=message):
         compose_network([edge, middle, edge])
+
+
+@pytest.mark.parametrize("defect", ["negative", "off_one"])
+def test_streamed_correlators_check_each_block(monkeypatch, defect):
+    # The same defect, reached through the scheme: each block written into
+    # the reused buffer is checked before the next overwrites it.
+    middle, message = _defective_middle(defect, 4)
+    edge = _parity_zero_table(2, 4)
+    monkeypatch.setattr(
+        quantum, "single_source_table", lambda size, *args: middle if size == 5 else edge
+    )
+    with pytest.raises(ValueError, match=message):
+        network_correlators(rotated_scheme(NetworkConfig(3, (2, 5, 2))))
+
+
+def _table_entries(branches):
+    cfg = NetworkConfig(len(branches), branches)
+    return 4**cfg.total * 2 * bob_setting_count(cfg)
+
+
+# Every network the sim-separable and swap-joint benchmark workloads
+# simulate, plus (3, 4), whose table is exactly one block, and the largest
+# multi-source table the budget admits, (1,) * 11.
+STREAMED_NETWORKS = sorted(
+    {(L,) for L in range(2, 8)}
+    | {(L,) * n for n, top in ((2, 6), (3, 4)) for L in range(1, top)}
+    | {(1, 2, 3), (2, 3), (1, 3), (1, 1, 1, 1), (2, 2, 2, 2), (3, 4, 3), (3, 4)}
+)
+
+
+@pytest.mark.parametrize(
+    "branches,kind",
+    [
+        (b, kind)
+        for b in STREAMED_NETWORKS + [(1,) * 11]
+        for kind in ("xy", "rotated")
+        if kind == "rotated" or len(set(b)) == 1
+    ],
+    ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v,
+)
+def test_streamed_correlators_equal_the_tables(branches, kind):
+    cfg = NetworkConfig(len(branches), branches)
+    scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
+    noisy = tuple(np.linspace(0.35, 0.95, cfg.n))
+    # the largest network runs once per scheme, pure for xy and noisy for rotated
+    for vis in [None, noisy] if cfg.n < 11 else [None if kind == "xy" else noisy]:
+        got = network_correlators(scheme, vis)
+        assert np.array_equal(got, network_table(scheme, vis).correlators)
+        assert not got.flags.writeable
+
+
+def test_streamed_networks_span_every_block_count():
+    entries = {_table_entries(b) for b in STREAMED_NETWORKS if len(b) > 1}
+    assert min(entries) < quantum._BLOCK_ENTRIES < max(entries)
+    assert _table_entries((3, 4)) == quantum._BLOCK_ENTRIES
+    assert _table_entries((1,) * 11) == 1 << 24
+
+
+@pytest.mark.parametrize("block_bits", [12, 13, 15, 20])
+def test_streamed_correlators_equal_the_tables_at_any_block_size(monkeypatch, block_bits):
+    # Rows of the (2, 5, 2) table hold 2**12 entries, so blocks of 1 or 2
+    # rows are one slice of the low bits, of 8 rows one of the largest
+    # source's bits and of 256 rows one of the high bits; both routes
+    # write the same blocks, so they agree bit for bit.
+    monkeypatch.setattr(quantum, "_BLOCK_ENTRIES", 1 << block_bits)
+    scheme = rotated_scheme(NetworkConfig(3, (2, 5, 2)))
+    vis = (0.5, 0.75, 1.0)
+    assert np.array_equal(network_correlators(scheme, vis), network_table(scheme, vis).correlators)
+
+
+def test_streamed_correlators_hold_a_block_not_the_table():
+    # At (5, 5) the table holds 2**22 entries (32 MiB); the streamed route
+    # holds the per-source tables, their product and one 1 MiB block.
+    scheme = xy_scheme(NetworkConfig(2, (5, 5)))
+    assert _table_entries((5, 5)) * 8 == 32 << 20
+    sources = 2 * single_source_table(5, np.zeros((5, 2)), (0.0, HALF_PI)).values.nbytes
+    tracemalloc.start()
+    try:
+        network_correlators(scheme)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * sources + (4 << 20)
 
 
 def test_compose_of_uniform_is_uniform():
