@@ -139,11 +139,6 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 def _stream_words(seeds, count: int) -> np.ndarray:
     """Word c < count of seed s is mix(mix(s) + (c+1)·γ) mod 2**64; one row per seed."""
-    if isinstance(seeds, range) and seeds:
-        # np.asarray would iterate a range in Python; its ends bound it.
-        low, high = sorted((seeds[0], seeds[-1]))
-        if 0 <= low and high <= MAX_SAMPLE_SEED:
-            seeds = np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.int64)
     seeds = np.asarray(seeds)
     if seeds.dtype.kind not in "iu" or seeds.min() < 0 or int(seeds.max()) > MAX_SAMPLE_SEED:
         raise ValueError(f"sample seeds must be integers in 0..{MAX_SAMPLE_SEED}")

@@ -54,6 +54,10 @@ from .quantum import (
     single_source_table,
     xy_scheme,
 )
+# The check reaches the table route through network_correlators; the name
+# stays bound here, as in ``inequality``, since perfbench's tracer wraps that
+# route at every name it is bound under.
+from .quantum import network_table  # noqa: F401
 from .swap import conditioning_from_json, default_conditioning
 from .swap import joint_table_spectrum, swap_spectrum
 from .version import __version__

@@ -30,6 +30,11 @@ from .network import NetworkConfig, fwht, over_budget, parity_signs, subset_sett
 from .quantum import CorrelationTable, MeasurementScheme, network_correlators
 from .quantum import scheme_setting_map, separable_table_cap
 
+# The check reaches the table route through network_correlators; the name
+# stays bound here, as in ``cli``, since perfbench's tracer wraps that
+# route at every name it is bound under.
+from .quantum import network_table  # noqa: F401
+
 _ENTRY_TOL = 1e-9
 
 

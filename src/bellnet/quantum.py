@@ -38,8 +38,8 @@ the pass ends, and its full correlators, which the table keeps.
 Composition runs that pass on each block of the network table right
 after writing it.  :func:`compose_network` writes the blocks into the
 table it returns; :func:`network_correlators`, the command line's check,
-writes each into one reused buffer of a block, so only the correlators
-are kept and the table is never stored.
+writes each block of a table past one block into one reused buffer of a
+block, so only the correlators are kept and the table is never stored.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -379,7 +379,8 @@ def separable_table_cap(config: NetworkConfig) -> str | None:
     """The refusal of :func:`network_table`'s array, or None; each source's is smaller.
 
     :func:`network_correlators` writes the same entries a block at a time
-    and stores none of them, so for it this bounds the work, not the memory.
+    and stores at most one block, so for it this bounds the work, not the
+    memory.
     """
     return over_budget("the separable table", 2 * config.total + len(config.block_sizes) + 1)
 
@@ -395,17 +396,19 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
 
 def network_correlators(scheme: MeasurementScheme, visibilities=None) -> np.ndarray:
     """``network_table(scheme, visibilities).correlators``, bit for bit,
-    without storing the table.
+    without storing a table of more than one block.
 
     Each block of the network table is written into one buffer of about
     ``_BLOCK_ENTRIES`` entries, checked and signed there, and overwritten
     by the next (see :func:`_compose_blocks`); only the correlators are
-    kept.  One source's correlators are those of its own table.
+    kept.  A table of one block, or of one source, costs no more stored,
+    so it comes from :func:`network_table` itself.
     """
-    tables = _source_tables(scheme, visibilities)
-    if len(tables) == 1:
-        return tables[0].correlators
-    return _checked_correlators(_compose_blocks(tables))
+    config = scheme.config
+    dim = 1 << config.total
+    if config.n == 1 or dim * bob_setting_count(config) * 2 * dim <= _BLOCK_ENTRIES:
+        return network_table(scheme, visibilities).correlators
+    return _checked_correlators(_compose_blocks(_source_tables(scheme, visibilities)))
 
 
 def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationTable]:

@@ -166,7 +166,7 @@ def test_stream_known_answers():
 
 
 def test_stream_words_of_a_range_equal_those_of_its_seeds():
-    # a range is built by np.arange, and its ends decide whether it is refused
+    # a range reads as its seeds, up to the largest one a stop of 2**63 admits
     for seeds in (range(1400), range(12345, 13745), range(2**63 - 5, 2**63), range(10, 0, -3)):
         want = classical._stream_words(np.array(list(seeds), dtype=np.uint64), 3)
         assert np.array_equal(classical._stream_words(seeds, 3), want)

@@ -385,6 +385,21 @@ def test_streamed_networks_span_every_block_count():
     assert _table_entries((1,) * 11) == 1 << 24
 
 
+def test_tables_of_one_block_come_from_the_table_route(monkeypatch):
+    # Storing them costs no more than streaming, and the traced route sees them.
+    calls = []
+    route = quantum.network_table
+
+    def counted(scheme, visibilities=None):
+        calls.append(scheme.config.branches)
+        return route(scheme, visibilities)
+
+    monkeypatch.setattr(quantum, "network_table", counted)
+    for branches in ((7,), (3, 4), (2, 3), (2, 5, 2), (5, 5)):
+        network_correlators(rotated_scheme(NetworkConfig(len(branches), branches)))
+    assert calls == [(7,), (3, 4), (2, 3)]
+
+
 @pytest.mark.parametrize("block_bits", [12, 13, 15, 20])
 def test_streamed_correlators_equal_the_tables_at_any_block_size(monkeypatch, block_bits):
     # Rows of the (2, 5, 2) table hold 2**12 entries, so blocks of 1 or 2
