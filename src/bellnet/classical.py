@@ -9,12 +9,14 @@ enumeration of deterministic strategies for single-source networks.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import NetworkConfig, fwht, over_budget, parity_signs, subsets_of, xy_setting_map
-from .quantum import CorrelationTable, bob_setting_count, compose_network
+from .quantum import _BLOCK_ENTRIES, CorrelationTable, _signed_table, bob_setting_count
+from .quantum import compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
 
@@ -23,9 +25,10 @@ MAX_HIDDEN_COMBINATIONS = 1 << 16
 SAMPLE_STREAM = "splitmix64-v1"
 MAX_SAMPLE_SEED = (1 << 63) - 1
 SAMPLE_BLOCK_ENTRIES = 1 << 22  # entries a sampling block holds (32 MiB per float64 array)
-# Entries one block of model_table's scatter holds: its int64 indices and
-# float64 weights are 2 MiB each, so a probe stays near its table's memory
-# (at n=2, L=5, lattice 256, blocks of 2^22 doubled the peak RSS).
+# Entries one block of model_tables' scatter holds, over (model, combo)
+# pairs of one group: its int64 indices and float64 weights are 2 MiB each,
+# so a group stays near its tables' memory (at n=2, L=5, lattice 256,
+# blocks of 2^22 doubled the peak RSS).
 _SCATTER_ENTRIES = 1 << 18
 
 
@@ -174,38 +177,78 @@ def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledM
 
 
 def model_table(model: SampledModel) -> CorrelationTable:
-    """Exact correlation table induced by a sampled model.
+    """Exact correlation table induced by a sampled model: the one table
+    of :func:`model_tables`."""
+    (table,) = model_tables([model])
+    return table
 
-    One scatter of the model's hidden words in combo order, a block of
-    words at a time: each entry sums its weights in the order a loop over
-    the words would, so the table equals that loop's to the last bit.
+
+def model_tables(models) -> Iterator[CorrelationTable]:
+    """Exact correlation table induced by each sampled model of one
+    network and lattice, in order.
+
+    The models go in groups of as many as keep their stacked tables within
+    ``_BLOCK_ENTRIES`` entries, and at least one.  Each group is one
+    scatter of its models' hidden words in ``(model, combo)`` order, a
+    block of words at a time: each entry sums its weights in the order a
+    loop over the words would, so every table equals that loop's to the
+    last bit.  One pass then checks and signs the group's stacked rows,
+    and each table keeps its slice of them.  The tables come one group at
+    a time, so a caller that keeps only what it reads off each table holds
+    one group, not all of them.
     """
-    config = model.config
-    dim = 1 << config.total
-    n_y = model.n_center_settings
-    values = np.zeros((dim, n_y, dim, 2))
+    models = list(models)
+    if any(m.config != models[0].config or m.lattice != models[0].lattice for m in models):
+        raise ValueError("model_tables expects models of one network and lattice")
+    return _grouped_tables(models)
+
+
+def _grouped_tables(models) -> Iterator[CorrelationTable]:
+    if not models:
+        return
+    dim, n_y = 1 << models[0].config.total, models[0].n_center_settings
+    per_group = max(1, _BLOCK_ENTRIES // (dim * n_y * dim * 2))
+    for lo in range(0, len(models), per_group):
+        # No name here holds a table, so a group is freed once its tables are.
+        yield from _group_tables(models[lo : lo + per_group])
+
+
+def _group_tables(group) -> list[CorrelationTable]:
+    """The tables of one group, each a view of the group's stacked
+    ``(model, x, y, a, b)`` array: one ``np.add.at`` scatter over
+    ``(model, combo)`` pairs in that order, ``_SCATTER_ENTRIES`` entries a
+    block, then one check-and-sign pass over the stacked rows."""
+    config, lattice = group[0].config, group[0].lattice
+    count, combos = len(group), lattice**config.n
+    dim, n_y = 1 << config.total, group[0].n_center_settings
+    values = np.zeros((count, dim, n_y, dim, 2))
     words = np.arange(dim)
-    # Per source: outcome word in place, for each (hidden value, setting word).
-    local = [
-        _outcome_words(answers).T[:, (words >> offset) & ((1 << size) - 1)] << offset
-        for answers, offset, size in zip(model.responses, config.offsets, config.branches)
-    ]
-    cells = (words[:, None] * n_y + np.arange(n_y)) * dim  # (x, y) row starts
-    combos = model.lattice ** config.n
+    weights = np.stack([m.weights for m in group])  # (model, source, v)
+    # Per source: its outcome word in place, doubled as the flat index
+    # steps over (a, b) cells, one row per (model * lattice + v), then x.
+    local = []
+    for j, (offset, size) in enumerate(zip(config.offsets, config.branches)):
+        answers = np.stack([m.responses[j] for m in group], axis=2)  # (k, s, model, v)
+        per_word = _outcome_words(answers)[(words >> offset) & ((1 << size) - 1)]
+        local.append(np.ascontiguousarray(per_word.reshape(dim, -1).T) << (offset + 1))
+    center = np.stack([m.center_bits for m in group]).reshape(-1, n_y)  # (pair, y)
+    cells = (words[:, None] * n_y + np.arange(n_y)) * (2 * dim)  # (x, y) row starts
     step = max(1, _SCATTER_ENTRIES // (dim * n_y))
-    for lo in range(0, combos, step):
-        combo = np.arange(lo, min(lo + step, combos))
+    for lo in range(0, count * combos, step):
+        model, combo = np.divmod(np.arange(lo, min(lo + step, count * combos)), combos)
         weight = np.ones(combo.size)
         outcome = np.zeros((combo.size, dim), dtype=np.int64)
         for j in range(config.n):
-            digit = (combo // model.lattice**j) % model.lattice
-            weight *= model.weights[j, digit]
-            outcome |= local[j][digit]
-        flat = cells + outcome[:, :, None]  # (combo, x, y)
-        flat *= 2
-        flat += model.center_bits[lo : lo + combo.size, None, :]
+            digit = (combo // lattice**j) % lattice
+            weight *= weights[model, j, digit]
+            outcome |= local[j][model * lattice + digit]
+        outcome += (model * values[0].size)[:, None]  # each model's own table
+        flat = outcome[:, :, None] + cells  # (pair, x, y)
+        flat += center[lo : lo + combo.size, None, :]
         np.add.at(values.reshape(-1), flat.reshape(-1), np.repeat(weight, dim * n_y))
-    return CorrelationTable(config, values)
+    signed = _signed_table(values.reshape(-1, n_y, dim, 2), config.total)
+    signed = signed.reshape(count, dim, n_y, 2)
+    return [CorrelationTable(config, v, rows) for v, rows in zip(values, signed)]
 
 
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):

@@ -25,7 +25,7 @@ from .classical import (
     MAX_SAMPLE_SEED,
     SAMPLE_STREAM,
     deterministic_maximum,
-    model_table,
+    model_tables,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -43,6 +43,7 @@ from .inequality import (
     separable_spectrum,
     simulated_spectrum,
     sweep_value,
+    truncated_spectra,
     truncated_spectrum,
 )
 from .network import NetworkConfig, over_budget, xy_setting_map
@@ -472,11 +473,9 @@ def cmd_classical(args, parser: _Parser) -> int:
         if _fits(report, "batch_matches_table_route", separable_table_cap(config)):
             probe_seeds = list(range(seed, seed + min(args.trials, 5)))
             batch = sampled_spectra(probe_seeds, config, args.lattice)
-            worst = 0.0
-            for row, probe in zip(batch, probe_seeds):
-                table = model_table(sample_model(probe, config, args.lattice))
-                spectrum = truncated_spectrum(table, xy_setting_map(config.max_branch))
-                worst = max(worst, float(np.abs(spectrum.entries - row).max()))
+            models = [sample_model(probe, config, args.lattice) for probe in probe_seeds]
+            spectra = truncated_spectra(model_tables(models), xy_setting_map(config.max_branch))
+            worst = float(np.abs(spectra - batch).max())
             checks["batch_matches_table_route"] = worst <= 1e-12
     else:  # enumerate
         if config.n != 1:

@@ -51,8 +51,7 @@ class SubsetSpectrum:
         object.__setattr__(self, "entries", entries)
         if entries.shape != (1 << self.config.max_branch,):
             raise ValueError("spectrum length does not match the branch count")
-        if np.abs(entries).max() > 1.0 + _ENTRY_TOL:
-            raise ValueError("correlator entry outside [-1, 1]")
+        _check_entries(entries)
 
 
 def table_correlators(table: CorrelationTable) -> np.ndarray:
@@ -68,9 +67,25 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
     Sources with fewer branches than the subset mask addresses ignore the
     excess positions; on even networks this reduces to the plain spectrum.
     Every entry is read off one Walsh–Hadamard transform of the
-    correlators over the setting words.
+    correlators over the setting words: the one row of
+    :func:`truncated_spectra`.
     """
-    return _correlator_spectrum(table.config, table_correlators(table), setting_map)
+    return SubsetSpectrum(table.config, truncated_spectra([table], setting_map)[0])
+
+
+def truncated_spectra(tables, setting_map) -> np.ndarray:
+    """:func:`truncated_spectrum` entries of each table of one network, one
+    row per table, from one Walsh–Hadamard transform of their stacked
+    correlators.  ``tables`` may be an iterator, such as
+    :func:`bellnet.classical.model_tables`; only each table's config and
+    correlators are kept, so no table outlives its reading."""
+    read = list(map(lambda table: (table.config, table_correlators(table)), tables))
+    if not read:
+        raise ValueError("need at least one table")
+    configs, correlators = zip(*read)
+    if any(config != configs[0] for config in configs):
+        raise ValueError("truncated_spectra expects tables of one network")
+    return _correlator_spectra(configs[0], np.stack(correlators), setting_map)
 
 
 def simulated_spectrum(
@@ -80,19 +95,28 @@ def simulated_spectrum(
     from :func:`bellnet.quantum.network_correlators`, which checks each
     block of the network table without storing the table."""
     correlators = network_correlators(scheme, visibilities)
-    return _correlator_spectrum(scheme.config, correlators, setting_map)
+    entries = _correlator_spectra(scheme.config, correlators[None], setting_map)
+    return SubsetSpectrum(scheme.config, entries[0])
 
 
-def _correlator_spectrum(config: NetworkConfig, correlators, setting_map) -> SubsetSpectrum:
-    """:func:`truncated_spectrum` of a table's ``(2**T, n_settings)`` correlators."""
+def _correlator_spectra(config: NetworkConfig, correlators, setting_map) -> np.ndarray:
+    """:func:`truncated_spectra` of tables' stacked ``(m, 2**T, n_settings)``
+    correlators, each entry checked to lie in ``[-1, 1]``."""
     setting_map = np.asarray(setting_map)
     if setting_map.shape != (1 << config.max_branch,):
         raise ValueError("need one center setting per subset mask")
-    if setting_map.min() < 0 or setting_map.max() >= correlators.shape[1]:
+    if setting_map.min() < 0 or setting_map.max() >= correlators.shape[2]:
         raise ValueError("setting map refers to a missing center setting")
     words = subset_setting_mask(np.arange(1 << config.max_branch), config)
-    spectrum = fwht(correlators) / (1 << config.total)
-    return SubsetSpectrum(config, spectrum[words, setting_map])
+    spectrum = fwht(correlators, axis=1) / (1 << config.total)
+    entries = spectrum[:, words, setting_map]
+    _check_entries(entries)
+    return entries
+
+
+def _check_entries(entries: np.ndarray) -> None:
+    if np.abs(entries).max() > 1.0 + _ENTRY_TOL:
+        raise ValueError("correlator entry outside [-1, 1]")
 
 
 def kernel_cap(config: NetworkConfig) -> str | None:

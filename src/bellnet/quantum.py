@@ -112,16 +112,19 @@ def _signed_rows(rows: np.ndarray, total: int) -> np.ndarray:
 
 
 def _signed_table(values: np.ndarray, total: int) -> np.ndarray:
-    """:func:`_signed_rows` of every ``(x, y)`` row, about ``_BLOCK_ENTRIES``
-    entries at a time.  A broadcast view that repeats one center setting
-    is signed once and never copied."""
-    dim, n_y = values.shape[:2]
+    """:func:`_signed_rows` of every ``(x, y)`` row of ``values[x, y, a, b]``,
+    about ``_BLOCK_ENTRIES`` entries at a time.  Rows are ``2 * 2**total``
+    entries wide whatever their count, so the tables of several models
+    stacked along ``x`` are signed in one pass.  A broadcast view that
+    repeats one center setting is signed once and never copied."""
+    count, n_y = values.shape[:2]
     if n_y > 1 and values.strides[1] == 0:
-        return np.broadcast_to(_signed_table(values[:, :1], total), (dim, n_y, 2))
-    signed = np.empty((dim, n_y, 2))
-    step = max(1, _BLOCK_ENTRIES // (n_y * 2 * dim))
-    for lo in range(0, dim, step):
-        block = values[lo : lo + step].reshape(-1, 2 * dim)
+        return np.broadcast_to(_signed_table(values[:, :1], total), (count, n_y, 2))
+    signed = np.empty((count, n_y, 2))
+    width = 2 << total
+    step = max(1, _BLOCK_ENTRIES // (n_y * width))
+    for lo in range(0, count, step):
+        block = values[lo : lo + step].reshape(-1, width)
         signed[lo : lo + step] = _signed_rows(block, total).reshape(-1, n_y, 2)
     return signed
 
@@ -415,7 +418,9 @@ def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationT
     """Each source's noisy table under a separable center measurement.
 
     The center observer's angle on the qubit from source ``j`` is X or Y
-    according to the setting bit of that source's block.
+    according to the setting bit of that source's block.  Sources that
+    share their angles, center angles and visibility share one table,
+    simulated once per call.
     """
     config = scheme.config
     if visibilities is None:
@@ -424,19 +429,17 @@ def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationT
     if len(visibilities) != config.n:
         raise ValueError("need one visibility per source")
     n_y = bob_setting_count(config)
+    simulated = {}
     tables = []
     for j in range(config.n):
         off, size = config.offsets[j], config.branches[j]
         block = config.block_index(j)
         bob_angles = tuple(HALF_PI * ((y >> block) & 1) for y in range(n_y))
-        tables.append(
-            single_source_table(
-                size,
-                scheme.branch_angles[off : off + size],
-                bob_angles,
-                visibilities[j],
-            )
-        )
+        angles = scheme.branch_angles[off : off + size]
+        key = (angles.tobytes(), bob_angles, visibilities[j])
+        if key not in simulated:
+            simulated[key] = single_source_table(size, angles, bob_angles, visibilities[j])
+        tables.append(simulated[key])
     return tables
 
 
@@ -462,9 +465,15 @@ def swap_joint_table(config: NetworkConfig, branch_angles) -> SwapJointTable:
         raise ValueError("branch_angles must have shape (total observers, 2)")
     # joint[x, a, w]: the amplitude product at setting word x, branch outcome
     # word a and center word w; each later source's bits sit above the earlier.
+    # Sources that share their angles share one amplitude array.
     joint = np.ones((1, 1, 1), dtype=np.complex128)
+    simulated = {}
     for off, size in zip(config.offsets, config.branches):
-        amp = _branch_amplitudes(angles[off : off + size])
+        source = angles[off : off + size]
+        key = source.tobytes()
+        if key not in simulated:
+            simulated[key] = _branch_amplitudes(source)
+        amp = simulated[key]
         d = len(amp) * len(joint)
         joint = np.einsum("xca,XAW->xXaAcW", amp, joint).reshape(d, d, -1)
     v = np.arange(1 << config.n)

@@ -14,6 +14,7 @@ from bellnet import classical
 from bellnet.classical import (
     deterministic_maximum,
     model_table,
+    model_tables,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -25,9 +26,11 @@ from bellnet.classical import (
 from bellnet.inequality import (
     bell_value,
     classical_bound,
+    truncated_spectra,
     truncated_spectrum,
 )
 from bellnet.network import NetworkConfig, xy_setting_map
+from bellnet import quantum
 from bellnet.quantum import CorrelationTable
 from oracles import (
     dense_sampled_spectra,
@@ -296,6 +299,106 @@ def test_model_table_peak_memory():
         tracemalloc.stop()
     # the scatter works in blocks, not on all 4096 hidden words at once
     assert peak <= table.values.nbytes + (8 << 20)
+
+
+def _table_entries(model):
+    dim = 1 << model.config.total
+    return dim * model.n_center_settings * dim * 2
+
+
+@pytest.mark.parametrize(
+    "branches, lattice",
+    [
+        ((1, 2, 3), 3),  # two models a group: groups of 2, 2 and 1
+        ((3, 3), 64),  # one group of five, 20480 hidden words in several scatter blocks
+        ((1, 1), 1),  # one group of five, one hidden word each
+    ],
+)
+def test_model_tables_equal_each_table_and_the_loop_bit_for_bit(branches, lattice):
+    cfg = NetworkConfig(len(branches), branches)
+    models = [sample_model(seed, cfg, lattice=lattice) for seed in range(5)]
+    tables = list(model_tables(models))
+    assert len(tables) == len(models)
+    for model, table in zip(models, tables):
+        for other in (model_table(model), loop_model_table(model)):
+            assert np.array_equal(table.values, other.values)
+            assert np.array_equal(table.correlators, other.correlators)
+        assert not table.correlators.flags.writeable
+
+
+def test_model_tables_group_as_many_models_as_fit_one_block():
+    def groups(models):
+        tables = list(model_tables(models))
+        shared = [a.values.base is b.values.base for a, b in zip(tables, tables[1:])]
+        return [1 + i for i, same in enumerate(shared) if not same] + [len(tables)]
+
+    split = [sample_model(seed, NetworkConfig(3, (1, 2, 3)), 3) for seed in range(5)]
+    assert 2 * _table_entries(split[0]) == quantum._BLOCK_ENTRIES
+    assert groups(split) == [2, 4, 5]
+    wide = [sample_model(seed, NetworkConfig(2, (3, 3)), 64) for seed in range(5)]
+    hidden = 5 * 64**2 * (1 << 6) * 2  # (model, combo) pairs times (x, y) rows
+    assert hidden > 4 * classical._SCATTER_ENTRIES
+    assert groups(wide) == [5]
+    # a table past one block is a group of its own
+    large = [sample_model(seed, NetworkConfig(2, (5, 5)), 2) for seed in range(2)]
+    assert _table_entries(large[0]) > quantum._BLOCK_ENTRIES
+    assert groups(large) == [1, 2]
+
+
+def test_model_tables_refuse_models_of_other_networks():
+    cfg = NetworkConfig.homogeneous(2, 1)
+    assert list(model_tables([])) == []
+    with pytest.raises(ValueError, match="one network and lattice"):
+        model_tables([sample_model(0, cfg, 2), sample_model(1, cfg, 3)])
+    with pytest.raises(ValueError, match="one network and lattice"):
+        model_tables([sample_model(0, cfg, 2), sample_model(1, NetworkConfig(2, (1, 2)), 2)])
+
+
+def test_model_tables_peak_memory():
+    # Five (1, 2, 3) tables of 2**16 entries each, two a group.  Read as the
+    # command line reads them, the call holds one group (2**17 entries) and
+    # its scatter block (int64 indices and float64 weights), where a list
+    # of all five tables peaked at 2.9 MB.
+    cfg = NetworkConfig(3, (1, 2, 3))
+    models = [sample_model(seed, cfg, 3) for seed in range(5)]
+    smap = xy_setting_map(3)
+    block = 2 * 3**3 * (1 << 6) * 8  # (model, combo) pairs times (x, y) rows
+    tracemalloc.start()
+    try:
+        spectra = truncated_spectra(model_tables(models), smap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spectra.shape == (5, 8)
+    assert 2 * _table_entries(models[0]) == quantum._BLOCK_ENTRIES
+    assert peak <= quantum._BLOCK_ENTRIES * 8 + 2 * 8 * block + (128 << 10)
+
+
+@pytest.mark.parametrize("branches, lattice", [((1, 2, 3), 3), ((2, 2), 2), ((1,), 1)])
+def test_truncated_spectra_rows_equal_each_spectrum(branches, lattice):
+    cfg = NetworkConfig(len(branches), branches)
+    smap = xy_setting_map(cfg.max_branch)
+    tables = list(model_tables([sample_model(seed, cfg, lattice) for seed in range(5)]))
+    spectra = truncated_spectra(tables, smap)
+    assert spectra.shape == (5, 1 << cfg.max_branch)
+    for row, table in zip(spectra, tables):
+        assert np.array_equal(row, truncated_spectrum(table, smap).entries)
+
+
+def test_truncated_spectra_refuse_an_entry_past_one():
+    # Signed rows that claim a correlator of 1.5 at every setting give
+    # entry 1.5 at the empty subset.
+    cfg = NetworkConfig.homogeneous(1, 1)
+    good = model_table(sample_model(0, cfg, 2))
+    signed = np.stack([np.ones((2, 2)), np.full((2, 2), 1.5)], axis=-1)
+    bad = CorrelationTable(cfg, good.values, signed)
+    smap = xy_setting_map(1)
+    with pytest.raises(ValueError, match="outside"):
+        truncated_spectra([good, bad], smap)
+    with pytest.raises(ValueError, match="outside"):
+        truncated_spectrum(bad, smap)
+    with pytest.raises(ValueError, match="one network"):
+        truncated_spectra([good, model_table(sample_model(0, NetworkConfig(1, (2,)), 2))], smap)
 
 
 def test_batched_spectra_match_table_route():

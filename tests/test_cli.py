@@ -539,7 +539,7 @@ def test_classical_sample_skips_table_check_beyond_budget(monkeypatch, capsys):
     def no_table(*args, **kwargs):
         raise AssertionError("built a model table beyond the budget")
 
-    monkeypatch.setattr(cli, "model_table", no_table)
+    monkeypatch.setattr(cli, "model_tables", no_table)
     argv = ["classical", "--n", "3", "--L", "8", "--mode", "sample", "--trials", "1"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)

@@ -427,6 +427,75 @@ def test_streamed_correlators_hold_a_block_not_the_table():
     assert peak <= 3 * sources + (4 << 20)
 
 
+def _fresh_source_tables(scheme, visibilities):
+    """One newly simulated table per source, whether or not sources share them."""
+    cfg = scheme.config
+    n_y = bob_setting_count(cfg)
+    return [
+        single_source_table(
+            size,
+            scheme.branch_angles[off : off + size],
+            tuple(HALF_PI * ((y >> cfg.block_index(j)) & 1) for y in range(n_y)),
+            visibilities[j],
+        )
+        for j, (off, size) in enumerate(zip(cfg.offsets, cfg.branches))
+    ]
+
+
+@pytest.mark.parametrize(
+    "branches, kind, visibilities, simulated",
+    [
+        ((3, 3, 3), "xy", (1.0, 1.0, 1.0), 1),
+        ((3, 3, 3), "rotated", (0.5, 1.0, 0.5), 2),
+        ((1, 2, 3), "rotated", (1.0, 1.0, 1.0), 3),
+        ((2, 2, 2, 2), "xy", (0.25, 0.5, 0.25, 0.5), 2),
+        ((1,) * 6, "xy", (1.0,) * 6, 1),
+    ],
+)
+def test_each_distinct_source_is_simulated_once(
+    monkeypatch, branches, kind, visibilities, simulated
+):
+    cfg = NetworkConfig(len(branches), branches)
+    scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
+    want = compose_network(_fresh_source_tables(scheme, visibilities)).correlators
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return single_source_table(*args, **kwargs)
+
+    monkeypatch.setattr(quantum, "single_source_table", counted)
+    got = network_correlators(scheme, visibilities)
+    assert len(calls) == simulated
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "branches, angles, simulated",
+    [
+        ((2, 2), None, 1),
+        ((1, 2, 1), None, 2),
+        ((1, 1, 1, 1), [[0.0, HALF_PI], [0.3, 0.1], [0.0, HALF_PI], [0.3, 0.1]], 2),
+    ],
+)
+def test_swap_joint_table_simulates_each_distinct_source_once(
+    monkeypatch, branches, angles, simulated
+):
+    cfg = NetworkConfig(len(branches), branches)
+    angles = xy_scheme(cfg).branch_angles if angles is None else np.array(angles)
+    calls = []
+    amplitudes = quantum._branch_amplitudes
+
+    def counted(branch_angles):
+        calls.append(branch_angles)
+        return amplitudes(branch_angles)
+
+    monkeypatch.setattr(quantum, "_branch_amplitudes", counted)
+    table = swap_joint_table(cfg, angles)
+    assert len(calls) == simulated
+    assert np.abs(table.values - brute_force_swap_table(cfg, angles)).max() < 1e-12
+
+
 def test_compose_of_uniform_is_uniform():
     cfg = NetworkConfig(1, (2,))
     parts = [CorrelationTable(cfg, uniform_table(cfg))] * 2
