@@ -8,6 +8,7 @@ enumeration of deterministic strategies for single-source networks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -25,6 +26,16 @@ MAX_HIDDEN_COMBINATIONS = 1 << 16
 SAMPLE_STREAM = "splitmix64-v1"
 MAX_SAMPLE_SEED = (1 << 63) - 1
 SAMPLE_BLOCK_ENTRIES = 1 << 22  # entries a sampling block holds (32 MiB per float64 array)
+# Models of the first sampling block whose spectrum rows sampled_bell_values
+# hands back, for a caller to check against an independent route.
+PROBE_MODELS = 5
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)  # the stream's counter step, 2**64 over the golden ratio
+_MIX_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+_MIX_LAST = np.uint64(31)
+_MANTISSA_SHIFT = np.uint64(64 - 53)
 # Entries one block of model_tables' scatter holds, over (model, combo)
 # pairs of one group: its int64 indices and float64 weights are 2 MiB each,
 # so a group stays near its tables' memory (at n=2, L=5, lattice 256,
@@ -135,37 +146,56 @@ def _model_entries(config: NetworkConfig, lattice: int) -> int:
 
 def _mix(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer on a uint64 array (wrapping)."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    for shift, factor in _MIX_ROUNDS:
+        z = (z ^ (z >> shift)) * factor
+    return z ^ (z >> _MIX_LAST)
 
 
 def _stream_words(seeds, count: int) -> np.ndarray:
-    """Word c < count of seed s is mix(mix(s) + (c+1)·γ) mod 2**64; one row per seed."""
-    seeds = np.asarray(seeds)
-    if seeds.dtype.kind not in "iu" or seeds.min() < 0 or int(seeds.max()) > MAX_SAMPLE_SEED:
-        raise ValueError(f"sample seeds must be integers in 0..{MAX_SAMPLE_SEED}")
-    steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    return _mix(_mix(seeds.astype(np.uint64).reshape(-1))[:, None] + steps)
+    """Word c < count of seed s is mix(mix(s) + (c+1)·γ) mod 2**64; one row per seed.
+
+    A step-1 ``range`` inside ``0..2**63 - 1`` becomes its seeds with one
+    ``np.arange`` in uint64, exact up to the last seed; any other input
+    goes through ``np.asarray`` and is refused unless it holds integers
+    in that domain."""
+    if (
+        isinstance(seeds, range)
+        and seeds.step == 1
+        and 0 <= seeds.start < seeds.stop <= MAX_SAMPLE_SEED + 1
+    ):
+        seeds = np.arange(seeds.start, seeds.stop, dtype=np.uint64)
+    else:
+        seeds = np.asarray(seeds)
+        if seeds.dtype.kind not in "iu" or seeds.min() < 0 or int(seeds.max()) > MAX_SAMPLE_SEED:
+            raise ValueError(f"sample seeds must be integers in 0..{MAX_SAMPLE_SEED}")
+    steps = np.arange(1, count + 1, dtype=np.uint64) * _GAMMA
+    return _mix(_mix(seeds.astype(np.uint64, copy=False).reshape(-1))[:, None] + steps)
 
 
 def _draw(seeds, config: NetworkConfig, lattice: int):
     """Weights, response bits and center bits of each seed's model: ``n·lattice``
-    words of weights, then bits (lowest first) for each source, then the center."""
+    words of weights, then bits (lowest first) for each source, then the center.
+
+    The bits are one ``unpackbits`` of the words after the weights; each
+    source's and the center's bits are slices of it at their cumulative
+    offsets."""
     _model_entries(config, lattice)
     combos, n_y, n_weights = lattice ** config.n, bob_setting_count(config), config.n * lattice
     sizes = [2 * lattice * size for size in config.branches] + [combos * n_y]
     words = _stream_words(seeds, n_weights - (-sum(sizes) // 64))
     # Top 53 bits, half a step into (0, 1): -log gives unit exponentials,
     # which normalize to a flat Dirichlet (exactly 1.0 on one point).
-    top = (words[:, :n_weights] >> np.uint64(11)).astype(np.float64)
+    top = (words[:, :n_weights] >> _MANTISSA_SHIFT).astype(np.float64)
     weights = -np.log((top + 0.5) / 2.0**53).reshape(-1, config.n, lattice)
     weights /= weights.sum(axis=2, keepdims=True)
     packed = np.ascontiguousarray(words[:, n_weights:], dtype="<u8").view(np.uint8)
     bits = np.unpackbits(packed, axis=1, count=sum(sizes), bitorder="little")
-    parts = np.split(bits, np.cumsum(sizes), axis=1)
-    responses = [part.reshape(-1, size, 2, lattice) for part, size in zip(parts, config.branches)]
-    return weights, responses, parts[config.n].reshape(-1, combos, n_y)
+    starts = [0, *itertools.accumulate(sizes)]
+    responses = [
+        bits[:, lo:hi].reshape(-1, size, 2, lattice)
+        for lo, hi, size in zip(starts, starts[1:], config.branches)
+    ]
+    return weights, responses, bits[:, starts[-2] :].reshape(-1, combos, n_y)
 
 
 def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledModel:
@@ -331,13 +361,23 @@ def _outcome_words(answers: np.ndarray) -> np.ndarray:
 
 
 def sampled_bell_values(seeds, config: NetworkConfig, lattice: int = 2):
-    """Bell value of each seeded model, batch-evaluated block by block."""
+    """Bell value of each seeded model, batch-evaluated block by block, and
+    the spectrum rows of its first :data:`PROBE_MODELS` seeds (all of them,
+    if fewer).
+
+    Those rows are copied out of the first block's spectra, the very rows
+    its first values are read from, so a caller that checks them against
+    another route checks what it reports, and no block outlives its pass.
+    """
     step = SAMPLE_BLOCK_ENTRIES // _model_entries(config, lattice)
     out = np.empty(len(seeds))
+    head = np.empty((0, 1 << config.max_branch))
     for lo in range(0, len(seeds), step):
         entries = sampled_spectra(seeds[lo : lo + step], config, lattice)
+        if lo == 0:
+            head = entries[:PROBE_MODELS].copy()
         out[lo : lo + step] = (np.abs(entries) ** (1.0 / config.n)).sum(axis=1)
-    return out
+    return out, head
 
 
 def deterministic_maximum(config: NetworkConfig):

@@ -29,7 +29,6 @@ from .classical import (
     region_slice,
     sample_model,
     sampled_bell_values,
-    sampled_spectra,
     saturating_entries,
     saturating_table,
 )
@@ -465,17 +464,16 @@ def cmd_classical(args, parser: _Parser) -> int:
             parser.error(f"--seed must lie in 0..{last} for {args.trials} trials, got {seed}")
         report["run"]["stream"] = SAMPLE_STREAM
         seeds = range(seed, seed + args.trials)
-        values = sampled_bell_values(seeds, config, args.lattice)
+        values, head = sampled_bell_values(seeds, config, args.lattice)
         report["trials"] = args.trials
         report["lattice"] = args.lattice
         report["max_value"] = float(values.max())
         checks["all_below_classical_bound"] = bool(values.max() <= bound + VALUE_TOL)
         if _fits(report, "batch_matches_table_route", separable_table_cap(config)):
-            probe_seeds = list(range(seed, seed + min(args.trials, 5)))
-            batch = sampled_spectra(probe_seeds, config, args.lattice)
-            models = [sample_model(probe, config, args.lattice) for probe in probe_seeds]
+            # The reported batch's first rows against the probes' own tables.
+            models = [sample_model(probe, config, args.lattice) for probe in seeds[: len(head)]]
             spectra = truncated_spectra(model_tables(models), xy_setting_map(config.max_branch))
-            worst = float(np.abs(spectra - batch).max())
+            worst = float(np.abs(spectra - head).max())
             checks["batch_matches_table_route"] = worst <= 1e-12
     else:  # enumerate
         if config.n != 1:

@@ -115,7 +115,9 @@ def _correlator_spectra(config: NetworkConfig, correlators, setting_map) -> np.n
 
 
 def _check_entries(entries: np.ndarray) -> None:
-    if np.abs(entries).max() > 1.0 + _ENTRY_TOL:
+    """Refuse an entry outside ``[-1, 1]``, NaN included: ``max`` carries a
+    NaN through, so the test passes only on a number within the bound."""
+    if not np.abs(entries).max() <= 1.0 + _ENTRY_TOL:
         raise ValueError("correlator entry outside [-1, 1]")
 
 

@@ -107,7 +107,7 @@ def test_criterion_04_sampled_models_respect_bound():
     for cfg in (NetworkConfig.homogeneous(2, 2), NetworkConfig.homogeneous(2, 1)):
         top = 0.0
         for lo in range(0, 100_000, 10_000):
-            values = sampled_bell_values(range(lo, lo + 10_000), cfg)
+            values, _ = sampled_bell_values(range(lo, lo + 10_000), cfg)
             top = max(top, float(values.max()))
         overall = max(overall, top)
     enum_ok = all(

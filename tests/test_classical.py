@@ -169,12 +169,16 @@ def test_stream_known_answers():
 
 
 def test_stream_words_of_a_range_equal_those_of_its_seeds():
-    # a range reads as its seeds, up to the largest one a stop of 2**63 admits
-    for seeds in (range(1400), range(12345, 13745), range(2**63 - 5, 2**63), range(10, 0, -3)):
+    # a range reads as its seeds, up to the largest one a stop of 2**63
+    # admits; a step-1 range is one np.arange in uint64, any other a list
+    ranges = (range(1400), range(12345, 13745), range(2**63 - 5, 2**63), range(2**63 - 1, 2**63))
+    for seeds in (*ranges, range(10, 0, -3)):
         want = classical._stream_words(np.array(list(seeds), dtype=np.uint64), 3)
         assert np.array_equal(classical._stream_words(seeds, 3), want)
-    for seeds in (range(-1, 3), range(2**63 - 1, 2**63 + 1)):
-        with pytest.raises(ValueError, match="sample seeds must be integers"):
+        assert np.array_equal(classical._stream_words(list(seeds), 3), want)
+    message = f"sample seeds must be integers in 0..{classical.MAX_SAMPLE_SEED}"
+    for seeds in (range(-1, 3), range(-3, 0), range(2**63 - 1, 2**63 + 1)):
+        with pytest.raises(ValueError, match=message):
             classical._stream_words(seeds, 3)
 
 
@@ -242,8 +246,28 @@ def test_block_boundaries_change_no_row():
     whole = sampled_spectra(range(10_000), cfg, lattice=16)
     parts = [sampled_spectra(range(a, b), cfg, lattice=16) for a, b in zip(cuts, cuts[1:])]
     assert np.array_equal(whole, np.concatenate(parts))
-    values = sampled_bell_values(range(10_000), cfg, lattice=16)
+    values, _ = sampled_bell_values(range(10_000), cfg, lattice=16)
     assert np.array_equal(values, (np.abs(whole) ** 0.5).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "cfg, lattice, trials, blocks",
+    [(NetworkConfig.homogeneous(2, 1), 2, 3, 1), (NetworkConfig(2, (2, 3)), 64, 1000, 8)],
+)
+def test_probe_rows_are_the_reported_rows(cfg, lattice, trials, blocks):
+    seeds = range(7, 7 + trials)
+    step = classical.SAMPLE_BLOCK_ENTRIES // classical._model_entries(cfg, lattice)
+    assert -(-trials // step) == blocks
+    values, head = sampled_bell_values(seeds, cfg, lattice)
+    whole = sampled_spectra(seeds, cfg, lattice)
+    probes = min(trials, classical.PROBE_MODELS)
+    assert np.array_equal(head, whole[:probes])
+    assert np.array_equal(values, (np.abs(whole) ** 0.5).sum(axis=1))
+    # the counter-based stream draws each probe seed alone as the batch did
+    models = [sample_model(seed, cfg, lattice) for seed in seeds[:probes]]
+    tables = truncated_spectra(model_tables(models), xy_setting_map(cfg.max_branch))
+    assert np.abs(tables - head).max() <= 1e-12
+    assert head.flags.owndata  # a copy of the rows, not a view that holds the block
 
 
 def test_oversized_model_is_refused_before_drawing(monkeypatch):
@@ -437,12 +461,12 @@ def test_one_mask_kernel_matches_the_dense_route(branches, lattice):
 
 def test_sampled_bell_values_respect_bound():
     for cfg in [NetworkConfig.homogeneous(2, 2), NetworkConfig.homogeneous(2, 1)]:
-        values = sampled_bell_values(range(2000), cfg)
+        values, _ = sampled_bell_values(range(2000), cfg)
         assert values.shape == (2000,)
         assert values.max() <= classical_bound(cfg) + 1e-9
 
     het = NetworkConfig(2, (1, 2))
-    assert sampled_bell_values(range(500), het).max() <= classical_bound(het) + 1e-9
+    assert sampled_bell_values(range(500), het)[0].max() <= classical_bound(het) + 1e-9
 
 
 def test_model_mixture_spectrum_is_convex_combination():

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from bellnet import classical
 from bellnet import cli
 from bellnet import inequality
 from bellnet import swap
@@ -101,9 +102,15 @@ def _shows_a_failure(text: str) -> bool:
             (cli, "model_tables"),
             "batch_matches_table_route",
         ),
+        (
+            # the reported values halve; the probe tables, drawn alone, do not
+            ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "20"],
+            (classical, "sampled_spectra"),
+            "batch_matches_table_route",
+        ),
         (["sweep", "--L", "2", "--grid", "3"], (cli, "single_source_table"), None),
     ],
-    ids=["violate", "swap", "saturating", "sample", "sweep"],
+    ids=["violate", "swap", "saturating", "sample", "sample-batch", "sweep"],
 )
 def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
     module, name = route

@@ -255,6 +255,13 @@ def test_spectrum_validation():
         SubsetSpectrum(cfg, np.array([0.0, 0.0, 0.0, 1.5]))
     spec = SubsetSpectrum(cfg, np.array([0.5, 0.0, 0.0, -0.5]))
     assert spec.entries.tolist() == [0.5, 0.0, 0.0, -0.5]
+    # every comparison with NaN is false, so the bound must pass only on a number
+    with pytest.raises(ValueError, match=r"correlator entry outside \[-1, 1\]"):
+        SubsetSpectrum(NetworkConfig(1, (1,)), np.array([np.nan, 0.5]))
+    correlators = np.zeros((1, 1 << cfg.total, 2))
+    correlators[0, 3, 1] = np.nan
+    with pytest.raises(ValueError, match=r"correlator entry outside \[-1, 1\]"):
+        inequality._correlator_spectra(cfg, correlators, xy_setting_map(cfg.max_branch))
 
 
 def test_bell_value_drops_only_rounding_noise():
