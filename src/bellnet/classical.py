@@ -339,7 +339,11 @@ def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
         bits = bits[..., 0, :] ^ (setting & (bits[..., 0, :] ^ bits[..., 1, :]))
         values *= kept.reshape(values.shape) * (1 - 2 * bits.view(np.int8))
         cells = wide_star + (np.arange(batch) << config.max_branch)
-        per_value = values.sum(axis=(0, 2))
+        # A batch axis of one would let numpy sum the others pairwise, in
+        # another order than a longer batch gets: pad it with a zero model.
+        if batch == 1:
+            values = np.concatenate((values, np.zeros_like(values)), axis=-1)
+        per_value = values.sum(axis=(0, 2))[:, :batch]
         sums = np.bincount(cells.ravel(), per_value.ravel(), minlength=batch << config.max_branch)
         out[lo : lo + step] = sums.reshape(batch, -1)
     return out

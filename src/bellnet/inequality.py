@@ -92,8 +92,8 @@ def simulated_spectrum(
     scheme: MeasurementScheme, setting_map, visibilities=None
 ) -> SubsetSpectrum:
     """``truncated_spectrum(network_table(scheme, visibilities), setting_map)``
-    from :func:`bellnet.quantum.network_correlators`, which checks each
-    block of the network table without storing the table."""
+    from :func:`bellnet.quantum.network_correlators`, which past one block
+    multiplies the sources' checked correlators instead of composing."""
     correlators = network_correlators(scheme, visibilities)
     entries = _correlator_spectra(scheme.config, correlators[None], setting_map)
     return SubsetSpectrum(scheme.config, entries[0])

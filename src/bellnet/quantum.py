@@ -35,11 +35,10 @@ about ``_BLOCK_ENTRIES`` entries per block: each block must hold no
 negative entry, and one product with the ``(2 * 2**T, 2)`` matrix
 ``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one once
 the pass ends, and its full correlators, which the table keeps.
-Composition runs that pass on each block of the network table right
-after writing it.  :func:`compose_network` writes the blocks into the
-table it returns; :func:`network_correlators`, the command line's check,
-writes each block of a table past one block into one reused buffer of a
-block, so only the correlators are kept and the table is never stored.
+:func:`compose_network` runs that pass on each block of the network table
+right after writing it.  :func:`network_correlators`, the command line's
+check, composes no table past one block: the sources are independent, so
+the network's full correlator is the product of theirs.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -129,15 +128,6 @@ def _signed_table(values: np.ndarray, total: int) -> np.ndarray:
     return signed
 
 
-def _checked_correlators(signed: np.ndarray) -> np.ndarray:
-    """The read-only correlators of :func:`_signed_rows`' ``(..., (sum,
-    correlator))`` array, once every sum is one."""
-    _check_sums(signed[..., 0])
-    correlators = signed[..., 1]
-    correlators.setflags(write=False)
-    return correlators
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationTable:
     """Joint conditional distribution of all outcomes given all settings.
@@ -163,7 +153,10 @@ class CorrelationTable:
             raise ValueError(f"table shape {v.shape} does not match config")
         if _signed is None:
             _signed = _signed_table(v, total)
-        object.__setattr__(self, "correlators", _checked_correlators(_signed))
+        _check_sums(_signed[..., 0])
+        correlators = _signed[..., 1]
+        correlators.setflags(write=False)
+        object.__setattr__(self, "correlators", correlators)
 
     @property
     def n_bob_settings(self) -> int:
@@ -269,9 +262,10 @@ def compose_network(tables) -> CorrelationTable:
     return CorrelationTable(config, table, _compose_blocks(tables, table))
 
 
-def _compose_blocks(tables, table=None) -> np.ndarray:
-    """Write the network table of two or more single-source ``tables`` and
-    check and sign it, returning each row's ``(sum, correlator)``.
+def _compose_blocks(tables, table: np.ndarray) -> np.ndarray:
+    """Write the network table of two or more single-source ``tables`` into
+    ``table``, the ``(2**T, n_y, 2**T, 2)`` array it fills, and check and
+    sign it, returning each row's ``(sum, correlator)``.
 
     The center observer announces the XOR of his per-source parity bits, so
     composition is an XOR convolution over those bits: a product of each
@@ -281,9 +275,6 @@ def _compose_blocks(tables, table=None) -> np.ndarray:
     ``_BLOCK_ENTRIES`` entries at a time, one batched matmul per block of
     rows, and each block is checked and signed by :func:`_signed_rows` as
     soon as it is written; a table that fits one block is one matmul.
-    Each block goes to its rows of ``table``, the ``(2**T, n_y, 2**T, 2)``
-    array it fills, or, without one, into one buffer of a block that the
-    next block overwrites.
     """
     branches = tuple(t.config.branches[0] for t in tables)
     n_y = tables[0].n_bob_settings
@@ -312,13 +303,12 @@ def _compose_blocks(tables, table=None) -> np.ndarray:
     n_z, n_x = min(step, d_lo), min(max(step // d_lo, 1), d_j)
     n_hi = step // (n_z * n_x)
     block_shape = (n_hi, n_x, n_z, n_y, d_hi, d_j, 2 * d_lo)
-    buffer = np.empty(block_shape) if table is None else None
     signed = np.empty((dim, n_y, 2))
     for lo in range(0, dim, step):
         hi, z = divmod(lo, d_lo)
         hi, x = divmod(hi, d_j)
         # a slice of the table's rows is contiguous, so its reshape is a view
-        block = buffer if table is None else table[lo : lo + step].reshape(block_shape)
+        block = table[lo : lo + step].reshape(block_shape)
         np.matmul(p_j[:, x : x + n_x], factor[hi : hi + n_hi, :, z : z + n_z], out=block)
         rows = _signed_rows(block.reshape(-1, 2 * dim), total)
         signed[lo : lo + step] = rows.reshape(-1, n_y, 2)
@@ -381,9 +371,9 @@ def bob_setting_count(config: NetworkConfig) -> int:
 def separable_table_cap(config: NetworkConfig) -> str | None:
     """The refusal of :func:`network_table`'s array, or None; each source's is smaller.
 
-    :func:`network_correlators` writes the same entries a block at a time
-    and stores at most one block, so for it this bounds the work, not the
-    memory.
+    :func:`network_correlators` composes no table past one block, so for
+    it this bounds only which networks the command line checks, not the
+    memory or work of the check.
     """
     return over_budget("the separable table", 2 * config.total + len(config.block_sizes) + 1)
 
@@ -398,20 +388,24 @@ def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTa
 
 
 def network_correlators(scheme: MeasurementScheme, visibilities=None) -> np.ndarray:
-    """``network_table(scheme, visibilities).correlators``, bit for bit,
-    without storing a table of more than one block.
+    """``network_table(scheme, visibilities).correlators`` within rounding,
+    composing no table past one block.
 
-    Each block of the network table is written into one buffer of about
-    ``_BLOCK_ENTRIES`` entries, checked and signed there, and overwritten
-    by the next (see :func:`_compose_blocks`); only the correlators are
-    kept.  A table of one block, or of one source, costs no more stored,
-    so it comes from :func:`network_table` itself.
+    The sources are independent and the center announces the XOR of their
+    parity bits, so ``E(x, y) = prod_j E_j(x_j, y)``, source 0 in the low
+    bits of ``x``.  Each source's table was checked when it was built, and
+    an XOR convolution of distributions is one, so no check is lost.  A
+    table of one block, or of one source, comes from :func:`network_table`.
     """
     config = scheme.config
-    dim = 1 << config.total
-    if config.n == 1 or dim * bob_setting_count(config) * 2 * dim <= _BLOCK_ENTRIES:
+    dim, n_y = 1 << config.total, bob_setting_count(config)
+    if config.n == 1 or dim * n_y * 2 * dim <= _BLOCK_ENTRIES:
         return network_table(scheme, visibilities).correlators
-    return _checked_correlators(_compose_blocks(_source_tables(scheme, visibilities)))
+    corr = np.ones((1, n_y))
+    for part in _source_tables(scheme, visibilities):
+        corr = (part.correlators[:, None, :] * corr[None]).reshape(-1, n_y)
+    corr.setflags(write=False)
+    return corr
 
 
 def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationTable]:

@@ -251,6 +251,21 @@ def test_block_boundaries_change_no_row():
 
 
 @pytest.mark.parametrize(
+    "branches, lattice",
+    [((3, 3), 64), ((2, 3), 64), ((2, 2), 16), ((1, 2, 3), 3), ((4,), 5)],
+)
+def test_a_seeds_row_is_the_same_in_any_batch(branches, lattice):
+    # A block of one model sums in the same order as a longer block, so a
+    # seed's reported bits do not depend on --trials.
+    cfg = NetworkConfig(len(branches), branches)
+    batch = sampled_spectra(range(7, 407), cfg, lattice)
+    for seed in range(7, 407, 10):
+        row = batch[seed - 7]
+        assert np.array_equal(sampled_spectra([seed], cfg, lattice)[0], row)
+        assert np.array_equal(sampled_spectra([3, seed], cfg, lattice)[1], row)
+
+
+@pytest.mark.parametrize(
     "cfg, lattice, trials, blocks",
     [(NetworkConfig.homogeneous(2, 1), 2, 3, 1), (NetworkConfig(2, (2, 3)), 64, 1000, 8)],
 )

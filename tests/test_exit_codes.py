@@ -109,8 +109,24 @@ def _shows_a_failure(text: str) -> bool:
             "batch_matches_table_route",
         ),
         (["sweep", "--L", "2", "--grid", "3"], (cli, "single_source_table"), None),
+        # past one block the check multiplies the sources' correlators, so
+        # halving each source's table must show there too
+        (
+            ["violate", "--n", "2", "--L", "5"],
+            (quantum, "single_source_table"),
+            "simulation_matches_closed_form",
+        ),
+        (["noise", "--n", "3", "--L", "3"], (quantum, "single_source_table"), "bracket_certified"),
+        (
+            ["swap", "--n", "2", "--L", "4"],
+            (quantum, "single_source_table"),
+            "separable_matches_table",
+        ),
     ],
-    ids=["violate", "swap", "saturating", "sample", "sample-batch", "sweep"],
+    ids=[
+        "violate", "swap", "saturating", "sample", "sample-batch", "sweep",
+        "violate-product", "noise-product", "swap-product",
+    ],
 )
 def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
     module, name = route
@@ -124,7 +140,8 @@ def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):
     else:
         report = json.loads(out)
         assert report["checks"][check] is False
-        assert "classical_bound" in report
+        # noise names the failed certificate where its crossing would be
+        assert ("error" if argv[0] == "noise" else "classical_bound") in report
 
 
 def test_kernel_disagreeing_with_joint_table_exits_2(monkeypatch):
