@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkConfig, fwht, over_budget, parity_signs, subsets_of, xy_setting_map
-from .quantum import _BLOCK_ENTRIES, CorrelationTable, _signed_table, bob_setting_count
+from .quantum import _BLOCK_ENTRIES, CorrelationTable, bob_setting_count
 from .quantum import compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
@@ -44,7 +44,9 @@ _SCATTER_ENTRIES = 1 << 18
 
 
 def _check_probabilities(p: np.ndarray) -> None:
-    if p.min() < 0.0 or p.max() > 1.0:
+    """Refuse a probability outside ``[0, 1]``, NaN included: ``min`` and
+    ``max`` carry a NaN through, and every comparison with one is false."""
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("response probabilities must lie in [0, 1]")
 
 
@@ -222,10 +224,10 @@ def model_tables(models) -> Iterator[CorrelationTable]:
     scatter of its models' hidden words in ``(model, combo)`` order, a
     block of words at a time: each entry sums its weights in the order a
     loop over the words would, so every table equals that loop's to the
-    last bit.  One pass then checks and signs the group's stacked rows,
-    and each table keeps its slice of them.  The tables come one group at
-    a time, so a caller that keeps only what it reads off each table holds
-    one group, not all of them.
+    last bit.  Each table's constructor then checks and signs its view of
+    the group's stacked values.  The tables come one group at a time, so a
+    caller that keeps only what it reads off each table holds one group,
+    not all of them.
     """
     models = list(models)
     if any(m.config != models[0].config or m.lattice != models[0].lattice for m in models):
@@ -247,7 +249,7 @@ def _group_tables(group) -> list[CorrelationTable]:
     """The tables of one group, each a view of the group's stacked
     ``(model, x, y, a, b)`` array: one ``np.add.at`` scatter over
     ``(model, combo)`` pairs in that order, ``_SCATTER_ENTRIES`` entries a
-    block, then one check-and-sign pass over the stacked rows."""
+    block; each table's constructor then checks and signs its view."""
     config, lattice = group[0].config, group[0].lattice
     count, combos = len(group), lattice**config.n
     dim, n_y = 1 << config.total, group[0].n_center_settings
@@ -276,9 +278,7 @@ def _group_tables(group) -> list[CorrelationTable]:
         flat = outcome[:, :, None] + cells  # (pair, x, y)
         flat += center[lo : lo + combo.size, None, :]
         np.add.at(values.reshape(-1), flat.reshape(-1), np.repeat(weight, dim * n_y))
-    signed = _signed_table(values.reshape(-1, n_y, dim, 2), config.total)
-    signed = signed.reshape(count, dim, n_y, 2)
-    return [CorrelationTable(config, v, rows) for v, rows in zip(values, signed)]
+    return [CorrelationTable(config, v) for v in values]
 
 
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):

@@ -30,15 +30,15 @@ source of visibility ``V`` has outcome probabilities
 operator gives.  One-source tables join by batched matmuls in the
 Walsh–Hadamard domain of the center's parity bit.
 
-Every correlation table is checked and signed in one blocked pass of
-about ``_BLOCK_ENTRIES`` entries per block: each block must hold no
-negative entry, and one product with the ``(2 * 2**T, 2)`` matrix
-``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one once
-the pass ends, and its full correlators, which the table keeps.
-:func:`compose_network` runs that pass on each block of the network table
-right after writing it.  :func:`network_correlators`, the command line's
-check, composes no table past one block: the sources are independent, so
-the network's full correlator is the product of theirs.
+Every correlation table is checked and signed by its constructor, in one
+blocked pass of about ``_BLOCK_ENTRIES`` entries per block: each block
+must hold no negative entry, and one product with the ``(2 * 2**T, 2)``
+matrix ``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one
+once the pass ends, and its full correlators, which the table keeps.
+:func:`compose_network` writes the network table in one batched matmul
+and hands it to that constructor.  :func:`network_correlators`, the
+command line's check, composes no table past one block: the sources are
+independent, so the network's full correlator is the product of theirs.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -49,7 +49,7 @@ and :func:`joint_table_cap` let them fit.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -112,9 +112,7 @@ def _signed_rows(rows: np.ndarray, total: int) -> np.ndarray:
 
 def _signed_table(values: np.ndarray, total: int) -> np.ndarray:
     """:func:`_signed_rows` of every ``(x, y)`` row of ``values[x, y, a, b]``,
-    about ``_BLOCK_ENTRIES`` entries at a time.  Rows are ``2 * 2**total``
-    entries wide whatever their count, so the tables of several models
-    stacked along ``x`` are signed in one pass.  A broadcast view that
+    about ``_BLOCK_ENTRIES`` entries at a time.  A broadcast view that
     repeats one center setting is signed once and never copied."""
     count, n_y = values.shape[:2]
     if n_y > 1 and values.strides[1] == 0:
@@ -134,27 +132,23 @@ class CorrelationTable:
 
     ``correlators[x, y]`` is the full correlator, the expectation of
     ``(-1)^(|a| + b)`` at settings ``(x, y)``; the pass that checks the
-    table computes it.  ``_signed`` is private: the ``(x, y, (sum,
-    correlator))`` array of :func:`_signed_rows`, passed only by a caller
-    that ran that check on every block of ``values``.
+    table computes it.
     """
 
     config: NetworkConfig
     values: np.ndarray  # (2**total, n_settings, 2**total, 2)
     correlators: np.ndarray = field(init=False, repr=False)  # (2**total, n_settings)
-    _signed: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _signed):
+    def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "values", v)
         total = self.config.total
         dim = 1 << total
         if v.ndim != 4 or v.shape[0] != dim or v.shape[2] != dim or v.shape[3] != 2:
             raise ValueError(f"table shape {v.shape} does not match config")
-        if _signed is None:
-            _signed = _signed_table(v, total)
-        _check_sums(_signed[..., 0])
-        correlators = _signed[..., 1]
+        signed = _signed_table(v, total)
+        _check_sums(signed[..., 0])
+        correlators = signed[..., 1]
         correlators.setflags(write=False)
         object.__setattr__(self, "correlators", correlators)
 
@@ -242,9 +236,15 @@ def _basis_adjoints(thetas) -> np.ndarray:
 def compose_network(tables) -> CorrelationTable:
     """Join independent single-source tables into one network table.
 
-    The table is written and checked by :func:`_compose_blocks`.  Sources
-    are packed in list order: the first table owns the least significant
-    setting and outcome bits.  One table is returned as it is.
+    Sources are packed in list order: the first table owns the least
+    significant setting and outcome bits.  One table is returned as it is.
+
+    The center observer announces the XOR of his per-source parity bits, so
+    composition is an XOR convolution over those bits: a product of each
+    source's Walsh pair ``(p0 + p1, p0 - p1)``.  The largest source's table
+    is multiplied into the product of the others, which carries its
+    transform and the inverse one, in one batched matmul; the table's
+    constructor then checks and signs it.
     """
     tables = list(tables)
     if not tables:
@@ -256,30 +256,9 @@ def compose_network(tables) -> CorrelationTable:
         raise ValueError("all per-source tables must share the setting count")
     if len(tables) == 1:
         return tables[0]
-    config = NetworkConfig(len(tables), tuple(t.config.branches[0] for t in tables))
-    dim = 1 << config.total
-    table = np.empty((dim, n_y, dim, 2))
-    return CorrelationTable(config, table, _compose_blocks(tables, table))
-
-
-def _compose_blocks(tables, table: np.ndarray) -> np.ndarray:
-    """Write the network table of two or more single-source ``tables`` into
-    ``table``, the ``(2**T, n_y, 2**T, 2)`` array it fills, and check and
-    sign it, returning each row's ``(sum, correlator)``.
-
-    The center observer announces the XOR of his per-source parity bits, so
-    composition is an XOR convolution over those bits: a product of each
-    source's Walsh pair ``(p0 + p1, p0 - p1)``.  The largest source's table
-    is multiplied into the product of the others, which carries its
-    transform and the inverse one.  The network table is written about
-    ``_BLOCK_ENTRIES`` entries at a time, one batched matmul per block of
-    rows, and each block is checked and signed by :func:`_signed_rows` as
-    soon as it is written; a table that fits one block is one matmul.
-    """
     branches = tuple(t.config.branches[0] for t in tables)
-    n_y = tables[0].n_bob_settings
     walsh = np.array([[1.0, 1.0], [1.0, -1.0]])
-    # The largest source j (the last of equals) enters the batched matmuls, so
+    # The largest source j (the last of equals) enters the batched matmul, so
     # rest[X, y, s, A], the others' Walsh terms s times the inverse
     # transform's 1/2, stays small; later sources take higher bits.
     j = max(range(len(tables)), key=lambda k: (branches[k], k))
@@ -291,28 +270,14 @@ def _compose_blocks(tables, table: np.ndarray) -> np.ndarray:
     # j's bits split the others' into high and low ones: out[X, x, Z, y, A, a, (C, b)]
     # = sum_t p_j[x, y, a, t] sum_s walsh[t, s] rest[X, Z, y, s, A, C] walsh[s, b],
     # so j's own pair is folded into the small factor too.
-    total = sum(branches)
-    dim, d_j, d_lo = 1 << total, len(tables[j].values), 1 << sum(branches[:j])
+    dim, d_j, d_lo = 1 << sum(branches), len(tables[j].values), 1 << sum(branches[:j])
     d_hi = len(rest) // d_lo
     rest = rest.reshape(d_hi, d_lo, n_y, 2, d_hi, d_lo).transpose(0, 1, 2, 4, 3, 5)
     factor = walsh @ (rest[..., None] * walsh[:, None, :]).reshape(d_hi, 1, d_lo, n_y, d_hi, 2, -1)
-    p_j = tables[j].values[None, :, None, :, None]
-    # Rows x = (X, x_j, Z) of the network table, a power of two per block,
-    # so each block is one slice of X, of x_j or of Z.
-    step = min(max(1, _BLOCK_ENTRIES // (n_y * 2 * dim)), dim)
-    n_z, n_x = min(step, d_lo), min(max(step // d_lo, 1), d_j)
-    n_hi = step // (n_z * n_x)
-    block_shape = (n_hi, n_x, n_z, n_y, d_hi, d_j, 2 * d_lo)
-    signed = np.empty((dim, n_y, 2))
-    for lo in range(0, dim, step):
-        hi, z = divmod(lo, d_lo)
-        hi, x = divmod(hi, d_j)
-        # a slice of the table's rows is contiguous, so its reshape is a view
-        block = table[lo : lo + step].reshape(block_shape)
-        np.matmul(p_j[:, x : x + n_x], factor[hi : hi + n_hi, :, z : z + n_z], out=block)
-        rows = _signed_rows(block.reshape(-1, 2 * dim), total)
-        signed[lo : lo + step] = rows.reshape(-1, n_y, 2)
-    return signed
+    table = np.empty((d_hi, d_j, d_lo, n_y, d_hi, d_j, 2 * d_lo))
+    np.matmul(tables[j].values[None, :, None, :, None], factor, out=table)
+    config = NetworkConfig(len(tables), branches)
+    return CorrelationTable(config, table.reshape(dim, n_y, dim, 2))
 
 
 @dataclass(frozen=True, eq=False)

@@ -65,7 +65,11 @@ def default_conditioning(config: NetworkConfig, setting_map) -> SwapConditioning
 
 
 def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning:
-    """Parse {"<subset mask>": {"bit": i} | {"parity": [i, ...]}, ...}."""
+    """Parse {"<subset mask>": {"bit": i} | {"parity": [i, ...]}, ...}.
+
+    A key is a mask in plain decimal, so no two keys name one subset, and
+    an index is a JSON integer: ``true`` and ``false`` load as ``bool``,
+    an ``int`` subclass, and are refused."""
     check_source_count(config.n)
     try:
         data = json.loads(text)
@@ -80,19 +84,21 @@ def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning
         try:
             subset = int(key)
         except ValueError:
-            raise ValueError(f"subset key {key!r} is not an integer") from None
+            subset = None
+        if subset is None or key != str(subset):
+            raise ValueError(f"subset key {key!r} is not an integer in plain decimal")
         if not 0 <= subset < count:
             raise ValueError(f"subset key {key!r} outside 0..{count - 1}")
         if not isinstance(rule, dict) or len(rule) != 1:
             raise ValueError(f"rule for subset {key!r} must be a single-entry object")
         (kind, value), = rule.items()
         if kind == "bit":
-            if not isinstance(value, int) or not 0 <= value < config.n:
+            if type(value) is not int or not 0 <= value < config.n:
                 raise ValueError(f"subset {key!r}: bit index must lie in 0..{config.n - 1}")
             masks[subset] = 1 << value
         elif kind == "parity":
             if not isinstance(value, list) or not all(
-                isinstance(b, int) and 0 <= b < config.n for b in value
+                type(b) is int and 0 <= b < config.n for b in value
             ):
                 raise ValueError(
                     f"subset {key!r}: parity must list bit indices in 0..{config.n - 1}"

@@ -205,7 +205,7 @@ def single_matmul_composition(tables):
     matmul: the largest source's table (the last of equals) times one
     factor holding the others' Walsh pairs ``(p0 + p1, p0 - p1)``, both
     transforms and the inverse's 1/2.  ``compose_network`` writes the
-    same products a block of rows at a time, so it must match this bit
+    same products in one matmul of its own, so it must match this bit
     for bit."""
     branches = [len(t).bit_length() - 1 for t in tables]
     n_y = tables[0].shape[1]

@@ -49,6 +49,10 @@ def test_saturating_probabilities_broadcast():
     assert full[1, 0] == 0.3
     with pytest.raises(ValueError):
         saturating_probabilities(1.2, cfg)
+    # every comparison with NaN is false, so only a test that passes on a
+    # number in [0, 1] refuses it
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        saturating_probabilities([[0.1, np.nan], [0.3, 0.4]], cfg)
     with pytest.raises(ValueError):
         saturating_probabilities(0.5, NetworkConfig(2, (1, 2)))
 
@@ -425,12 +429,12 @@ def test_truncated_spectra_rows_equal_each_spectrum(branches, lattice):
 
 
 def test_truncated_spectra_refuse_an_entry_past_one():
-    # Signed rows that claim a correlator of 1.5 at every setting give
+    # A checked table given a correlator of 1.5 at every setting gives
     # entry 1.5 at the empty subset.
     cfg = NetworkConfig.homogeneous(1, 1)
     good = model_table(sample_model(0, cfg, 2))
-    signed = np.stack([np.ones((2, 2)), np.full((2, 2), 1.5)], axis=-1)
-    bad = CorrelationTable(cfg, good.values, signed)
+    bad = CorrelationTable(cfg, good.values)
+    object.__setattr__(bad, "correlators", np.full((2, 2), 1.5))
     smap = xy_setting_map(1)
     with pytest.raises(ValueError, match="outside"):
         truncated_spectra([good, bad], smap)

@@ -325,3 +325,20 @@ def test_oversized_networks_are_refused_before_any_table(command, network, schem
     }[command]
     assert set(report["skipped_checks"]) == table_checks
     assert all(report.get("checks", {}).values())
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [
+        '{"0": {"bit": true}, "1": {"parity": [true, false]}, "2": {"bit": 0}, "3": {"bit": 0}}',
+        '{"0": {"bit": 0}, "1": {"bit": 0}, "01": {"bit": 1}, "2": {"bit": 0}, "3": {"bit": 0}}',
+    ],
+    ids=["boolean-index", "aliasing-key"],
+)
+def test_malformed_conditioning_is_a_usage_error(tmp_path, rules):
+    path = tmp_path / "cond.json"
+    path.write_text(rules)
+    code, stdout, stderr = _run(["swap", "--n", "2", "--L", "2", "--conditioning", str(path)])
+    assert (code, stdout) == (1, "")
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1].startswith("bellnet swap: error: ")

@@ -219,17 +219,16 @@ def test_blocked_compose_equals_one_matmul(branches, scheme):
     block_bits=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-# Rows of 128 entries: a block of 1 low row of 4, of 2 largest-source words
-# of 8, and of 2 high words of 4.
+# Rows of 128 entries in a table of 2^13: the constructor's pass signs 1,
+# 4 or 32 rows per block.
 @example(sizes=[2, 3, 1], n_y=1, block_bits=7, seed=1)
 @example(sizes=[1, 3, 1, 1], n_y=1, block_bits=9, seed=2)
 @example(sizes=[1, 3, 1, 1], n_y=1, block_bits=12, seed=3)
 def test_compose_blocks_of_any_size_equal_one_matmul(sizes, n_y, block_bits, seed):
-    # Small blocks split the rows within one slice of the low bits, of the
-    # largest source's bits or of the high bits; every split writes the
-    # same products.  Each correlator sums 2**(T+1) signed probabilities
-    # whose absolute values add up to one, so any block size rounds it by
-    # at most 2**(T+1) eps.
+    # The block size moves only the constructor's check-and-sign pass; the
+    # table is one matmul whatever it is.  Each correlator sums 2**(T+1)
+    # signed probabilities whose absolute values add up to one, so any
+    # block size rounds it by at most 2**(T+1) eps.
     rng = np.random.default_rng(seed)
     tables = [
         single_source_table(
@@ -301,12 +300,12 @@ def _parity_zero_table(size, n_y):
 
 
 def _defective_middle(defect, n_y):
-    """A (5,) table whose defect its own check missed (its signed rows come
-    from a clean copy), and the message of the check that finds it.  In a
-    (2, 5, 2) network its last setting word sits in a middle block and in
-    the last block."""
-    clean = uniform_table(NetworkConfig(1, (5,)), n_bob_settings=n_y)
-    bad = clean.copy()
+    """A (5,) table whose defect its own check missed (it is planted in the
+    values after the table was checked), and the message of the check that
+    finds it.  In a (2, 5, 2) network its last setting word sits in a
+    middle block and in the last block of the constructor's pass."""
+    table = CorrelationTable(NetworkConfig(1, (5,)), uniform_table(NetworkConfig(1, (5,)), n_y))
+    bad = table.values
     if defect == "negative":
         bad[-1, 1, 7, 0] -= 0.5
         bad[-1, 1, 7, 1] += 0.5
@@ -314,13 +313,13 @@ def _defective_middle(defect, n_y):
     else:
         bad[-1, 1] *= 1.0 + 1e-9
         message = "^per-setting probabilities do not sum to one$"
-    signed = quantum._signed_table(clean, 5)
-    return CorrelationTable(NetworkConfig(1, (5,)), bad, signed), message
+    return table, message
 
 
 @pytest.mark.parametrize("defect", ["negative", "off_one"])
 def test_compose_checks_each_block_it_writes(defect):
-    # Only the pass over the composed blocks can find the middle source's defect.
+    # Only the composed table's constructor, in the blocks of its pass
+    # past the first, can find the middle source's defect.
     n_y = 4
     middle, message = _defective_middle(defect, n_y)
     edge = _parity_zero_table(2, n_y)
@@ -328,6 +327,16 @@ def test_compose_checks_each_block_it_writes(defect):
     assert dim * n_y * dim * 2 >= 4 * quantum._BLOCK_ENTRIES
     with pytest.raises(ValueError, match=message):
         compose_network([edge, middle, edge])
+
+
+def test_a_table_takes_no_rows_checked_elsewhere():
+    # The constructor is the one place a table's rows are checked and
+    # signed; no caller may hand it rows it claims to have checked.
+    cfg = NetworkConfig(1, (1,))
+    values = uniform_table(cfg)
+    rows = quantum._signed_table(values, cfg.total)
+    with pytest.raises(TypeError):
+        CorrelationTable(cfg, values, rows)
 
 
 def _table_entries(branches):
@@ -395,10 +404,9 @@ def test_tables_of_one_block_come_from_the_table_route(monkeypatch):
 
 @pytest.mark.parametrize("block_bits", [12, 13, 15, 20])
 def test_streamed_correlators_equal_the_tables_at_any_block_size(monkeypatch, block_bits):
-    # Rows of the (2, 5, 2) table hold 2**12 entries, so blocks of 1 or 2
-    # rows are one slice of the low bits, of 8 rows one of the largest
-    # source's bits and of 256 rows one of the high bits; every split
-    # writes the same products, so the tables agree bit for bit.  Each
+    # Rows of the (2, 5, 2) table hold 2**12 entries, so the constructor's
+    # pass signs 1, 2, 8 or 256 rows per block.  The block size does not
+    # touch the table's one matmul, so the tables agree bit for bit.  Each
     # correlator sums 2**(T+1) signed probabilities whose absolute values
     # add up to one, and a matmul of other rows may add them in another
     # order, so the correlators agree within 2**(T+2) eps.

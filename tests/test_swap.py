@@ -1,5 +1,6 @@
 """Tests for the entangled-center measurement and its conditioning."""
 
+import json
 import math
 
 import numpy as np
@@ -84,6 +85,18 @@ def test_conditioning_json_errors():
         conditioning_from_json('{"0": {"xor": 1}, "1": {"bit": 0}}', cfg)
     with pytest.raises(ValueError, match="missing subsets"):
         conditioning_from_json('{"0": {"bit": 0}}', cfg)
+    # JSON booleans load as bool, an int subclass, and are no bit index
+    with pytest.raises(ValueError, match="bit index"):
+        conditioning_from_json('{"0": {"bit": true}, "1": {"bit": 0}}', cfg)
+    with pytest.raises(ValueError, match="parity"):
+        conditioning_from_json('{"0": {"bit": 0}, "1": {"parity": [true, false]}}', cfg)
+    # a key int() reads but that is not the mask in plain decimal would
+    # alias another key's subset, the later rule silently winning; a key
+    # that is no integer, "None" included, is never read as one
+    for key in ("01", "+1", "0_1", " 1", "1.0", "None"):
+        text = json.dumps({"0": {"bit": 0}, "1": {"bit": 0}, key: {"bit": 1}})
+        with pytest.raises(ValueError, match="not an integer"):
+            conditioning_from_json(text, cfg)
 
 
 def test_swap_matches_separable_two_sources_two_branches():
