@@ -16,6 +16,7 @@ import functools
 import io
 import json
 import math
+import os
 import re
 import sys
 
@@ -33,6 +34,7 @@ from .classical import (
     saturating_table,
 )
 from .inequality import (
+    VALUE_TOL,
     bell_value,
     classical_bound,
     critical_visibility,
@@ -42,6 +44,7 @@ from .inequality import (
     separable_spectrum,
     simulated_spectrum,
     sweep_value,
+    table_floor,
     truncated_spectra,
     truncated_spectrum,
 )
@@ -76,7 +79,6 @@ MAX_SOURCES = 1 << 16
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
-VALUE_TOL = 1e-9
 VISIBILITY_TOL = 1e-6
 
 
@@ -155,15 +157,21 @@ def _plain(obj):
 
 
 def _write(args, chunks) -> None:
-    """Write the strings of ``chunks`` in turn to ``--out`` or stdout."""
-    if args.out:
-        try:
+    """Write the strings of ``chunks`` in turn to ``--out`` or stdout; a
+    failed write is a usage error."""
+    try:
+        if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.writelines(chunks)
-        except OSError as exc:
-            args.parser.error(f"cannot write --out {args.out}: {exc.strerror or exc}")
-    else:
-        sys.stdout.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:  # the exit's flush of what is left must not fail again
+            with open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+        where = f"--out {args.out}" if args.out else "stdout"
+        args.parser.error(f"cannot write {where}: {exc.strerror or exc}")
 
 
 def _emit_report(args, report: dict) -> int:
@@ -329,7 +337,7 @@ def cmd_violate(args, parser: _Parser) -> int:
     }
     checks = {"kernel_matches_closed_form": abs(kernel - predicted) <= VALUE_TOL}
     if _fits(report, "simulation_matches_closed_form", separable_table_cap(config)):
-        simulated = bell_value(simulated_spectrum(scheme, scheme_setting_map(scheme)))
+        simulated = bell_value(simulated_spectrum(scheme))
         report["simulated_value"] = simulated
         checks["simulation_matches_closed_form"] = abs(simulated - predicted) <= VALUE_TOL
     report["checks"] = checks
@@ -401,7 +409,7 @@ def cmd_noise(args, parser: _Parser) -> int:
     # find_critical_visibility certifies the kernel's crossing on tables that fit
     certified = _fits(report, "bracket_certified", separable_table_cap(config))
     try:
-        found, top = find_critical_visibility(config, scheme, tol=VISIBILITY_TOL)
+        found, top = find_critical_visibility(scheme, tol=VISIBILITY_TOL)
     except ArithmeticError as exc:
         # The simulated tables contradict the white-noise scaling law.
         report["error"] = str(exc)
@@ -437,8 +445,6 @@ def cmd_classical(args, parser: _Parser) -> int:
     }
     checks = {}
     if args.mode == "saturating":
-        if not config.is_homogeneous():
-            parser.error("the saturating family needs an even network")
         if args.grid > MAX_SWEEP_POINTS:
             parser.error(f"--grid {args.grid} gives more than {MAX_SWEEP_POINTS} points")
         bits = math.log2(args.grid) + config.max_branch
@@ -476,8 +482,6 @@ def cmd_classical(args, parser: _Parser) -> int:
             worst = float(np.abs(spectra - head).max())
             checks["batch_matches_table_route"] = worst <= 1e-12
     else:  # enumerate
-        if config.n != 1:
-            parser.error("enumeration is only sound for --n 1")
         best, strategy = deterministic_maximum(config)
         report["max_value"] = best
         report["strategy"] = {
@@ -520,14 +524,13 @@ def cmd_region(args, parser: _Parser) -> int:
 
 def cmd_swap(args, parser: _Parser) -> int:
     config, scheme = _network(args, parser)
-    setting_map = scheme_setting_map(scheme)
     custom = args.conditioning is not None
     try:
         if custom:
             with open(args.conditioning, encoding="utf-8") as fh:
                 conditioning = conditioning_from_json(fh.read(), config)
         else:
-            conditioning = default_conditioning(config, setting_map)
+            conditioning = default_conditioning(config, scheme_setting_map(scheme))
     except OSError as exc:
         parser.error(str(exc))
     spectrum = swap_spectrum(config, scheme.branch_angles, conditioning)
@@ -545,13 +548,12 @@ def cmd_swap(args, parser: _Parser) -> int:
     if not custom:
         checks["swap_matches_separable"] = abs(swap_bell - separable_bell) <= VALUE_TOL
     if _fits(report, "separable_matches_table", separable_table_cap(config)):
-        simulated = bell_value(simulated_spectrum(scheme, setting_map))
+        simulated = bell_value(simulated_spectrum(scheme))
         checks["separable_matches_table"] = abs(simulated - separable_bell) <= VALUE_TOL
     if _fits(report, "kernel_matches_joint_table", joint_table_cap(config)):
         dense = joint_table_spectrum(config, scheme.branch_angles, conditioning).entries
-        # per entry, the noise floor of a sum over 2**(T+n) outcome words, as in bell_value
-        tol = np.finfo(np.float64).eps * 2.0 ** (config.total + config.n)
-        checks["kernel_matches_joint_table"] = np.abs(spectrum.entries - dense).max() <= tol
+        worst = np.abs(spectrum.entries - dense).max()
+        checks["kernel_matches_joint_table"] = worst <= table_floor(config)
     if checks:
         report["checks"] = checks
     return _emit_report(args, report)

@@ -36,6 +36,8 @@ from .quantum import scheme_setting_map, separable_table_cap
 from .quantum import network_table  # noqa: F401
 
 _ENTRY_TOL = 1e-9
+# Absolute tolerance of a Bell value against its closed form or bound.
+VALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,14 +90,12 @@ def truncated_spectra(tables, setting_map) -> np.ndarray:
     return _correlator_spectra(configs[0], np.stack(correlators), setting_map)
 
 
-def simulated_spectrum(
-    scheme: MeasurementScheme, setting_map, visibilities=None
-) -> SubsetSpectrum:
-    """``truncated_spectrum(network_table(scheme, visibilities), setting_map)``
-    from :func:`bellnet.quantum.network_correlators`, which past one block
-    multiplies the sources' checked correlators instead of composing."""
+def simulated_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
+    """``truncated_spectrum(network_table(scheme, visibilities), map)`` at
+    :func:`scheme_setting_map`, from :func:`bellnet.quantum.network_correlators`,
+    which past one block multiplies the sources' checked correlators."""
     correlators = network_correlators(scheme, visibilities)
-    entries = _correlator_spectra(scheme.config, correlators[None], setting_map)
+    entries = _correlator_spectra(scheme.config, correlators[None], scheme_setting_map(scheme))
     return SubsetSpectrum(scheme.config, entries[0])
 
 
@@ -170,21 +170,27 @@ def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSp
     return SubsetSpectrum(config, factors.prod(axis=0), factors)
 
 
+def table_floor(config: NetworkConfig) -> float:
+    """eps * 2**(T+n): a table sums at most 2**(T+n) outcome words per
+    setting (T branch observers, n sources), so a spectrum entry read off
+    it within this of zero, or of another route's value, is rounding
+    noise.  From T + n = 53 on the floor exceeds every entry, so its
+    exponent stops there."""
+    return np.finfo(np.float64).eps * 2.0 ** min(config.total + config.n, 53)
+
+
 def bell_value(spectrum: SubsetSpectrum) -> float:
     """sum_X |entry_X|**(1/n).
 
     A kernel spectrum roots each per-source factor before the product,
-    which could underflow (1100 factors of 1/2).  A table sums at most
-    2**(T+n) outcome words per setting (T branch observers, n sources), so
-    a table entry within eps * 2**(T+n) of zero is rounding noise and
-    counts as zero; the root would magnify it.  From T + n = 53 on, that
-    floor exceeds every entry, so its exponent stops there.
+    which could underflow (1100 factors of 1/2).  A table's entry within
+    :func:`table_floor` of zero counts as zero; the root would magnify it.
     """
     config = spectrum.config
     if spectrum.factors is not None:
         return float((np.abs(spectrum.factors) ** (1.0 / config.n)).prod(axis=0).sum())
     entries = np.abs(spectrum.entries)
-    entries[entries <= np.finfo(np.float64).eps * 2.0 ** min(config.total + config.n, 53)] = 0.0
+    entries[entries <= table_floor(config)] = 0.0
     return float((entries ** (1.0 / config.n)).sum())
 
 
@@ -216,9 +222,7 @@ def critical_visibility(config: NetworkConfig) -> float:
     return 2.0 ** (-sum(config.branches) / 2.0)
 
 
-def find_critical_visibility(
-    config: NetworkConfig, scheme: MeasurementScheme, tol: float = 1e-6
-):
+def find_critical_visibility(scheme: MeasurementScheme, tol: float = 1e-6):
     """The total visibility at which the scheme stops violating, certified
     on simulated tables when :func:`separable_table_cap` lets them fit, and
     the noiseless value ``top`` it is read from.
@@ -229,27 +233,27 @@ def find_critical_visibility(
     noiseless value ``top`` from :func:`separable_spectrum`.  The crossing
     is therefore V* = (bound/top)**n, and two noisy simulations certify it:
     value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
-    [0, 1].  The crossing is None when ``top`` does not exceed the bound,
-    once one noiseless simulation agrees, and it underflows to 0.0 where
-    ``n log2(bound/top)`` does not; raises ArithmeticError when the
-    simulated tables contradict the kernel.
+    [0, 1].  The crossing is None when ``top`` does not exceed the bound
+    by more than ``VALUE_TOL``, once one noiseless simulation agrees, and
+    it underflows to 0.0 where ``n log2(bound/top)`` does not; raises
+    ArithmeticError when the simulated tables contradict the kernel.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
-    smap = scheme_setting_map(scheme)
+    config = scheme.config
     bound = classical_bound(config)
 
     def value_at(total: float) -> float:
         per_source = total ** (1.0 / config.n)
-        return bell_value(simulated_spectrum(scheme, smap, (per_source,) * config.n))
+        return bell_value(simulated_spectrum(scheme, (per_source,) * config.n))
 
     top = bell_value(separable_spectrum(scheme))
-    crossing = (bound / top) ** config.n if top > bound + 1e-9 else None
+    crossing = (bound / top) ** config.n if top > bound + VALUE_TOL else None
     if separable_table_cap(config) is not None:
         return crossing, top  # the certificate tables would not fit
     if crossing is None:
         noiseless = value_at(1.0)
-        if noiseless > bound + 1e-9:
+        if noiseless > bound + VALUE_TOL:
             raise ArithmeticError(
                 f"simulated noiseless value {noiseless!r} exceeds the bound {bound!r}"
             )
@@ -365,14 +369,10 @@ def single_experiment_value(correlators, setting_map) -> float:
     ``correlators[x, y]`` is the full-correlator of the branch outcomes
     and the center outcome at branch settings x and center setting y.
     With one branch this is the CHSH expression; with two, Mermin's.
+    The entries, and their checks, are those of :func:`truncated_spectra`.
     """
     corr = np.asarray(correlators, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] & (corr.shape[0] - 1):
         raise ValueError("correlators must have shape (2**L, settings)")
-    setting_map = np.asarray(setting_map)
-    if setting_map.shape != (corr.shape[0],):
-        raise ValueError("need one center setting per subset mask")
-    if setting_map.min() < 0 or setting_map.max() >= corr.shape[1]:
-        raise ValueError("setting map refers to a missing center setting")
-    spectrum = fwht(corr)[np.arange(corr.shape[0]), setting_map]
-    return float(np.abs(spectrum).sum() / corr.shape[0])
+    config = NetworkConfig(1, (corr.shape[0].bit_length() - 1,))
+    return float(np.abs(_correlator_spectra(config, corr[None], setting_map)).sum())

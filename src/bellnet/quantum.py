@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -301,6 +301,18 @@ class MeasurementScheme:
         if angles.shape != (self.config.total, 2):
             raise ValueError("branch_angles must have shape (total observers, 2)")
 
+    @cached_property
+    def _setting_map(self) -> np.ndarray:
+        """:func:`scheme_setting_map`, computed on first read and kept read-only."""
+        if self.kind == "rotated":
+            smap = rotated_setting_map(self.config)
+        elif self.config.is_homogeneous():
+            smap = xy_setting_map(self.config.max_branch)
+        else:
+            raise ValueError(f"the {self.kind} scheme requires a homogeneous network")
+        smap.setflags(write=False)
+        return smap
+
 
 def xy_scheme(config: NetworkConfig) -> MeasurementScheme:
     """Branch observers on the two coordinate axes of the equatorial plane."""
@@ -320,12 +332,8 @@ def rotated_scheme(config: NetworkConfig) -> MeasurementScheme:
 
 
 def scheme_setting_map(scheme: MeasurementScheme) -> np.ndarray:
-    """Subset-to-center-setting map matching the scheme's convention."""
-    if scheme.kind == "rotated":
-        return rotated_setting_map(scheme.config)
-    if not scheme.config.is_homogeneous():
-        raise ValueError(f"the {scheme.kind} scheme requires a homogeneous network")
-    return xy_setting_map(scheme.config.max_branch)
+    """Subset-to-center-setting map of the scheme's convention, one per scheme."""
+    return scheme._setting_map
 
 
 def bob_setting_count(config: NetworkConfig) -> int:

@@ -133,7 +133,7 @@ def test_criterion_05_critical_visibility():
     worst = 0.0
     for cfg, kind in cases:
         scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
-        found, _ = find_critical_visibility(cfg, scheme, tol=1e-6)
+        found, _ = find_critical_visibility(scheme, tol=1e-6)
         worst = max(worst, abs(found - critical_visibility(cfg)))
     verdict(5, f"bisection reproduces 2^(-sum(L)/2) (worst {worst:.2e})", worst < 1e-6)
 

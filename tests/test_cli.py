@@ -877,6 +877,29 @@ def test_oversized_kernel_is_refused_before_any_setting_map(monkeypatch, capsys,
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["violate", "--n", "2", "--L", "2"],
+        ["violate", "--branches", "1,2"],
+        ["noise", "--n", "2", "--L", "2"],
+        ["noise", "--n", "1", "--L", "3", "--scheme", "rotated"],
+        ["swap", "--n", "2", "--L", "2", "--scheme", "rotated"],
+    ],
+    ids=["violate-xy", "violate-rotated", "noise-xy", "noise-rotated", "swap-rotated"],
+)
+def test_each_command_computes_its_setting_map_once(monkeypatch, capsys, argv):
+    # the kernel, the table check and the swap conditioning read one map
+    calls = []
+    for name in ("xy_setting_map", "rotated_setting_map"):
+        route = getattr(quantum, name)
+        monkeypatch.setattr(quantum, name, lambda arg, route=route: calls.append(arg) or route(arg))
+    report = _computed(capsys, argv)
+    assert "skipped_checks" not in report
+    assert all(report["checks"].values())
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
     "argv, flag",
     [
         (["--L", "18"], "the saturating grid"),

@@ -9,6 +9,10 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,3 +346,66 @@ def test_malformed_conditioning_is_a_usage_error(tmp_path, rules):
     assert (code, stdout) == (1, "")
     assert "Traceback" not in stderr
     assert stderr.splitlines()[-1].startswith("bellnet swap: error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["classical", "--branches", "1,2", "--mode", "saturating"],
+            "the saturating family is defined on even networks",
+        ),
+        (
+            ["classical", "--n", "2", "--L", "2", "--mode", "enumerate"],
+            "enumeration certifies the bound only for one source",
+        ),
+    ],
+    ids=["saturating-uneven", "enumerate-two-sources"],
+)
+def test_library_refusals_are_usage_errors(argv, message):
+    code, stdout, stderr = _run(argv)
+    assert (code, stdout) == (1, "")
+    assert "Traceback" not in stderr
+    assert stderr.splitlines()[-1] == f"bellnet classical: error: {message}"
+
+
+# The subprocess imports the same package as this process, installed or not.
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH")))),
+}
+
+
+def _assert_stdout_write_refused(command: str, code: int, stderr: str) -> None:
+    """A failed write to stdout exits 1 with one error line, and the
+    interpreter's own flush at exit reports nothing more."""
+    assert code == 1, stderr
+    assert "Traceback" not in stderr
+    assert "Exception ignored" not in stderr
+    assert stderr.splitlines()[-1].startswith(f"bellnet {command}: error: cannot write stdout: ")
+
+
+def test_closed_stdout_pipe_is_a_usage_error():
+    argv = [sys.executable, "-m", "bellnet", "sweep", "--L", "10", "--grid", "512", "--full"]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_ENV
+    )
+    assert proc.stdout.read(1) == "#"
+    proc.stdout.close()  # as `| head -c 1` does
+    stderr = proc.stderr.read()
+    _assert_stdout_write_refused("sweep", proc.wait(timeout=60), stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_full_stdout_device_is_a_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellnet", "violate", "--n", "2", "--L", "1"],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_ENV,
+            timeout=60,
+        )
+    _assert_stdout_write_refused("violate", proc.returncode, proc.stderr)

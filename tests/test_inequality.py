@@ -303,14 +303,14 @@ def test_critical_visibility_values():
 
 def test_find_critical_visibility_bisection():
     cfg = NetworkConfig.homogeneous(2, 2)
-    got, top = find_critical_visibility(cfg, xy_scheme(cfg))
+    got, top = find_critical_visibility(xy_scheme(cfg))
     assert got == pytest.approx(0.25, abs=1e-6)
     assert top == pytest.approx(2.0, abs=1e-12)
 
     # CHSH: the xy angles do not violate, the rotated ones do
     chsh = NetworkConfig.homogeneous(1, 1)
-    assert find_critical_visibility(chsh, xy_scheme(chsh))[0] is None
-    got, _ = find_critical_visibility(chsh, rotated_scheme(chsh))
+    assert find_critical_visibility(xy_scheme(chsh))[0] is None
+    got, _ = find_critical_visibility(rotated_scheme(chsh))
     assert got == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-6)
 
 
@@ -368,7 +368,7 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
         return route(*args, **kwargs)
 
     monkeypatch.setattr(inequality, "network_correlators", counted)
-    found, _ = find_critical_visibility(cfg, scheme, tol=1e-6)
+    found, _ = find_critical_visibility(scheme, tol=1e-6)
     # top comes from the exact kernel; the tables certify both ends of the
     # bracket, or that the noiseless network does not violate
     assert len(calls) == (1 if expected is None else 2)
@@ -389,7 +389,7 @@ def test_find_critical_visibility_certifies_no_violation_on_a_table(monkeypatch)
         inequality, "separable_spectrum", lambda scheme: SubsetSpectrum(cfg, np.zeros(4))
     )
     with pytest.raises(ArithmeticError, match="simulated noiseless value 1.99.* exceeds the bound 1.0"):
-        find_critical_visibility(cfg, xy_scheme(cfg))
+        find_critical_visibility(xy_scheme(cfg))
 
 
 # Uneven networks of up to 7 branch observers, both schemes where defined.
@@ -474,7 +474,7 @@ def test_find_critical_visibility_refuses_a_nonpositive_tolerance(monkeypatch, t
     monkeypatch.setattr(inequality, "network_correlators", _no_table)
     cfg = NetworkConfig.homogeneous(2, 2)
     with pytest.raises(ValueError, match="tol must be positive"):
-        find_critical_visibility(cfg, rotated_scheme(cfg), tol=tol)
+        find_critical_visibility(rotated_scheme(cfg), tol=tol)
 
 
 def _no_table(*args, **kwargs):
@@ -490,7 +490,7 @@ def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
     )
     cfg = NetworkConfig.homogeneous(2, 2)
     with pytest.raises(ArithmeticError, match="do not bracket"):
-        find_critical_visibility(cfg, xy_scheme(cfg))
+        find_critical_visibility(xy_scheme(cfg))
 
 
 def test_contribution_count_against_direct_enumeration():
@@ -660,4 +660,7 @@ def test_single_experiment_validation():
         single_experiment_value(np.zeros((2, 2)), np.zeros(4, dtype=int))
     with pytest.raises(ValueError):
         single_experiment_value(np.zeros((2, 2)), np.array([0, 7]))
+    # correlators past one give a spectrum entry past one
+    with pytest.raises(ValueError, match=r"correlator entry outside \[-1, 1\]"):
+        single_experiment_value(np.full((2, 2), 1.5), np.array([0, 1]))
 

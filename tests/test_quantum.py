@@ -605,6 +605,16 @@ def test_scheme_setting_map_dispatch():
         scheme_setting_map(MeasurementScheme(het, np.zeros((3, 2)), "xy"))
 
 
+@pytest.mark.parametrize("make", [xy_scheme, rotated_scheme])
+def test_scheme_setting_map_is_one_read_only_array(make):
+    scheme = make(NetworkConfig.homogeneous(2, 3))
+    smap = scheme_setting_map(scheme)
+    assert scheme_setting_map(scheme) is smap
+    assert not smap.flags.writeable
+    with pytest.raises(ValueError):
+        smap[0] = 1
+
+
 def test_correlation_table_validation():
     cfg = NetworkConfig(1, (1,))
     good = np.full((2, 2, 2, 2), 0.25)
