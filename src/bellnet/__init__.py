@@ -1,5 +1,5 @@
-"""Star-network Bell inequalities: quantum violations, classical models,
-and the supporting combinatorics.
+"""Star-network Bell inequalities: quantum violations, classical models
+and noise thresholds.
 
 A network couples n independent sources to one central observer; source j
 also feeds L_j branch observers.  The package simulates GHZ sources under

@@ -79,8 +79,6 @@ MAX_SOURCES = 1 << 16
 MAX_SWEEP_BRANCHES = 1000
 MAX_SWEEP_POINTS = 1 << 18
 
-VISIBILITY_TOL = 1e-6
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; the contract here is 1."""
@@ -409,7 +407,7 @@ def cmd_noise(args, parser: _Parser) -> int:
     # find_critical_visibility certifies the kernel's crossing on tables that fit
     certified = _fits(report, "bracket_certified", separable_table_cap(config))
     try:
-        found, top = find_critical_visibility(scheme, tol=VISIBILITY_TOL)
+        found, top = find_critical_visibility(scheme)
     except ArithmeticError as exc:
         # The simulated tables contradict the white-noise scaling law.
         report["error"] = str(exc)

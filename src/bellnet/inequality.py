@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .network import NetworkConfig, fwht, over_budget, parity_signs, subset_setting_mask
+from .network import NetworkConfig, fwht, over_budget, subset_setting_mask
 from .quantum import CorrelationTable, MeasurementScheme, network_correlators
 from .quantum import scheme_setting_map, separable_table_cap
 
@@ -38,6 +37,8 @@ from .quantum import network_table  # noqa: F401
 _ENTRY_TOL = 1e-9
 # Absolute tolerance of a Bell value against its closed form or bound.
 VALUE_TOL = 1e-9
+# Width of the visibility bracket that two noisy simulations certify.
+VISIBILITY_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,7 +223,7 @@ def critical_visibility(config: NetworkConfig) -> float:
     return 2.0 ** (-sum(config.branches) / 2.0)
 
 
-def find_critical_visibility(scheme: MeasurementScheme, tol: float = 1e-6):
+def find_critical_visibility(scheme: MeasurementScheme):
     """The total visibility at which the scheme stops violating, certified
     on simulated tables when :func:`separable_table_cap` lets them fit, and
     the noiseless value ``top`` it is read from.
@@ -232,14 +233,13 @@ def find_critical_visibility(scheme: MeasurementScheme, tol: float = 1e-6):
     noiseless value and the Bell value at V is exactly V**(1/n) times the
     noiseless value ``top`` from :func:`separable_spectrum`.  The crossing
     is therefore V* = (bound/top)**n, and two noisy simulations certify it:
-    value(V* - tol/2) <= bound < value(V* + tol/2), both ends clipped to
-    [0, 1].  The crossing is None when ``top`` does not exceed the bound
-    by more than ``VALUE_TOL``, once one noiseless simulation agrees, and
-    it underflows to 0.0 where ``n log2(bound/top)`` does not; raises
-    ArithmeticError when the simulated tables contradict the kernel.
+    value(V* - VISIBILITY_TOL/2) <= bound < value(V* + VISIBILITY_TOL/2),
+    both ends clipped to [0, 1].  The crossing is None when ``top`` does
+    not exceed the bound by more than ``VALUE_TOL``, once one noiseless
+    simulation agrees, and it underflows to 0.0 where ``n log2(bound/top)``
+    does not; raises ArithmeticError when the simulated tables contradict
+    the kernel.
     """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
     config = scheme.config
     bound = classical_bound(config)
 
@@ -258,7 +258,7 @@ def find_critical_visibility(scheme: MeasurementScheme, tol: float = 1e-6):
                 f"simulated noiseless value {noiseless!r} exceeds the bound {bound!r}"
             )
         return None, top
-    lo, hi = max(crossing - tol / 2, 0.0), min(crossing + tol / 2, 1.0)
+    lo, hi = max(crossing - VISIBILITY_TOL / 2, 0.0), min(crossing + VISIBILITY_TOL / 2, 1.0)
     low, high = value_at(lo), value_at(hi)
     if not low <= bound < high:
         raise ArithmeticError(
@@ -266,61 +266,6 @@ def find_critical_visibility(scheme: MeasurementScheme, tol: float = 1e-6):
             f"do not bracket the bound {bound!r}"
         )
     return crossing, top
-
-
-def contribution_count(size: int, residue: int) -> int:
-    """Number of setting words of the given length whose weight is ≡
-    ``residue`` (mod 4); only residues 0 and 3 occur in the analysis.
-
-    Evaluates both the binomial sum and its trigonometric closed form and
-    checks that they agree before returning.
-    """
-    exact = _contribution_sum(size, residue)
-    closed = contribution_count_closed_form(size, residue)
-    if abs(closed - exact) > 1e-6:
-        raise ArithmeticError(
-            f"count mismatch at size={size}, residue={residue}: {exact} vs {closed}"
-        )
-    return exact
-
-
-def _contribution_sum(size: int, residue: int) -> int:
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    if residue not in (0, 3):
-        raise ValueError("residue must be 0 or 3")
-    return sum(comb(size, k) for k in range(residue, size + 1, 4))
-
-
-def contribution_count_closed_form(size: int, residue: int) -> float:
-    """Trigonometric closed form of :func:`contribution_count`."""
-    if residue not in (0, 3):
-        raise ValueError("residue must be 0 or 3")
-    half = 2.0 ** (size / 2.0)
-    quarter = math.pi * size / 4.0
-    parity = -1.0 if size & 1 else 1.0
-    if residue == 0:
-        inner = half + math.cos(quarter) + parity * math.cos(3 * quarter)
-    else:
-        inner = half - math.sin(quarter) + parity * math.sin(3 * quarter)
-    return inner * half / 4.0
-
-
-def correlator_expansion_coefficient(size: int, cardinality: int, k: int) -> int:
-    """Coefficient of t**k in (1+t)**(size-cardinality) * (1-t)**cardinality.
-
-    These weight the cosine harmonics when the subset correlator of a
-    one-source experiment is expanded over common measurement angles.
-    """
-    if not 0 <= cardinality <= size:
-        raise ValueError("cardinality must lie in 0..size")
-    if not 0 <= k <= size:
-        raise ValueError("k must lie in 0..size")
-    return sum(
-        (-1) ** s * comb(size - cardinality, k - s) * comb(cardinality, s)
-        for s in range(0, min(cardinality, k) + 1)
-        if k - s <= size - cardinality
-    )
 
 
 def sweep_value(theta0, theta1, size: int):
@@ -361,18 +306,3 @@ def diagonal_sweep_closed_form(theta: float, size: int) -> float:
     scale = 2.0 ** (size // 2)
     edge = math.cos(theta) if theta <= math.pi / 4 else math.sin(theta)
     return scale * edge ** size
-
-
-def single_experiment_value(correlators, setting_map) -> float:
-    """Bell value of a one-source experiment given its raw correlators.
-
-    ``correlators[x, y]`` is the full-correlator of the branch outcomes
-    and the center outcome at branch settings x and center setting y.
-    With one branch this is the CHSH expression; with two, Mermin's.
-    The entries, and their checks, are those of :func:`truncated_spectra`.
-    """
-    corr = np.asarray(correlators, dtype=np.float64)
-    if corr.ndim != 2 or corr.shape[0] & (corr.shape[0] - 1):
-        raise ValueError("correlators must have shape (2**L, settings)")
-    config = NetworkConfig(1, (corr.shape[0].bit_length() - 1,))
-    return float(np.abs(_correlator_spectra(config, corr[None], setting_map)).sum())

@@ -112,7 +112,7 @@ def conditioning_from_json(text: str, config: NetworkConfig) -> SwapConditioning
         seen.add(subset)
     missing = [m for m in range(count) if m not in seen]
     if missing:
-        raise ValueError(f"conditioning missing subsets: {missing}")
+        raise ValueError(f"conditioning missing subsets: {len(missing)}, first {missing[:8]}")
     return SwapConditioning(config.n, masks)
 
 

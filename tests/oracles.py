@@ -13,11 +13,19 @@ rounds with the package's own ``_fmt`` and ``_plain``.
 :func:`network_closed_form_table` and :func:`loop_model_table` hand their
 values to the package's ``CorrelationTable``, which only checks and holds
 them.
+
+The last part holds the combinatorial quantities behind the analysis,
+which no command reports: :func:`contribution_count`, checked against its
+closed form, and :func:`correlator_expansion_coefficient`.  The tests
+compare them with :func:`subset_count` and :func:`expansion_coefficients`.
+:func:`single_experiment_value` reads a one-source experiment's entries
+with the package's own ``_correlator_spectra``.
 """
 
 from __future__ import annotations
 
 import math
+from math import comb
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -509,3 +517,76 @@ def geometric_mean_inequality_sides(c) -> tuple[float, float]:
     lhs = float((np.prod(c, axis=0) ** (1.0 / n)).sum())
     rhs = float(np.prod(c.sum(axis=1) ** (1.0 / n)))
     return lhs, rhs
+
+
+def contribution_count(size: int, residue: int) -> int:
+    """Number of setting words of the given length whose weight is ≡
+    ``residue`` (mod 4); only residues 0 and 3 occur in the analysis.
+
+    Evaluates both the binomial sum and its trigonometric closed form and
+    checks that they agree before returning.
+    """
+    exact = _contribution_sum(size, residue)
+    closed = contribution_count_closed_form(size, residue)
+    if abs(closed - exact) > 1e-6:
+        raise ArithmeticError(
+            f"count mismatch at size={size}, residue={residue}: {exact} vs {closed}"
+        )
+    return exact
+
+
+def _contribution_sum(size: int, residue: int) -> int:
+    if size < 1:
+        raise ValueError("size must be at least 1")
+    if residue not in (0, 3):
+        raise ValueError("residue must be 0 or 3")
+    return sum(comb(size, k) for k in range(residue, size + 1, 4))
+
+
+def contribution_count_closed_form(size: int, residue: int) -> float:
+    """Trigonometric closed form of :func:`contribution_count`."""
+    if residue not in (0, 3):
+        raise ValueError("residue must be 0 or 3")
+    half = 2.0 ** (size / 2.0)
+    quarter = math.pi * size / 4.0
+    parity = -1.0 if size & 1 else 1.0
+    if residue == 0:
+        inner = half + math.cos(quarter) + parity * math.cos(3 * quarter)
+    else:
+        inner = half - math.sin(quarter) + parity * math.sin(3 * quarter)
+    return inner * half / 4.0
+
+
+def correlator_expansion_coefficient(size: int, cardinality: int, k: int) -> int:
+    """Coefficient of t**k in (1+t)**(size-cardinality) * (1-t)**cardinality.
+
+    These weight the cosine harmonics when the subset correlator of a
+    one-source experiment is expanded over common measurement angles.
+    """
+    if not 0 <= cardinality <= size:
+        raise ValueError("cardinality must lie in 0..size")
+    if not 0 <= k <= size:
+        raise ValueError("k must lie in 0..size")
+    return sum(
+        (-1) ** s * comb(size - cardinality, k - s) * comb(cardinality, s)
+        for s in range(0, min(cardinality, k) + 1)
+        if k - s <= size - cardinality
+    )
+
+
+def single_experiment_value(correlators, setting_map) -> float:
+    """Bell value of a one-source experiment given its raw correlators.
+
+    ``correlators[x, y]`` is the full-correlator of the branch outcomes
+    and the center outcome at branch settings x and center setting y.
+    With one branch this is the CHSH expression; with two, Mermin's.
+    The entries, and their checks, are those of :func:`truncated_spectra`.
+    """
+    from bellnet.inequality import _correlator_spectra
+    from bellnet.network import NetworkConfig
+
+    corr = np.asarray(correlators, dtype=np.float64)
+    if corr.ndim != 2 or corr.shape[0] & (corr.shape[0] - 1):
+        raise ValueError("correlators must have shape (2**L, settings)")
+    config = NetworkConfig(1, (corr.shape[0].bit_length() - 1,))
+    return float(np.abs(_correlator_spectra(config, corr[None], setting_map)).sum())

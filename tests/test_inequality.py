@@ -12,23 +12,24 @@ from bellnet.inequality import (
     SubsetSpectrum,
     bell_value,
     classical_bound,
-    contribution_count,
-    contribution_count_closed_form,
-    correlator_expansion_coefficient,
     critical_visibility,
     diagonal_sweep_closed_form,
     find_critical_visibility,
     fwht,
-    parity_signs,
     predicted_quantum_value,
     separable_spectrum,
-    single_experiment_value,
     sweep_value,
     table_correlators,
     truncated_spectrum,
 )
 from bellnet.classical import saturating_table
-from bellnet.network import BUDGET_BITS, NetworkConfig, rotated_setting_map, xy_setting_map
+from bellnet.network import (
+    BUDGET_BITS,
+    NetworkConfig,
+    parity_signs,
+    rotated_setting_map,
+    xy_setting_map,
+)
 from bellnet import inequality
 from bellnet.quantum import (
     CorrelationTable,
@@ -40,12 +41,16 @@ from bellnet.quantum import (
 )
 
 from oracles import (
+    contribution_count,
+    contribution_count_closed_form,
+    correlator_expansion_coefficient,
     direct_spectrum,
     direct_sweep_value,
     einsum_correlators,
     expansion_coefficients,
     harmonic_sweep_value,
     simulated_bisection,
+    single_experiment_value,
     subset_count,
     uniform_table,
 )
@@ -368,7 +373,7 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
         return route(*args, **kwargs)
 
     monkeypatch.setattr(inequality, "network_correlators", counted)
-    found, _ = find_critical_visibility(scheme, tol=1e-6)
+    found, _ = find_critical_visibility(scheme)
     # top comes from the exact kernel; the tables certify both ends of the
     # bracket, or that the noiseless network does not violate
     assert len(calls) == (1 if expected is None else 2)
@@ -467,18 +472,6 @@ def test_kernel_refuses_an_array_past_the_budget():
     cfg = NetworkConfig.homogeneous(4, 20)
     with pytest.raises(ValueError, match=r"the exact kernel would hold 2\^26.4 entries, over 2\^24"):
         separable_spectrum(rotated_scheme(cfg))
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
-def test_find_critical_visibility_refuses_a_nonpositive_tolerance(monkeypatch, tol):
-    monkeypatch.setattr(inequality, "network_correlators", _no_table)
-    cfg = NetworkConfig.homogeneous(2, 2)
-    with pytest.raises(ValueError, match="tol must be positive"):
-        find_critical_visibility(rotated_scheme(cfg), tol=tol)
-
-
-def _no_table(*args, **kwargs):
-    raise AssertionError("simulated a network for a tolerance it should refuse")
 
 
 def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
