@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import NetworkConfig, fwht, over_budget, parity_signs, subsets_of, xy_setting_map
-from .quantum import _BLOCK_ENTRIES, CorrelationTable, bob_setting_count
+from .quantum import CorrelationTable, bob_setting_count
 from .quantum import compose_network
 
 MAX_HIDDEN_COMBINATIONS = 1 << 16
@@ -36,11 +35,11 @@ _MIX_ROUNDS = (
 )
 _MIX_LAST = np.uint64(31)
 _MANTISSA_SHIFT = np.uint64(64 - 53)
-# Entries one block of model_tables' scatter holds, over (model, combo)
-# pairs of one group: its int64 indices and float64 weights are 2 MiB each,
-# so a group stays near its tables' memory (at n=2, L=5, lattice 256,
-# blocks of 2^22 doubled the peak RSS).
+# Entries one block of model_table's scatter holds, over (combo, x, y):
+# its int64 indices and float64 weights are 2 MiB each.
 _SCATTER_ENTRIES = 1 << 18
+# How far a source's hidden-value weights may sum from one.
+_WEIGHT_TOL = 1e-12
 
 
 def _check_probabilities(p: np.ndarray) -> None:
@@ -209,76 +208,68 @@ def sample_model(seed: int, config: NetworkConfig, lattice: int = 2) -> SampledM
 
 
 def model_table(model: SampledModel) -> CorrelationTable:
-    """Exact correlation table induced by a sampled model: the one table
-    of :func:`model_tables`."""
-    (table,) = model_tables([model])
-    return table
+    """Exact correlation table induced by a sampled model.
 
-
-def model_tables(models) -> Iterator[CorrelationTable]:
-    """Exact correlation table induced by each sampled model of one
-    network and lattice, in order.
-
-    The models go in groups of as many as keep their stacked tables within
-    ``_BLOCK_ENTRIES`` entries, and at least one.  Each group is one
-    scatter of its models' hidden words in ``(model, combo)`` order, a
-    block of words at a time: each entry sums its weights in the order a
-    loop over the words would, so every table equals that loop's to the
-    last bit.  Each table's constructor then checks and signs its view of
-    the group's stacked values.  The tables come one group at a time, so a
-    caller that keeps only what it reads off each table holds one group,
-    not all of them.
+    One ``np.add.at`` scatter of its hidden words in combo order,
+    ``_SCATTER_ENTRIES`` entries a block: each entry sums its weights in
+    the order a loop over the words would, so the table equals that loop's
+    to the last bit.  Its constructor then checks and signs it.
     """
-    models = list(models)
-    if any(m.config != models[0].config or m.lattice != models[0].lattice for m in models):
-        raise ValueError("model_tables expects models of one network and lattice")
-    return _grouped_tables(models)
-
-
-def _grouped_tables(models) -> Iterator[CorrelationTable]:
-    if not models:
-        return
-    dim, n_y = 1 << models[0].config.total, models[0].n_center_settings
-    per_group = max(1, _BLOCK_ENTRIES // (dim * n_y * dim * 2))
-    for lo in range(0, len(models), per_group):
-        # No name here holds a table, so a group is freed once its tables are.
-        yield from _group_tables(models[lo : lo + per_group])
-
-
-def _group_tables(group) -> list[CorrelationTable]:
-    """The tables of one group, each a view of the group's stacked
-    ``(model, x, y, a, b)`` array: one ``np.add.at`` scatter over
-    ``(model, combo)`` pairs in that order, ``_SCATTER_ENTRIES`` entries a
-    block; each table's constructor then checks and signs its view."""
-    config, lattice = group[0].config, group[0].lattice
-    count, combos = len(group), lattice**config.n
-    dim, n_y = 1 << config.total, group[0].n_center_settings
-    values = np.zeros((count, dim, n_y, dim, 2))
+    config, lattice = model.config, model.lattice
+    combos, dim, n_y = lattice**config.n, 1 << config.total, model.n_center_settings
+    values = np.zeros((dim, n_y, dim, 2))
     words = np.arange(dim)
-    weights = np.stack([m.weights for m in group])  # (model, source, v)
     # Per source: its outcome word in place, doubled as the flat index
-    # steps over (a, b) cells, one row per (model * lattice + v), then x.
+    # steps over (a, b) cells, one row per hidden value, then x.
     local = []
-    for j, (offset, size) in enumerate(zip(config.offsets, config.branches)):
-        answers = np.stack([m.responses[j] for m in group], axis=2)  # (k, s, model, v)
-        per_word = _outcome_words(answers)[(words >> offset) & ((1 << size) - 1)]
-        local.append(np.ascontiguousarray(per_word.reshape(dim, -1).T) << (offset + 1))
-    center = np.stack([m.center_bits for m in group]).reshape(-1, n_y)  # (pair, y)
+    for offset, size, answers in zip(config.offsets, config.branches, model.responses):
+        per_word = _outcome_words(answers)[(words >> offset) & ((1 << size) - 1)]  # (x, v)
+        local.append(np.ascontiguousarray(per_word.T) << (offset + 1))
     cells = (words[:, None] * n_y + np.arange(n_y)) * (2 * dim)  # (x, y) row starts
     step = max(1, _SCATTER_ENTRIES // (dim * n_y))
-    for lo in range(0, count * combos, step):
-        model, combo = np.divmod(np.arange(lo, min(lo + step, count * combos)), combos)
+    for lo in range(0, combos, step):
+        combo = np.arange(lo, min(lo + step, combos))
         weight = np.ones(combo.size)
         outcome = np.zeros((combo.size, dim), dtype=np.int64)
         for j in range(config.n):
             digit = (combo // lattice**j) % lattice
-            weight *= weights[model, j, digit]
-            outcome |= local[j][model * lattice + digit]
-        outcome += (model * values[0].size)[:, None]  # each model's own table
-        flat = outcome[:, :, None] + cells  # (pair, x, y)
-        flat += center[lo : lo + combo.size, None, :]
+            weight *= model.weights[j, digit]
+            outcome |= local[j][digit]
+        flat = outcome[:, :, None] + cells  # (combo, x, y)
+        flat += model.center_bits[combo, None, :]
         np.add.at(values.reshape(-1), flat.reshape(-1), np.repeat(weight, dim * n_y))
-    return [CorrelationTable(config, v) for v in values]
+    return CorrelationTable(config, values)
+
+
+def model_correlators(models) -> np.ndarray:
+    """Full correlators ``E[m, x, y]`` of each sampled model of one network
+    and lattice, without its table.
+
+    Deterministic responses factor per observer (Fine, PRL 48, 291 (1982)),
+    so ``E[m, x, y] = sum_w (-1)^c(w, y) prod_j w_j(v_j) (-1)^|A_j(x_j, v_j)|``
+    over hidden words ``w`` of digits ``v_j``, with ``A_j`` source ``j``'s
+    outcome word and ``c`` the center's bit.  The sum is one batched matmul
+    per source over its digit, source 0 (the lowest digit) first; each
+    source's setting bits land above the earlier sources'.  A table of
+    these models could fail its constructor's checks only through a source
+    weight that is negative, NaN or off a sum of one, so those are refused.
+    """
+    config, lattice = models[0].config, models[0].lattice
+    if any(m.config != config or m.lattice != lattice for m in models):
+        raise ValueError("model_correlators expects models of one network and lattice")
+    weights = np.stack([m.weights for m in models])  # (model, source, v)
+    if not (weights.min() >= 0.0 and np.abs(weights.sum(axis=2) - 1.0).max() <= _WEIGHT_TOL):
+        raise ValueError("source weights must be non-negative and sum to one")
+    count, n_y = len(models), models[0].n_center_settings
+    # (model, hidden digits not yet summed, settings of the summed sources then y)
+    values = parity_signs(1)[np.stack([m.center_bits for m in models])]
+    for j, size in enumerate(config.branches):
+        answers = np.stack([m.responses[j] for m in models], axis=2)  # (k, s, model, v)
+        signs = parity_signs(size)[_outcome_words(answers)].transpose(1, 0, 2)  # (model, x_j, v)
+        factor = signs * weights[:, j, None, :]
+        values = factor[:, None] @ values.reshape(count, -1, lattice, values.shape[-1])
+        values = values.reshape(count, values.shape[1], -1)
+    return values.reshape(count, 1 << config.total, n_y)
 
 
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
@@ -421,7 +412,8 @@ def region_slice(
     Sweeps the source-symmetric saturating family over a (p1, p2) grid,
     keeps the points whose fixed-subset entry is within ``tol`` of
     ``fixed_value``, and returns (column names, rows) for the other three
-    entries.  The default tolerance tracks the grid pitch.
+    entries, then the tolerance it applied.  The default tolerance tracks
+    the grid pitch.
     """
     if not config.is_homogeneous() or config.max_branch != 2:
         raise ValueError("region slices are defined for two-branch even networks")
@@ -445,5 +437,5 @@ def region_slice(
     free = [m for m in range(4) if m != fixed_mask]
     names = {0: "K_empty", 1: "K_1", 2: "K_2", 3: "K_12"}
     rows = np.stack([entry(m, ps[i], ps[j]) for m in free], axis=1)
-    return [names[m] for m in free], rows
+    return [names[m] for m in free], rows, tol
 

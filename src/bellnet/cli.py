@@ -26,7 +26,7 @@ from .classical import (
     MAX_SAMPLE_SEED,
     SAMPLE_STREAM,
     deterministic_maximum,
-    model_tables,
+    model_correlators,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -37,6 +37,7 @@ from .inequality import (
     VALUE_TOL,
     bell_value,
     classical_bound,
+    correlator_spectra,
     critical_visibility,
     find_critical_visibility,
     kernel_cap,
@@ -45,7 +46,6 @@ from .inequality import (
     simulated_spectrum,
     sweep_value,
     table_floor,
-    truncated_spectra,
     truncated_spectrum,
 )
 from .network import NetworkConfig, over_budget, xy_setting_map
@@ -474,9 +474,10 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["max_value"] = float(values.max())
         checks["all_below_classical_bound"] = bool(values.max() <= bound + VALUE_TOL)
         if _fits(report, "batch_matches_table_route", separable_table_cap(config)):
-            # The reported batch's first rows against the probes' own tables.
+            # The reported batch's first rows against the probes' own correlators.
             models = [sample_model(probe, config, args.lattice) for probe in seeds[: len(head)]]
-            spectra = truncated_spectra(model_tables(models), xy_setting_map(config.max_branch))
+            correlators = model_correlators(models)
+            spectra = correlator_spectra(config, correlators, xy_setting_map(config.max_branch))
             worst = float(np.abs(spectra - head).max())
             checks["batch_matches_table_route"] = worst <= 1e-12
     else:  # enumerate
@@ -497,8 +498,7 @@ def cmd_region(args, parser: _Parser) -> int:
             f"--grid {args.grid} gives {args.grid**2} points, more than {MAX_SWEEP_POINTS}"
         )
     config, _ = _network(args, parser)
-    names, rows = region_slice(config, args.fixed_value, args.grid, args.fixed_mask, args.tol)
-    tol = args.tol if args.tol is not None else config.n / (args.grid - 1)
+    names, rows, tol = region_slice(config, args.fixed_value, args.grid, args.fixed_mask, args.tol)
     run = _run_spec(
         "region",
         config,

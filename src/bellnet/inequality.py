@@ -70,25 +70,10 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
     Sources with fewer branches than the subset mask addresses ignore the
     excess positions; on even networks this reduces to the plain spectrum.
     Every entry is read off one Walsh–Hadamard transform of the
-    correlators over the setting words: the one row of
-    :func:`truncated_spectra`.
+    correlators over the setting words (see :func:`correlator_spectra`).
     """
-    return SubsetSpectrum(table.config, truncated_spectra([table], setting_map)[0])
-
-
-def truncated_spectra(tables, setting_map) -> np.ndarray:
-    """:func:`truncated_spectrum` entries of each table of one network, one
-    row per table, from one Walsh–Hadamard transform of their stacked
-    correlators.  ``tables`` may be an iterator, such as
-    :func:`bellnet.classical.model_tables`; only each table's config and
-    correlators are kept, so no table outlives its reading."""
-    read = list(map(lambda table: (table.config, table_correlators(table)), tables))
-    if not read:
-        raise ValueError("need at least one table")
-    configs, correlators = zip(*read)
-    if any(config != configs[0] for config in configs):
-        raise ValueError("truncated_spectra expects tables of one network")
-    return _correlator_spectra(configs[0], np.stack(correlators), setting_map)
+    entries = correlator_spectra(table.config, table_correlators(table)[None], setting_map)
+    return SubsetSpectrum(table.config, entries[0])
 
 
 def simulated_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
@@ -96,13 +81,14 @@ def simulated_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSp
     :func:`scheme_setting_map`, from :func:`bellnet.quantum.network_correlators`,
     which past one block multiplies the sources' checked correlators."""
     correlators = network_correlators(scheme, visibilities)
-    entries = _correlator_spectra(scheme.config, correlators[None], scheme_setting_map(scheme))
+    entries = correlator_spectra(scheme.config, correlators[None], scheme_setting_map(scheme))
     return SubsetSpectrum(scheme.config, entries[0])
 
 
-def _correlator_spectra(config: NetworkConfig, correlators, setting_map) -> np.ndarray:
-    """:func:`truncated_spectra` of tables' stacked ``(m, 2**T, n_settings)``
-    correlators, each entry checked to lie in ``[-1, 1]``."""
+def correlator_spectra(config: NetworkConfig, correlators, setting_map) -> np.ndarray:
+    """:func:`truncated_spectrum` entries of stacked ``(m, 2**T, n_settings)``
+    correlators of one network, one row each, every entry checked to lie
+    in ``[-1, 1]``."""
     setting_map = np.asarray(setting_map)
     if setting_map.shape != (1 << config.max_branch,):
         raise ValueError("need one center setting per subset mask")
@@ -156,18 +142,16 @@ def source_factors(config: NetworkConfig, branch_angles, turns) -> np.ndarray:
     return factors
 
 
-def separable_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
-    """Exact ``truncated_spectrum(network_table(scheme, visibilities), map)``
-    for the scheme's setting map: ``K_X = prod_j V_j Re[i^{b_j} P_j(X)]``
-    (see :func:`source_factors`), ``b_j`` the bit of source ``j``'s block in
-    the setting of ``X``, as the center's X or Y axis adds phase 0 or pi/2.
+def separable_spectrum(scheme: MeasurementScheme) -> SubsetSpectrum:
+    """Exact ``truncated_spectrum(network_table(scheme), map)`` for the
+    scheme's setting map: ``K_X = prod_j Re[i^{b_j} P_j(X)]`` (see
+    :func:`source_factors`), ``b_j`` the bit of source ``j``'s block in the
+    setting of ``X``, as the center's X or Y axis adds phase 0 or pi/2.
     """
     config = scheme.config
     blocks = np.array([config.block_index(j) for j in range(config.n)])
     bits = (scheme_setting_map(scheme) >> blocks[:, None]) & 1
     factors = source_factors(config, scheme.branch_angles, bits)
-    if visibilities is not None:
-        factors *= np.reshape(visibilities, (config.n, 1))  # noise only scales
     return SubsetSpectrum(config, factors.prod(axis=0), factors)
 
 

@@ -19,7 +19,7 @@ which no command reports: :func:`contribution_count`, checked against its
 closed form, and :func:`correlator_expansion_coefficient`.  The tests
 compare them with :func:`subset_count` and :func:`expansion_coefficients`.
 :func:`single_experiment_value` reads a one-source experiment's entries
-with the package's own ``_correlator_spectra``.
+with the package's own ``correlator_spectra``.
 """
 
 from __future__ import annotations
@@ -580,13 +580,13 @@ def single_experiment_value(correlators, setting_map) -> float:
     ``correlators[x, y]`` is the full-correlator of the branch outcomes
     and the center outcome at branch settings x and center setting y.
     With one branch this is the CHSH expression; with two, Mermin's.
-    The entries, and their checks, are those of :func:`truncated_spectra`.
+    The entries, and their checks, are those of :func:`correlator_spectra`.
     """
-    from bellnet.inequality import _correlator_spectra
+    from bellnet.inequality import correlator_spectra
     from bellnet.network import NetworkConfig
 
     corr = np.asarray(correlators, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] & (corr.shape[0] - 1):
         raise ValueError("correlators must have shape (2**L, settings)")
     config = NetworkConfig(1, (corr.shape[0].bit_length() - 1,))
-    return float(np.abs(_correlator_spectra(config, corr[None], setting_map)).sum())
+    return float(np.abs(correlator_spectra(config, corr[None], setting_map)).sum())

@@ -12,9 +12,10 @@ from hypothesis.extra.numpy import arrays
 
 from bellnet import classical
 from bellnet.classical import (
+    SampledModel,
     deterministic_maximum,
+    model_correlators,
     model_table,
-    model_tables,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -26,11 +27,10 @@ from bellnet.classical import (
 from bellnet.inequality import (
     bell_value,
     classical_bound,
-    truncated_spectra,
+    correlator_spectra,
     truncated_spectrum,
 )
 from bellnet.network import NetworkConfig, xy_setting_map
-from bellnet import quantum
 from bellnet.quantum import CorrelationTable
 from oracles import (
     dense_sampled_spectra,
@@ -284,8 +284,8 @@ def test_probe_rows_are_the_reported_rows(cfg, lattice, trials, blocks):
     assert np.array_equal(values, (np.abs(whole) ** 0.5).sum(axis=1))
     # the counter-based stream draws each probe seed alone as the batch did
     models = [sample_model(seed, cfg, lattice) for seed in seeds[:probes]]
-    tables = truncated_spectra(model_tables(models), xy_setting_map(cfg.max_branch))
-    assert np.abs(tables - head).max() <= 1e-12
+    probed = correlator_spectra(cfg, model_correlators(models), xy_setting_map(cfg.max_branch))
+    assert np.abs(probed - head).max() <= 1e-12
     assert head.flags.owndata  # a copy of the rows, not a view that holds the block
 
 
@@ -344,91 +344,82 @@ def test_model_table_peak_memory():
     assert peak <= table.values.nbytes + (8 << 20)
 
 
-def _table_entries(model):
-    dim = 1 << model.config.total
-    return dim * model.n_center_settings * dim * 2
-
-
 @pytest.mark.parametrize(
     "branches, lattice",
     [
-        ((1, 2, 3), 3),  # two models a group: groups of 2, 2 and 1
-        ((3, 3), 64),  # one group of five, 20480 hidden words in several scatter blocks
-        ((1, 1), 1),  # one group of five, one hidden word each
+        ((1, 2, 3), 3),  # 8 center settings
+        ((3, 3), 64),  # 4096 hidden words
+        ((1, 1), 1),  # one hidden word each
+        ((3, 1), 5),  # the widest source summed first
     ],
 )
-def test_model_tables_equal_each_table_and_the_loop_bit_for_bit(branches, lattice):
+def test_model_correlators_match_the_loop_tables(branches, lattice):
     cfg = NetworkConfig(len(branches), branches)
     models = [sample_model(seed, cfg, lattice=lattice) for seed in range(5)]
-    tables = list(model_tables(models))
-    assert len(tables) == len(models)
-    for model, table in zip(models, tables):
-        for other in (model_table(model), loop_model_table(model)):
-            assert np.array_equal(table.values, other.values)
-            assert np.array_equal(table.correlators, other.correlators)
-        assert not table.correlators.flags.writeable
+    got = model_correlators(models)
+    assert got.shape == (5, 1 << cfg.total, models[0].n_center_settings)
+    # each correlator sums lattice**n signed products of n weights, whose
+    # magnitudes sum to one; the loop's table sums them in another order
+    bound = (lattice**cfg.n + cfg.n * lattice) * np.finfo(np.float64).eps
+    for model, row in zip(models, got):
+        assert np.abs(row - loop_model_table(model).correlators).max() <= bound
+        assert np.abs(row - model_table(model).correlators).max() <= bound
 
 
-def test_model_tables_group_as_many_models_as_fit_one_block():
-    def groups(models):
-        tables = list(model_tables(models))
-        shared = [a.values.base is b.values.base for a, b in zip(tables, tables[1:])]
-        return [1 + i for i, same in enumerate(shared) if not same] + [len(tables)]
-
-    split = [sample_model(seed, NetworkConfig(3, (1, 2, 3)), 3) for seed in range(5)]
-    assert 2 * _table_entries(split[0]) == quantum._BLOCK_ENTRIES
-    assert groups(split) == [2, 4, 5]
-    wide = [sample_model(seed, NetworkConfig(2, (3, 3)), 64) for seed in range(5)]
-    hidden = 5 * 64**2 * (1 << 6) * 2  # (model, combo) pairs times (x, y) rows
-    assert hidden > 4 * classical._SCATTER_ENTRIES
-    assert groups(wide) == [5]
-    # a table past one block is a group of its own
-    large = [sample_model(seed, NetworkConfig(2, (5, 5)), 2) for seed in range(2)]
-    assert _table_entries(large[0]) > quantum._BLOCK_ENTRIES
-    assert groups(large) == [1, 2]
-
-
-def test_model_tables_refuse_models_of_other_networks():
+def test_model_correlators_refuse_models_of_other_networks():
     cfg = NetworkConfig.homogeneous(2, 1)
-    assert list(model_tables([])) == []
     with pytest.raises(ValueError, match="one network and lattice"):
-        model_tables([sample_model(0, cfg, 2), sample_model(1, cfg, 3)])
+        model_correlators([sample_model(0, cfg, 2), sample_model(1, cfg, 3)])
     with pytest.raises(ValueError, match="one network and lattice"):
-        model_tables([sample_model(0, cfg, 2), sample_model(1, NetworkConfig(2, (1, 2)), 2)])
+        model_correlators([sample_model(0, cfg, 2), sample_model(1, NetworkConfig(2, (1, 2)), 2)])
 
 
-def test_model_tables_peak_memory():
-    # Five (1, 2, 3) tables of 2**16 entries each, two a group.  Read as the
-    # command line reads them, the call holds one group (2**17 entries) and
-    # its scatter block (int64 indices and float64 weights), where a list
-    # of all five tables peaked at 2.9 MB.
-    cfg = NetworkConfig(3, (1, 2, 3))
-    models = [sample_model(seed, cfg, 3) for seed in range(5)]
-    smap = xy_setting_map(3)
-    block = 2 * 3**3 * (1 << 6) * 8  # (model, combo) pairs times (x, y) rows
+@pytest.mark.parametrize(
+    "index, weight",
+    [((0, 0), -0.25), ((1, 1), np.nan), ((1, 0), 0.5)],
+    ids=["negative", "nan", "unnormalized"],
+)
+def test_model_correlators_refuse_a_bad_source_weight(index, weight):
+    # the one way a sampled model's table can fail its constructor's checks
+    cfg = NetworkConfig.homogeneous(2, 1)
+    good = sample_model(0, cfg, 2)
+    weights = good.weights.copy()
+    weights[index] = weight
+    if weight < 0:
+        weights[index[0], 1 - index[1]] = 1.25  # the source still sums to one
+    bad = SampledModel(cfg, 2, weights, good.responses, good.center_bits)
+    with pytest.raises(ValueError, match="source weights"):
+        model_correlators([good, bad])
+
+
+def test_model_correlators_peak_memory():
+    # Five models of 256**2 hidden words at (5, 5): the call holds their
+    # center signs as floats (5 MiB), as bits, and no outcome table (one
+    # model's peaks at 43 MiB).
+    cfg = NetworkConfig.homogeneous(2, 5)
+    models = [sample_model(seed, cfg, 256) for seed in range(5)]
     tracemalloc.start()
     try:
-        spectra = truncated_spectra(model_tables(models), smap)
+        correlators = model_correlators(models)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spectra.shape == (5, 8)
-    assert 2 * _table_entries(models[0]) == quantum._BLOCK_ENTRIES
-    assert peak <= quantum._BLOCK_ENTRIES * 8 + 2 * 8 * block + (128 << 10)
+    assert correlators.shape == (5, 1 << 10, 2)
+    assert peak <= 5 * 256**2 * 2 * 8 + (2 << 20)
 
 
 @pytest.mark.parametrize("branches, lattice", [((1, 2, 3), 3), ((2, 2), 2), ((1,), 1)])
-def test_truncated_spectra_rows_equal_each_spectrum(branches, lattice):
+def test_correlator_spectra_rows_equal_each_spectrum(branches, lattice):
     cfg = NetworkConfig(len(branches), branches)
     smap = xy_setting_map(cfg.max_branch)
-    tables = list(model_tables([sample_model(seed, cfg, lattice) for seed in range(5)]))
-    spectra = truncated_spectra(tables, smap)
+    tables = [model_table(sample_model(seed, cfg, lattice)) for seed in range(5)]
+    spectra = correlator_spectra(cfg, np.stack([t.correlators for t in tables]), smap)
     assert spectra.shape == (5, 1 << cfg.max_branch)
     for row, table in zip(spectra, tables):
         assert np.array_equal(row, truncated_spectrum(table, smap).entries)
 
 
-def test_truncated_spectra_refuse_an_entry_past_one():
+def test_correlator_spectra_refuse_an_entry_past_one():
     # A checked table given a correlator of 1.5 at every setting gives
     # entry 1.5 at the empty subset.
     cfg = NetworkConfig.homogeneous(1, 1)
@@ -437,11 +428,9 @@ def test_truncated_spectra_refuse_an_entry_past_one():
     object.__setattr__(bad, "correlators", np.full((2, 2), 1.5))
     smap = xy_setting_map(1)
     with pytest.raises(ValueError, match="outside"):
-        truncated_spectra([good, bad], smap)
+        correlator_spectra(cfg, np.stack([good.correlators, bad.correlators]), smap)
     with pytest.raises(ValueError, match="outside"):
         truncated_spectrum(bad, smap)
-    with pytest.raises(ValueError, match="one network"):
-        truncated_spectra([good, model_table(sample_model(0, NetworkConfig(1, (2,)), 2))], smap)
 
 
 def test_batched_spectra_match_table_route():
@@ -550,7 +539,7 @@ def test_deterministic_maximum_guards():
 
 def test_region_slice_nonempty():
     cfg = NetworkConfig.homogeneous(2, 2)
-    names, rows = region_slice(cfg, 1.0 / 16, grid=41)
+    names, rows, _ = region_slice(cfg, 1.0 / 16, grid=41)
     assert names == ["K_empty", "K_1", "K_2"]
     assert rows.shape[1] == 3
     assert len(rows) > 0
@@ -560,8 +549,8 @@ def test_region_slice_nonempty():
 def test_region_slice_fixed_value_filter():
     cfg = NetworkConfig.homogeneous(2, 2)
     grid, fixed, mask = 21, 1.0 / 16, 3
-    tol = cfg.n / (grid - 1)
-    names, rows = region_slice(cfg, fixed, grid=grid, fixed_mask=mask)
+    names, rows, tol = region_slice(cfg, fixed, grid=grid, fixed_mask=mask)
+    assert tol == cfg.n / (grid - 1)  # the default tracks the grid pitch
     # rebuild the sweep and check the filter kept exactly the right points
     ps = np.linspace(0.0, 1.0, grid)
     expected = []
@@ -578,7 +567,8 @@ def test_region_slice_fixed_value_filter():
 
 def test_region_slice_empty_at_unreachable_value():
     cfg = NetworkConfig.homogeneous(2, 2)
-    names, rows = region_slice(cfg, 2.0, grid=11, tol=1e-3)
+    names, rows, tol = region_slice(cfg, 2.0, grid=11, tol=1e-3)
+    assert tol == 1e-3
     assert len(rows) == 0
 
 
@@ -590,7 +580,7 @@ def test_region_slice_equals_the_full_grid_cut_bit_for_bit(n, grid):
     for mask in range(4):
         for fixed in (0.0, 0.0625, 0.3, 2.0):
             for tol in (None, 1e-3):
-                names, rows = region_slice(cfg, fixed, grid, mask, tol)
+                names, rows, _ = region_slice(cfg, fixed, grid, mask, tol)
                 want_names, want = grid_region_slice(cfg, fixed, grid, mask, tol)
                 assert names == want_names
                 assert rows.shape == want.shape

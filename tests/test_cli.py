@@ -535,11 +535,11 @@ def test_classical_sample_seed_changes_run():
 
 
 def test_classical_sample_skips_table_check_beyond_budget(monkeypatch, capsys):
-    # 24 branch observers: the model table would hold 4**24 * 2 * 2 entries
+    # 24 branch observers: past the table cap that sizes the check
     def no_table(*args, **kwargs):
-        raise AssertionError("built a model table beyond the budget")
+        raise AssertionError("ran the model check beyond the budget")
 
-    monkeypatch.setattr(cli, "model_tables", no_table)
+    monkeypatch.setattr(cli, "model_correlators", no_table)
     argv = ["classical", "--n", "3", "--L", "8", "--mode", "sample", "--trials", "1"]
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)

@@ -32,29 +32,24 @@ from bellnet.quantum import CorrelationTable, SwapJointTable
 TABLE_ROUTES = (
     (inequality, "network_correlators"),
     (cli, "saturating_table"),
-    (cli, "model_tables"),
+    (cli, "model_correlators"),
     (cli, "single_source_table"),
 )
 
 
 def _halved(route):
-    """``route`` with every table mixed half and half with uniform outcomes.
+    """``route`` with its table mixed half and half with uniform outcomes.
 
     Each full correlator halves, so a value read off such a table (or off
-    correlators returned alone, or off any table a route yields)
-    disagrees with the same value reached another way.
+    correlators returned alone) disagrees with the same value reached
+    another way.
     """
-
-    def halve(table):
-        if isinstance(table, np.ndarray):  # uniform outcomes have no correlator
-            return 0.5 * table
-        return CorrelationTable(table.config, 0.5 * table.values + 0.25 / table.values.shape[2])
 
     def mixed(*args, **kwargs):
         result = route(*args, **kwargs)
-        if isinstance(result, (np.ndarray, CorrelationTable)):
-            return halve(result)
-        return [halve(t) for t in result]
+        if isinstance(result, np.ndarray):  # uniform outcomes have no correlator
+            return 0.5 * result
+        return CorrelationTable(result.config, 0.5 * result.values + 0.25 / result.values.shape[2])
 
     return mixed
 
@@ -103,7 +98,7 @@ def _shows_a_failure(text: str) -> bool:
         ),
         (
             ["classical", "--n", "2", "--L", "1", "--mode", "sample", "--trials", "20"],
-            (cli, "model_tables"),
+            (cli, "model_correlators"),
             "batch_matches_table_route",
         ),
         (

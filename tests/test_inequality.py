@@ -266,7 +266,7 @@ def test_spectrum_validation():
     correlators = np.zeros((1, 1 << cfg.total, 2))
     correlators[0, 3, 1] = np.nan
     with pytest.raises(ValueError, match=r"correlator entry outside \[-1, 1\]"):
-        inequality._correlator_spectra(cfg, correlators, xy_setting_map(cfg.max_branch))
+        inequality.correlator_spectra(cfg, correlators, xy_setting_map(cfg.max_branch))
 
 
 def test_bell_value_drops_only_rounding_noise():
@@ -416,7 +416,8 @@ def test_separable_kernel_matches_simulated_table(branches, kind, seed):
     rng = np.random.default_rng(seed)
     scheme = MeasurementScheme(cfg, rng.uniform(-math.pi, math.pi, (cfg.total, 2)), kind)
     visibilities = rng.uniform(0.0, 1.0, cfg.n)
-    got = separable_spectrum(scheme, visibilities).entries
+    # white noise has no full correlator, so it scales every entry
+    got = np.prod(visibilities) * separable_spectrum(scheme).entries
     table = network_table(scheme, visibilities)
     # signed, entry by entry
     assert np.abs(got - truncated_spectrum(table, scheme_setting_map(scheme)).entries).max() < 1e-12
@@ -427,7 +428,6 @@ def test_separable_kernel_at_full_visibility(branches):
     cfg = NetworkConfig(len(branches), branches)
     scheme = rotated_scheme(cfg)
     noiseless = separable_spectrum(scheme)
-    assert np.array_equal(noiseless.entries, separable_spectrum(scheme, (1.0,) * cfg.n).entries)
     predicted = predicted_quantum_value(cfg, "rotated")
     assert bell_value(noiseless) == pytest.approx(predicted, abs=1e-12)
 

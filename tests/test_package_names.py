@@ -15,7 +15,8 @@ MODULES = {
 
 # Kept although no package code reads them: perfbench reaches them by name.
 UNREFERENCED = {
-    # perfbench/tracer.py's LAYERS wraps it as the classical.model_table span
+    # no command builds a model table; perfbench/tracer.py's LAYERS wraps it
+    # as the classical.model_table span
     ("classical", "model_table"),
     # perfbench/checks.py imports it to check sweep output
     ("inequality", "diagonal_sweep_closed_form"),
