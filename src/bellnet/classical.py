@@ -272,6 +272,16 @@ def model_correlators(models) -> np.ndarray:
     return values.reshape(count, 1 << config.total, n_y)
 
 
+def probe_correlators_cap(config: NetworkConfig, lattice: int) -> str | None:
+    """The refusal of :func:`model_correlators`' largest array for
+    :data:`PROBE_MODELS` models, or None: each model's ``lattice**(n - j)``
+    hidden words times the first ``j`` sources' setting words and ``n_y``."""
+    widths = itertools.accumulate(config.branches, initial=0)
+    bits = max((config.n - j) * math.log2(lattice) + width for j, width in enumerate(widths))
+    bits += math.log2(PROBE_MODELS * bob_setting_count(config))
+    return over_budget("the probe correlators", bits)
+
+
 def sampled_spectra(seeds, config: NetworkConfig, lattice: int = 2):
     """Spectrum entries on the xy setting map for many seeded models at once.
 

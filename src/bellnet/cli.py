@@ -27,6 +27,7 @@ from .classical import (
     SAMPLE_STREAM,
     deterministic_maximum,
     model_correlators,
+    probe_correlators_cap,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -57,9 +58,8 @@ from .quantum import (
     single_source_table,
     xy_scheme,
 )
-# The check reaches the table route through network_correlators; the name
-# stays bound here, as in ``inequality``, since perfbench's tracer wraps that
-# route at every name it is bound under.
+# Unread here: perfbench's tracer wraps the check's table route at every
+# name it is bound under.
 from .quantum import network_table  # noqa: F401
 from .swap import conditioning_from_json, default_conditioning
 from .swap import joint_table_spectrum, swap_spectrum
@@ -473,7 +473,7 @@ def cmd_classical(args, parser: _Parser) -> int:
         report["lattice"] = args.lattice
         report["max_value"] = float(values.max())
         checks["all_below_classical_bound"] = bool(values.max() <= bound + VALUE_TOL)
-        if _fits(report, "batch_matches_table_route", separable_table_cap(config)):
+        if _fits(report, "batch_matches_table_route", probe_correlators_cap(config, args.lattice)):
             # The reported batch's first rows against the probes' own correlators.
             models = [sample_model(probe, config, args.lattice) for probe in seeds[: len(head)]]
             correlators = model_correlators(models)

@@ -26,13 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import NetworkConfig, fwht, over_budget, subset_setting_mask
-from .quantum import CorrelationTable, MeasurementScheme, network_correlators
-from .quantum import scheme_setting_map, separable_table_cap
-
-# The check reaches the table route through network_correlators; the name
-# stays bound here, as in ``cli``, since perfbench's tracer wraps that
-# route at every name it is bound under.
-from .quantum import network_table  # noqa: F401
+from .quantum import CorrelationTable, MeasurementScheme, fits_one_block, network_table
+from .quantum import scheme_setting_map, separable_table_cap, source_tables
 
 _ENTRY_TOL = 1e-9
 # Absolute tolerance of a Bell value against its closed form or bound.
@@ -43,7 +38,7 @@ VISIBILITY_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class SubsetSpectrum:
-    """Correlator entries for every subset mask, and a kernel's factors."""
+    """Correlator entries for every subset mask, and per-source factors where known."""
 
     config: NetworkConfig
     entries: np.ndarray  # (2**max_branch,)
@@ -78,11 +73,23 @@ def truncated_spectrum(table: CorrelationTable, setting_map) -> SubsetSpectrum:
 
 def simulated_spectrum(scheme: MeasurementScheme, visibilities=None) -> SubsetSpectrum:
     """``truncated_spectrum(network_table(scheme, visibilities), map)`` at
-    :func:`scheme_setting_map`, from :func:`bellnet.quantum.network_correlators`,
-    which past one block multiplies the sources' checked correlators."""
-    correlators = network_correlators(scheme, visibilities)
-    entries = correlator_spectra(scheme.config, correlators[None], scheme_setting_map(scheme))
-    return SubsetSpectrum(scheme.config, entries[0])
+    :func:`scheme_setting_map`.  Past one block no table is composed: each
+    entry is the product ``prod_j K_j(X_j)`` of independent sources' entries,
+    read off their checked tables, checked, and zero within :func:`table_floor`."""
+    config, smap = scheme.config, scheme_setting_map(scheme)
+    if config.n == 1 or fits_one_block(config):
+        correlators = network_table(scheme, visibilities).correlators
+        return SubsetSpectrum(config, correlator_spectra(config, correlators[None], smap)[0])
+    factors = np.empty((config.n, 1 << config.max_branch))
+    spectra = {}
+    for j, table in enumerate(source_tables(scheme, visibilities)):
+        if id(table) not in spectra:  # sources that share a table share its entries
+            spectrum = fwht(table.correlators) / len(table.correlators)
+            _check_entries(spectrum)
+            spectrum[np.abs(spectrum) <= table_floor(table.config)] = 0.0
+            spectra[id(table)] = spectrum[np.arange(factors.shape[1]) % len(spectrum), smap]
+        factors[j] = spectra[id(table)]
+    return SubsetSpectrum(config, factors.prod(axis=0), factors)
 
 
 def correlator_spectra(config: NetworkConfig, correlators, setting_map) -> np.ndarray:
@@ -167,8 +174,8 @@ def table_floor(config: NetworkConfig) -> float:
 def bell_value(spectrum: SubsetSpectrum) -> float:
     """sum_X |entry_X|**(1/n).
 
-    A kernel spectrum roots each per-source factor before the product,
-    which could underflow (1100 factors of 1/2).  A table's entry within
+    Per-source factors are rooted before the product, which could
+    underflow (1100 factors of 1/2).  A table's entry within
     :func:`table_floor` of zero counts as zero; the root would magnify it.
     """
     config = spectrum.config

@@ -36,9 +36,9 @@ must hold no negative entry, and one product with the ``(2 * 2**T, 2)``
 matrix ``[1, (-1)^(|a| + b)]`` gives its rows' sums, checked against one
 once the pass ends, and its full correlators, which the table keeps.
 :func:`compose_network` writes the network table in one batched matmul
-and hands it to that constructor.  :func:`network_correlators`, the
-command line's check, composes no table past one block: the sources are
-independent, so the network's full correlator is the product of theirs.
+and hands it to that constructor.  Past :func:`fits_one_block` the command
+line's check composes none: :func:`bellnet.inequality.simulated_spectrum`
+multiplies the spectrum entries of the :func:`source_tables`.
 
 The exact kernels :func:`bellnet.inequality.separable_spectrum` and
 :func:`bellnet.swap.swap_spectrum` give every quantum Bell value; these
@@ -342,46 +342,27 @@ def bob_setting_count(config: NetworkConfig) -> int:
 
 
 def separable_table_cap(config: NetworkConfig) -> str | None:
-    """The refusal of :func:`network_table`'s array, or None; each source's is smaller.
-
-    :func:`network_correlators` composes no table past one block, so for
-    it this bounds only which networks the command line checks, not the
-    memory or work of the check.
-    """
+    """The refusal of :func:`network_table`'s array, or None; each source's is
+    smaller.  Past :func:`fits_one_block` the check builds only the sources',
+    so there this bounds which networks are checked, not the check's work."""
     return over_budget("the separable table", 2 * config.total + len(config.block_sizes) + 1)
+
+
+def fits_one_block(config: NetworkConfig) -> bool:
+    """Whether :func:`network_table`'s array fits one block of ``_BLOCK_ENTRIES``."""
+    return 2 * 4**config.total * bob_setting_count(config) <= _BLOCK_ENTRIES
 
 
 def network_table(scheme: MeasurementScheme, visibilities=None) -> CorrelationTable:
     """Simulate the full network under a separable center measurement.
 
-    Composes the tables of :func:`_source_tables`.  ``visibilities`` holds
+    Composes the tables of :func:`source_tables`.  ``visibilities`` holds
     one GHZ weight per source (default all 1).
     """
-    return compose_network(_source_tables(scheme, visibilities))
+    return compose_network(source_tables(scheme, visibilities))
 
 
-def network_correlators(scheme: MeasurementScheme, visibilities=None) -> np.ndarray:
-    """``network_table(scheme, visibilities).correlators`` within rounding,
-    composing no table past one block.
-
-    The sources are independent and the center announces the XOR of their
-    parity bits, so ``E(x, y) = prod_j E_j(x_j, y)``, source 0 in the low
-    bits of ``x``.  Each source's table was checked when it was built, and
-    an XOR convolution of distributions is one, so no check is lost.  A
-    table of one block, or of one source, comes from :func:`network_table`.
-    """
-    config = scheme.config
-    dim, n_y = 1 << config.total, bob_setting_count(config)
-    if config.n == 1 or dim * n_y * 2 * dim <= _BLOCK_ENTRIES:
-        return network_table(scheme, visibilities).correlators
-    corr = np.ones((1, n_y))
-    for part in _source_tables(scheme, visibilities):
-        corr = (part.correlators[:, None, :] * corr[None]).reshape(-1, n_y)
-    corr.setflags(write=False)
-    return corr
-
-
-def _source_tables(scheme: MeasurementScheme, visibilities) -> list[CorrelationTable]:
+def source_tables(scheme: MeasurementScheme, visibilities=None) -> list[CorrelationTable]:
     """Each source's noisy table under a separable center measurement.
 
     The center observer's angle on the qubit from source ``j`` is X or Y

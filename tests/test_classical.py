@@ -16,6 +16,7 @@ from bellnet.classical import (
     deterministic_maximum,
     model_correlators,
     model_table,
+    probe_correlators_cap,
     region_slice,
     sample_model,
     sampled_bell_values,
@@ -406,6 +407,21 @@ def test_model_correlators_peak_memory():
         tracemalloc.stop()
     assert correlators.shape == (5, 1 << 10, 2)
     assert peak <= 5 * 256**2 * 2 * 8 + (2 << 20)
+
+
+@pytest.mark.parametrize(
+    "fits, refused, bits",
+    [
+        # five probes at 2 center settings: 10 * 2**20 entries fit 2**24
+        ((20,), (21,), "24.4"),
+        # at 4 center settings the last source's bits decide
+        ((10, 10), (10, 11), "25.4"),
+    ],
+)
+def test_probe_correlators_cap_at_its_edge(fits, refused, bits):
+    assert probe_correlators_cap(NetworkConfig(len(fits), fits), 2) is None
+    refusal = probe_correlators_cap(NetworkConfig(len(refused), refused), 2)
+    assert refusal == f"the probe correlators would hold 2^{bits} entries, over 2^24"
 
 
 @pytest.mark.parametrize("branches, lattice", [((1, 2, 3), 3), ((2, 2), 2), ((1,), 1)])

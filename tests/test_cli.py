@@ -48,6 +48,25 @@ def _no_simulation(*args, **kwargs):
     raise AssertionError("simulated a network beyond its cap")
 
 
+# The separable check's table routes: the network's table, or past one
+# block each source's own table.
+SEPARABLE_ROUTES = ("network_table", "source_tables")
+
+
+def _no_separable_tables(monkeypatch):
+    for name in SEPARABLE_ROUTES:
+        monkeypatch.setattr(inequality, name, _no_simulation)
+
+
+def _without_visibilities(monkeypatch):
+    """Make every separable table ignore the visibilities it is asked for."""
+    for name in SEPARABLE_ROUTES:
+        plain = getattr(inequality, name)
+        monkeypatch.setattr(
+            inequality, name, lambda scheme, visibilities=None, plain=plain: plain(scheme)
+        )
+
+
 def _computed(capsys, argv):
     """The report of ``argv``, which must exit 0 without a traceback."""
     assert cli.main(argv) == 0
@@ -95,7 +114,7 @@ def test_violate_heterogeneous_rotated():
 
 
 def test_violate_oversized_network_skips_simulation(monkeypatch, capsys):
-    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
+    _no_separable_tables(monkeypatch)
     # 4**400 entries: the count is printed as a power of two
     for argv, value, bits in ((["--L", "13"], 64.0, 28), (["--n", "40", "--L", "10"], 32.0, 802)):
         report = _computed(capsys, ["violate", *argv])
@@ -126,7 +145,7 @@ def test_beyond_single_source_cap_is_refused(monkeypatch, capsys, command, check
     # one source of 12 branches: 4**12 * 2 * 2 entries are past the table
     # budget, so the kernel alone gives the value, and the report says
     # which check the budget skipped.
-    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
+    _no_separable_tables(monkeypatch)
     report = _computed(capsys, [command, "--n", "1", "--L", "12"])
     assert report["skipped_checks"] == {check: SEPARABLE_CAP.format(26)}
     assert all(report["checks"].values())
@@ -358,7 +377,7 @@ def test_noise_heterogeneous():
 
 def test_noise_beyond_budget_is_refused(monkeypatch, capsys):
     # the crossing is read off the kernel; the certificate tables are skipped
-    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
+    _no_separable_tables(monkeypatch)
     report = _computed(capsys, ["noise", "--n", "4", "--L", "3", "--scheme", "rotated"])
     assert report["bisection_visibility"] == 2.0**-6
     assert report["checks"] == {"bisection_matches_scheme_crossing": True}
@@ -414,7 +433,7 @@ def test_noise_wrong_kernel_exits_2(monkeypatch, capsys, n):
     ],
 )
 def test_kernel_scale_commands_build_no_table(monkeypatch, capsys, argv, key, value):
-    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
+    _no_separable_tables(monkeypatch)
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
     report = _computed(capsys, argv)
     assert report[key] == value
@@ -425,10 +444,7 @@ def test_kernel_scale_commands_build_no_table(monkeypatch, capsys, argv, key, va
 def test_noise_uncertified_bracket_exits_2(monkeypatch, capsys):
     # Tables that ignore the visibilities contradict the scaling law the
     # bisection steps on, so the simulated bracket cannot be certified.
-    plain = inequality.network_correlators
-    monkeypatch.setattr(
-        inequality, "network_correlators", lambda scheme, visibilities=None: plain(scheme)
-    )
+    _without_visibilities(monkeypatch)
     assert cli.main(["noise", "--n", "2", "--L", "2"]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -535,7 +551,7 @@ def test_classical_sample_seed_changes_run():
 
 
 def test_classical_sample_skips_table_check_beyond_budget(monkeypatch, capsys):
-    # 24 branch observers: past the table cap that sizes the check
+    # 24 branch observers: the five probes' correlators would hold 2^27.4 entries
     def no_table(*args, **kwargs):
         raise AssertionError("ran the model check beyond the budget")
 
@@ -544,6 +560,22 @@ def test_classical_sample_skips_table_check_beyond_budget(monkeypatch, capsys):
     assert cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["checks"] == {"all_below_classical_bound": True}
+
+
+def test_classical_sample_check_is_sized_by_its_own_arrays(monkeypatch, capsys):
+    # one source of 12 branches: no quantum table is built, and the five
+    # probes' correlators hold 2^13 entries at each center setting
+    argv = ["classical", "--n", "1", "--L", "12", "--mode", "sample", "--trials", "5"]
+    report = _computed(capsys, argv)
+    assert report["checks"] == {"all_below_classical_bound": True, "batch_matches_table_route": True}
+    assert "skipped_checks" not in report
+    # one branch more than the cap admits at 4 center settings
+    monkeypatch.setattr(cli, "model_correlators", _no_simulation)
+    report = _computed(capsys, ["classical", "--branches", "10,11", *argv[5:]])
+    assert report["checks"] == {"all_below_classical_bound": True}
+    assert report["skipped_checks"] == {
+        "batch_matches_table_route": "the probe correlators would hold 2^25.4 entries, over 2^24"
+    }
 
 
 def test_classical_enumerate():
@@ -688,9 +720,10 @@ def test_swap_beyond_qubit_cap_is_refused(monkeypatch, capsys, tmp_path):
     # 10 sources of 1 branch hold 20 qubits but fit the table budget, so
     # the separable table still checks its kernel.
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
-    route = inequality.network_correlators
+    routes = {name: getattr(inequality, name) for name in SEPARABLE_ROUTES}
     for n, size, built in ((2, 6, False), (10, 1, True)):
-        monkeypatch.setattr(inequality, "network_correlators", route if built else _no_simulation)
+        for name, route in routes.items():
+            monkeypatch.setattr(inequality, name, route if built else _no_simulation)
         path = tmp_path / f"cond{n}.json"
         path.write_text(json.dumps({str(m): {"bit": 1} for m in range(1 << size)}))
         argv = ["swap", "--n", str(n), "--L", str(size)]
@@ -711,7 +744,7 @@ def test_swap_beyond_separable_cap_is_refused(monkeypatch, capsys, tmp_path):
     path = tmp_path / "cond.json"
     path.write_text(json.dumps({str(m): {"bit": 0} for m in range(1 << 12)}))
     monkeypatch.setattr(swap_module, "swap_joint_table", _no_simulation)
-    monkeypatch.setattr(inequality, "network_correlators", _no_simulation)
+    _no_separable_tables(monkeypatch)
     report = _computed(capsys, ["swap", "--n", "1", "--L", "12", "--conditioning", str(path)])
     assert "checks" not in report
     assert report["skipped_checks"] == {

@@ -27,10 +27,11 @@ from bellnet import quantum
 from bellnet.quantum import CorrelationTable, SwapJointTable
 
 # The routes each command re-derives its headline numbers through:
-# violate, noise and swap reach the network's correlators through the one
-# binding in inequality.
+# violate, noise and swap reach the network's table, or past one block each
+# source's own table, through the bindings in inequality.
 TABLE_ROUTES = (
-    (inequality, "network_correlators"),
+    (inequality, "network_table"),
+    (inequality, "source_tables"),
     (cli, "saturating_table"),
     (cli, "model_correlators"),
     (cli, "single_source_table"),
@@ -38,18 +39,24 @@ TABLE_ROUTES = (
 
 
 def _halved(route):
-    """``route`` with its table mixed half and half with uniform outcomes.
+    """``route`` with its table, or each of its tables, mixed half and half
+    with uniform outcomes.
 
     Each full correlator halves, so a value read off such a table (or off
     correlators returned alone) disagrees with the same value reached
     another way.
     """
 
+    def half(table):
+        return CorrelationTable(table.config, 0.5 * table.values + 0.25 / table.values.shape[2])
+
     def mixed(*args, **kwargs):
         result = route(*args, **kwargs)
         if isinstance(result, np.ndarray):  # uniform outcomes have no correlator
             return 0.5 * result
-        return CorrelationTable(result.config, 0.5 * result.values + 0.25 / result.values.shape[2])
+        if isinstance(result, list):
+            return [half(table) for table in result]
+        return half(result)
 
     return mixed
 
@@ -83,12 +90,23 @@ def _shows_a_failure(text: str) -> bool:
     [
         (
             ["violate", "--n", "2", "--L", "2"],
-            (inequality, "network_correlators"),
+            (inequality, "network_table"),
             "simulation_matches_closed_form",
         ),
         (
             ["swap", "--n", "2", "--L", "2"],
-            (inequality, "network_correlators"),
+            (inequality, "network_table"),
+            "separable_matches_table",
+        ),
+        # past one block the check reads each source's own table
+        (
+            ["violate", "--n", "2", "--L", "5"],
+            (inequality, "source_tables"),
+            "simulation_matches_closed_form",
+        ),
+        (
+            ["swap", "--n", "2", "--L", "5"],
+            (inequality, "source_tables"),
             "separable_matches_table",
         ),
         (
@@ -108,7 +126,7 @@ def _shows_a_failure(text: str) -> bool:
             "batch_matches_table_route",
         ),
         (["sweep", "--L", "2", "--grid", "3"], (cli, "single_source_table"), None),
-        # past one block the check multiplies the sources' correlators, so
+        # every route simulates each source through quantum's binding, so
         # halving each source's table must show there too
         (
             ["violate", "--n", "2", "--L", "5"],
@@ -123,8 +141,8 @@ def _shows_a_failure(text: str) -> bool:
         ),
     ],
     ids=[
-        "violate", "swap", "saturating", "sample", "sample-batch", "sweep",
-        "violate-product", "noise-product", "swap-product",
+        "violate", "swap", "violate-sources", "swap-sources", "saturating", "sample",
+        "sample-batch", "sweep", "violate-product", "noise-product", "swap-product",
     ],
 )
 def test_failed_cross_check_exits_2(monkeypatch, argv, route, check):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellnet.inequality import (
+    VALUE_TOL,
     SubsetSpectrum,
     bell_value,
     classical_bound,
@@ -18,6 +19,7 @@ from bellnet.inequality import (
     fwht,
     predicted_quantum_value,
     separable_spectrum,
+    simulated_spectrum,
     sweep_value,
     table_correlators,
     truncated_spectrum,
@@ -366,13 +368,17 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
     expected = simulated_bisection(cfg, scheme, 1e-6)
 
     calls = []
-    route = inequality.network_correlators
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return route(*args, **kwargs)
+    def counted(route):
+        def call(*args, **kwargs):
+            calls.append(args)
+            return route(*args, **kwargs)
 
-    monkeypatch.setattr(inequality, "network_correlators", counted)
+        return call
+
+    # the network's table, or past one block each source's own table
+    for name in ("network_table", "source_tables"):
+        monkeypatch.setattr(inequality, name, counted(getattr(inequality, name)))
     found, _ = find_critical_visibility(scheme)
     # top comes from the exact kernel; the tables certify both ends of the
     # bracket, or that the noiseless network does not violate
@@ -385,6 +391,19 @@ def test_find_critical_visibility_matches_simulated_bisection(monkeypatch, branc
     assert abs(found - expected) <= 1e-6 / 4
     crossing = (classical_bound(cfg) / predicted_quantum_value(cfg, kind)) ** cfg.n
     assert abs(found - crossing) <= 1e-12
+
+
+@pytest.mark.parametrize("branches", [(1,) * 22, (7, 7, 7), (2, 10)])
+def test_simulated_spectrum_reads_per_source_spectra(branches):
+    # Each entry is a product of per-source entries, each floored by its
+    # own table, so no floor tied to the network's size zeroes the
+    # 2**-11 entries of (1,) * 22, and no table of 2**T words is built.
+    cfg = NetworkConfig(len(branches), branches)
+    scheme = rotated_scheme(cfg)
+    got = bell_value(simulated_spectrum(scheme))
+    assert abs(got - bell_value(separable_spectrum(scheme))) <= VALUE_TOL
+    if cfg.n == 22:
+        assert abs(got - 2**0.5) <= VALUE_TOL
 
 
 def test_find_critical_visibility_certifies_no_violation_on_a_table(monkeypatch):
@@ -477,10 +496,11 @@ def test_kernel_refuses_an_array_past_the_budget():
 def test_find_critical_visibility_refuses_an_uncertified_bracket(monkeypatch):
     # Tables that ignore the visibilities violate at every probe, so the
     # bracket's lower end cannot be certified.
-    route = inequality.network_correlators
-    monkeypatch.setattr(
-        inequality, "network_correlators", lambda scheme, visibilities=None: route(scheme)
-    )
+    for name in ("network_table", "source_tables"):
+        route = getattr(inequality, name)
+        monkeypatch.setattr(
+            inequality, name, lambda scheme, visibilities=None, route=route: route(scheme)
+        )
     cfg = NetworkConfig.homogeneous(2, 2)
     with pytest.raises(ArithmeticError, match="do not bracket"):
         find_critical_visibility(xy_scheme(cfg))

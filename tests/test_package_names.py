@@ -24,7 +24,6 @@ UNREFERENCED = {
 UNUSED_IMPORTS = {
     # perfbench/tracer.py wraps network_table at every module that binds it
     ("cli", "network_table"),
-    ("inequality", "network_table"),
 }
 # The package's own imports are its API for ``from bellnet import ...``.
 REEXPORTING = "__init__"

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellnet import quantum
+from bellnet import inequality, quantum
+from bellnet.inequality import simulated_spectrum, table_floor, truncated_spectrum
 from bellnet.network import NetworkConfig
 from bellnet.quantum import (
     HALF_PI,
@@ -17,8 +18,8 @@ from bellnet.quantum import (
     SwapJointTable,
     bob_setting_count,
     compose_network,
+    fits_one_block,
     measurement_basis,
-    network_correlators,
     network_table,
     rotated_scheme,
     scheme_setting_map,
@@ -35,7 +36,6 @@ from oracles import (
     pairwise_composition,
     projector,
     single_matmul_composition,
-    source_bits,
     uniform_table,
 )
 
@@ -365,19 +365,20 @@ STREAMED_NETWORKS = sorted(
     ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v,
 )
 def test_streamed_correlators_equal_the_tables(branches, kind):
-    # Past one block the correlators are a product of the sources' ones,
-    # not sums over the composed table's 2**(T+1) outcome words per entry,
-    # so they agree within the floor eps * 2**(T+n) that bell_value puts
-    # under table values (at most 0.4% of that floor in these cases).
+    # Past one block each entry is a product of the sources' entries, not a
+    # sum over the composed table's 2**(T+1) outcome words per correlator,
+    # so the spectra agree within the floor eps * 2**(T+n) that bell_value
+    # puts under table values.
     cfg = NetworkConfig(len(branches), branches)
     scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
+    smap = scheme_setting_map(scheme)
     noisy = tuple(np.linspace(0.35, 0.95, cfg.n))
-    floor = np.finfo(np.float64).eps * 2.0 ** (cfg.total + cfg.n)
     # the largest network runs once per scheme, pure for xy and noisy for rotated
     for vis in [None, noisy] if cfg.n < 11 else [None if kind == "xy" else noisy]:
-        got = network_correlators(scheme, vis)
-        assert np.abs(got - network_table(scheme, vis).correlators).max() <= floor
-        assert not got.flags.writeable
+        got = simulated_spectrum(scheme, vis)
+        want = truncated_spectrum(network_table(scheme, vis), smap)
+        assert np.abs(got.entries - want.entries).max() <= table_floor(cfg)
+        assert (got.factors is None) is (cfg.n == 1 or fits_one_block(cfg))
 
 
 def test_streamed_networks_span_every_block_count():
@@ -385,20 +386,22 @@ def test_streamed_networks_span_every_block_count():
     assert min(entries) < quantum._BLOCK_ENTRIES < max(entries)
     assert _table_entries((3, 4)) == quantum._BLOCK_ENTRIES
     assert _table_entries((1,) * 11) == 1 << 24
+    assert fits_one_block(NetworkConfig(2, (3, 4)))
+    assert not fits_one_block(NetworkConfig(2, (4, 4)))
 
 
 def test_tables_of_one_block_come_from_the_table_route(monkeypatch):
     # Storing a table of one block costs little, and the traced route sees them.
     calls = []
-    route = quantum.network_table
+    route = inequality.network_table
 
     def counted(scheme, visibilities=None):
         calls.append(scheme.config.branches)
         return route(scheme, visibilities)
 
-    monkeypatch.setattr(quantum, "network_table", counted)
+    monkeypatch.setattr(inequality, "network_table", counted)
     for branches in ((7,), (3, 4), (2, 3), (2, 5, 2), (5, 5)):
-        network_correlators(rotated_scheme(NetworkConfig(len(branches), branches)))
+        simulated_spectrum(rotated_scheme(NetworkConfig(len(branches), branches)))
     assert calls == [(7,), (3, 4), (2, 3)]
 
 
@@ -422,13 +425,13 @@ def test_streamed_correlators_equal_the_tables_at_any_block_size(monkeypatch, bl
 
 def test_streamed_correlators_hold_a_block_not_the_table():
     # At (5, 5) the table holds 2**22 entries (32 MiB); the check holds the
-    # per-source tables and the product of their correlators.
+    # per-source tables and their spectra.
     scheme = xy_scheme(NetworkConfig(2, (5, 5)))
     assert _table_entries((5, 5)) * 8 == 32 << 20
     sources = 2 * single_source_table(5, np.zeros((5, 2)), (0.0, HALF_PI)).values.nbytes
     tracemalloc.start()
     try:
-        network_correlators(scheme)
+        simulated_spectrum(scheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -436,13 +439,13 @@ def test_streamed_correlators_hold_a_block_not_the_table():
 
 
 def test_product_correlators_hold_no_table():
-    # At (1,) * 11 the composed table holds 2**24 entries (128 MiB); the
-    # product holds 2**11 correlators at each of 2 center settings (32 KiB)
-    # and the sources' tables of 8 entries.
+    # At (1,) * 11 the composed table would hold 2**24 entries (128 MiB);
+    # the check holds the sources' tables of 8 entries and 11 factors at
+    # each of 2 subset masks.
     scheme = xy_scheme(NetworkConfig(11, (1,) * 11))
     tracemalloc.start()
     try:
-        network_correlators(scheme)
+        simulated_spectrum(scheme)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -464,13 +467,6 @@ def _fresh_source_tables(scheme, visibilities):
     ]
 
 
-def _correlator_product(cfg, tables):
-    """``prod_j E_j(x_j, y)`` for every setting word ``x``, source 0 first."""
-    words = np.arange(1 << cfg.total)
-    parts = [t.correlators[source_bits(cfg, words, j)] for j, t in enumerate(tables)]
-    return np.prod(parts, axis=0)
-
-
 @pytest.mark.parametrize(
     "branches, kind, visibilities, simulated",
     [
@@ -487,10 +483,11 @@ def test_each_distinct_source_is_simulated_once(
     cfg = NetworkConfig(len(branches), branches)
     scheme = xy_scheme(cfg) if kind == "xy" else rotated_scheme(cfg)
     fresh = _fresh_source_tables(scheme, visibilities)
-    if _table_entries(branches) <= quantum._BLOCK_ENTRIES:
-        want = compose_network(fresh).correlators
-    else:
-        want = _correlator_product(cfg, fresh)
+    # both routes, the network's table and each source's, on fresh tables
+    with monkeypatch.context() as mp:
+        for module in (quantum, inequality):
+            mp.setattr(module, "source_tables", lambda scheme, visibilities: fresh)
+        want = simulated_spectrum(scheme, visibilities)
     calls = []
 
     def counted(*args, **kwargs):
@@ -498,9 +495,9 @@ def test_each_distinct_source_is_simulated_once(
         return single_source_table(*args, **kwargs)
 
     monkeypatch.setattr(quantum, "single_source_table", counted)
-    got = network_correlators(scheme, visibilities)
+    got = simulated_spectrum(scheme, visibilities)
     assert len(calls) == simulated
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.entries, want.entries)
 
 
 @pytest.mark.parametrize(
